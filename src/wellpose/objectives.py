@@ -14,12 +14,13 @@ the minimum is strong exactly when that modulus tends to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
 
 from .errors import PreconditionError
-from .spaces import FiniteMetricSpace, PointSubset, diam
+from .spaces import FiniteMetricSpace, PointSubset, prefix_diameters, sublevel_diameters
 
 __all__ = [
     "ObjectiveFunction",
@@ -127,8 +128,8 @@ class ModulusCurve:
 def wellposedness_modulus(f: ObjectiveFunction, eps_grid) -> ModulusCurve:
     """Modulus curve eps -> diam(argmin_set(f, eps)) over a grid."""
     eps_grid = tuple(float(e) for e in eps_grid)
-    diams = tuple(diam(argmin_set(f, e)) for e in eps_grid)
-    return ModulusCurve(eps_grid, diams)
+    diams = sublevel_diameters(f.values, eps_grid, partial(prefix_diameters, f.space.block))
+    return ModulusCurve(eps_grid, tuple(diams.tolist()))
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ shrinks both the parameter ball and the sublevel sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import PreconditionError
 from .objectives import ObjectiveFunction, argmin_set, inf_value, regularize
-from .spaces import FiniteMetricSpace, PointSubset, ball, diam
+from .spaces import FiniteMetricSpace, ball, diam, prefix_diameters, sublevel_diameters
 
 __all__ = [
     "ParameterGrid",
@@ -331,19 +332,14 @@ def check_5r_lemma(fam: ParametricFamily, p: int, eps: float, r: float, delta_gr
         raise PreconditionError(
             f"hypothesis fails: diam(argmin_set(f_p, eps)) = {base_diam} >= r = {r}"
         )
-    five_r = 5.0 * r
     prow = fam.params.space.row(p)
-    for delta in grid:
-        qs = np.flatnonzero(prow <= delta)
-        q_diams = {}
-        good = True
-        for q in qs:
-            d = diam(argmin_set(fam.objective(int(q)), delta))
-            q_diams[int(q)] = d
-            if not (d < five_r):
-                good = False
-                break
-        if good:
+    prefix = partial(prefix_diameters, fam.domain.block)
+    # one curve q -> diam(argmin_set(f_q, delta)) over the whole grid
+    curves = {int(q): sublevel_diameters(fam.objective(int(q)).values, grid, prefix)
+              for q in np.flatnonzero(prow <= grid[0])}
+    for j, delta in enumerate(grid):
+        q_diams = {q: float(c[j]) for q, c in curves.items() if prow[q] <= delta}
+        if all(d < 5.0 * r for d in q_diams.values()):
             return FiveRReport(p=p, eps=eps, r=r, delta=delta, q_diams=q_diams)
     return FiveRReport(p=p, eps=eps, r=r, delta=None, q_diams={})
 
@@ -375,19 +371,14 @@ def argmin_usc(fam: ParametricFamily, p: int, eps: float, delta_grid) -> UscRepo
     if len(exact) != 1:
         raise PreconditionError("argmin_usc needs a unique exact minimizer")
     x_p = int(next(iter(exact)))
-    target = ball(fam.domain, x_p, eps)
     prow = fam.params.space.row(p)
-    min_bad = np.inf
-    candidates = np.flatnonzero(prow <= grid[0])
+    qs = np.flatnonzero(prow <= grid[0])
+    vals = np.array([fam.objective(int(q)).values for q in qs])
+    # argmin_set(f_q, delta) ⊆ B_eps(x_p) iff f_q > inf f_q + delta off the ball
+    outside = vals[:, fam.domain.row(x_p) > eps].min(axis=1, initial=np.inf)
     for delta in grid:
-        ok = True
-        for q in candidates:
-            if prow[q] <= delta:
-                omega = argmin_set(fam.objective(int(q)), delta)
-                if not omega.issubset(target):
-                    ok = False
-                    break
-        if ok:
+        near = prow[qs] <= delta
+        if np.all(outside[near] > vals[near].min(axis=1) + delta):
             return UscReport(p=p, eps=eps, x_p=x_p, delta=delta)
     return UscReport(p=p, eps=eps, x_p=x_p, delta=None)
 

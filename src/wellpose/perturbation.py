@@ -11,12 +11,13 @@ of radius eps/2 around a chosen anchor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import PreconditionError
 from .objectives import ObjectiveFunction, argmin_set, sup_norm
-from .spaces import FiniteMetricSpace, ball, diam
+from .spaces import FiniteMetricSpace, ball, diam, prefix_diameters, sublevel_diameters
 
 __all__ = [
     "PerturbationFunction",
@@ -201,28 +202,24 @@ def mn_membership(f: ObjectiveFunction, g: PerturbationFunction, n: int,
                   t_grid=None) -> tuple[bool, float | None]:
     """Smallest grid t with diam(argmin_set(f + g, t)) < 1/n, if any.
 
-    diam is non-decreasing in t, so the grid is scanned in ascending
-    order and the first success is the smallest witness.  Default grid:
-    geometric from the space diameter down 16 octaves.
+    One sweep gives the diameter at every grid t; diam is non-decreasing
+    in t, so the first success in ascending order is the smallest witness.
+    Default grid: geometric from the space diameter down 16 octaves.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if g.space is not f.space:
         raise ValueError("perturbation lives on a different space")
     if t_grid is None:
-        top = f.space.diameter()
-        if top <= 0.0:
-            top = 1.0
+        top = f.space.diameter() or 1.0
         t_grid = tuple(top / (2.0**k) for k in range(17))
     grid = sorted(float(t) for t in t_grid)
     if not grid or grid[0] <= 0.0:
         raise ValueError("t grid must be positive")
     fg = f + g.as_objective()
-    bound = 1.0 / n
-    for t in grid:
-        if diam(argmin_set(fg, t)) < bound:
-            return True, t
-    return False, None
+    diams = sublevel_diameters(fg.values, grid, partial(prefix_diameters, f.space.block))
+    hits = np.flatnonzero(diams < 1.0 / n)
+    return (True, grid[hits[0]]) if hits.size else (False, None)
 
 
 def openness_radius(f: ObjectiveFunction, g: PerturbationFunction, eps: float, c_p: float) -> float:
@@ -278,18 +275,6 @@ def check_openness_contract(f: ObjectiveFunction, g: PerturbationFunction,
 
 # ----------------------------------------------------------------------
 # axiom battery
-
-
-def _best_lipschitz(space: FiniteMetricSpace, values: np.ndarray) -> float:
-    worst = 0.0
-    for lo in range(0, space.n, 512):
-        idx = np.arange(lo, min(lo + 512, space.n))
-        dist = space.block(idx)
-        gap = np.abs(values[None, :] - values[idx, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(dist > 0.0, gap / dist, 0.0)
-        worst = max(worst, float(slope.max()))
-    return worst
 
 
 def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list) -> dict:

@@ -21,14 +21,19 @@ __all__ = [
     "PointSubset",
     "ball",
     "diam",
+    "prefix_diameters",
     "set_distance",
     "space_from_json",
     "space_to_json",
+    "sublevel_diameters",
 ]
 
 # Above this size the full matrix is not materialized; rows are computed
 # on demand from coordinates.
 EAGER_MATRIX_LIMIT = 4096
+
+# cells per row chunk when a distance block is filled piecewise
+_CHUNK_CELLS = 1 << 15
 
 _METRICS = ("euclidean", "linf", "l1")
 
@@ -165,15 +170,16 @@ class FiniteMetricSpace:
             return self._matrix[i]
         return _pairwise(self._coords[[i]], self._coords, self._metric)[0]
 
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        """Distance block, shape (len(idx), n)."""
+    def block(self, idx: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """Distance block, shape (len(idx), n), or (len(idx), len(cols))."""
         if self._matrix is not None:
-            return self._matrix[idx]
-        return _pairwise(self._coords[idx], self._coords, self._metric)
+            return self._matrix[idx] if cols is None else self._matrix[np.ix_(idx, cols)]
+        other = self._coords if cols is None else self._coords[cols]
+        return _pairwise(self._coords[idx], other, self._metric)
 
     def diameter(self) -> float:
         """Max pairwise distance of the whole space (its scale)."""
-        return diam(PointSubset(self, frozenset(range(self.n))))
+        return float(prefix_diameters(self.block, np.arange(self.n))[-1])
 
     # ------------------------------------------------------------------
     # validation
@@ -292,6 +298,39 @@ def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
     return PointSubset(space, frozenset(np.flatnonzero(row <= eps).tolist()))
 
 
+def prefix_diameters(block, order) -> np.ndarray:
+    """Running diameter of the points in ``order`` as each one enters.
+
+    Entry j is the max distance among order[:j + 1]; block(rows, cols)
+    gives the distances between two index arrays.  One row chunk is
+    filled at a time, so memory stays O(chunk * len(order)).
+    """
+    order = np.asarray(order)
+    step = max(1, _CHUNK_CELLS // max(order.size, 1))
+    row_max = np.zeros(order.size)
+    for lo in range(0, order.size, step):
+        d = block(order[lo:lo + step], order[:lo + step])
+        # row lo + i meets the points entered up to and including itself
+        row_max[lo:lo + step] = np.tril(d, lo).max(axis=1)
+    return np.maximum.accumulate(row_max)
+
+
+def sublevel_diameters(values, grid, prefix) -> np.ndarray:
+    """Diameters of {v <= min v + t} for every t in grid, from one sort.
+
+    prefix(order) is the running diameter of the points in order.  Each
+    cut uses the float sum and the <= of argmin_set, so each set is
+    exactly argmin_set(f, t) and each diameter exactly its diam.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if not np.all(grid >= 0.0):
+        raise ValueError("eps must be nonnegative")
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    cuts = np.searchsorted(ranked, ranked[0] + grid, side="right")
+    return prefix(order[:cuts.max(initial=1)])[cuts - 1]
+
+
 def diam(subset: PointSubset) -> float:
     """Max pairwise distance over the subset; 0 for singletons.
 
@@ -299,11 +338,7 @@ def diam(subset: PointSubset) -> float:
     """
     if len(subset) == 0:
         raise ValueError("diameter of the empty set is undefined")
-    idx = subset.sorted_indices()
-    if len(idx) == 1:
-        return 0.0
-    block = subset.space.block(idx)
-    return float(block[:, idx].max())
+    return float(prefix_diameters(subset.space.block, subset.sorted_indices())[-1])
 
 
 def set_distance(a: PointSubset, b: PointSubset) -> float:
@@ -313,8 +348,8 @@ def set_distance(a: PointSubset, b: PointSubset) -> float:
         raise ValueError("set distance needs non-empty subsets")
     ia = a.sorted_indices()
     ib = b.sorted_indices()
-    block = a.space.block(ia)
-    return float(block[:, ib].min())
+    step = max(1, _CHUNK_CELLS // ib.size)
+    return float(min(a.space.block(ia[lo:lo + step], ib).min() for lo in range(0, ia.size, step)))
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from scipy.optimize import linprog
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
 from .seminorms import AbsLinear, LineQuotient, MaxOf, Scale, SeminormExpr, SumOf
+from .spaces import prefix_diameters, sublevel_diameters
 
 __all__ = [
     "NormedSetting",
@@ -357,26 +358,36 @@ def _linear_rows(expr: SeminormExpr) -> np.ndarray | None:
     return None
 
 
+def _running_diameters(pts: np.ndarray, nu: SeminormExpr) -> np.ndarray:
+    """Running nu-diameter of the rows of pts as each one enters."""
+    rows = _linear_rows(nu)
+    if rows is not None:
+        # nu(x - y) = max_j |L_j.x - L_j.y|: spread of each projection
+        proj = pts @ rows.T
+        return (np.maximum.accumulate(proj) - np.minimum.accumulate(proj)).max(axis=1)
+
+    def block(i, j):
+        diffs = pts[i][:, None, :] - pts[j][None, :, :]
+        return nu.eval_many(diffs.reshape(-1, pts.shape[1])).reshape(len(i), len(j))
+
+    return prefix_diameters(block, np.arange(pts.shape[0]))
+
+
+def _sublevel_curve(values: np.ndarray, sample: np.ndarray, grid, base: SeminormExpr):
+    """Base diameter of {values <= min + t} for each t in grid."""
+    diams = sublevel_diameters(values, grid, lambda order: _running_diameters(sample[order], base))
+    return ModulusCurve(eps_grid=tuple(grid), diam_values=tuple(diams.tolist()))
+
+
 def set_diameter(points: np.ndarray, nu: SeminormExpr) -> float:
-    """max over pairs of nu(x - y), with a fast path for max-of-linear trees."""
+    """max over pairs of nu(x - y), the last running diameter: spreads of
+    the projections for max-of-linear trees, else pairwise by row chunk."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != nu.dim:
         raise ValueError("points must be (m, d) matching the seminorm")
     if pts.shape[0] == 0:
         raise ValueError("diameter of an empty set is undefined")
-    if pts.shape[0] == 1:
-        return 0.0
-    rows = _linear_rows(nu)
-    if rows is not None:
-        proj = pts @ rows.T
-        return float((proj.max(axis=0) - proj.min(axis=0)).max())
-    best = 0.0
-    m = pts.shape[0]
-    for i0 in range(0, m, 64):
-        blk = pts[i0:i0 + 64]
-        diffs = (blk[:, None, :] - pts[None, i0:, :]).reshape(-1, pts.shape[1])
-        best = max(best, float(nu.eval_many(diffs).max()))
-    return best
+    return float(_running_diameters(pts, nu)[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,11 +417,7 @@ def metric_projection(nu: SeminormExpr, body: ConvexBody, p, delta_grid,
     values = nu.eval_many(p[None, :] - body.sample)
     dist = float(values.min())
     argmin = tuple(int(i) for i in np.flatnonzero(values == dist))
-    diams = []
-    for d in grid:
-        members = body.sample[values <= dist + d]
-        diams.append(set_diameter(members, setting.base))
-    curve = ModulusCurve(eps_grid=grid, diam_values=tuple(diams))
+    curve = _sublevel_curve(values, body.sample, grid, setting.base)
     return ProjectionReport(dist=dist, argmin_indices=argmin, curve=curve)
 
 
@@ -431,8 +438,7 @@ def stech_perturb_seminorm(nu: SeminormExpr, x_star, eps: float,
     """
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    lq = LineQuotient(setting.base, x_star)
-    return SumOf((nu, Scale(eps / 2.0, setting.base), Scale(eps / 2.0, lq)))
+    return SumOf((nu,) + _quotient_terms(setting, x_star, eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,17 +465,6 @@ class WellposeReport:
         return self.delta is not None
 
 
-def _localization_search(values: np.ndarray, sample: np.ndarray, grid_desc,
-                         base: SeminormExpr, eps: float):
-    dist = float(values.min())
-    for d in grid_desc:
-        members = sample[values <= dist + d]
-        dm = set_diameter(members, base)
-        if dm < eps:
-            return d, dm
-    return None, None
-
-
 def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
                    setting: NormedSetting, delta_grid=None) -> WellposeReport:
     """Perturb nu so the projection of p onto the body localizes.
@@ -488,9 +483,7 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
         raise ValueError("eps must be positive")
     if delta_grid is None:
         delta_grid = tuple(eps / 2.0**k for k in range(33))
-    grid_desc = sorted({float(d) for d in delta_grid}, reverse=True)
-    if grid_desc[-1] <= 0.0:
-        raise ValueError("delta grid must be positive")
+    grid = _ascending_grid(delta_grid)
 
     base_term = (Scale(eps, setting.base),)
     if body.contains(p):
@@ -509,19 +502,16 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
                 break
         strategies.append(("fallback", base_term, None))
 
-    last = None
     for status, terms, x_star in strategies:
         nu2 = SumOf((nu,) + terms)
         values = nu2.eval_many(p[None, :] - body.sample)
-        delta, dm = _localization_search(values, body.sample, grid_desc, setting.base, eps)
-        last = (status, terms, x_star, nu2, values, delta, dm)
+        curve = _sublevel_curve(values, body.sample, grid, setting.base)
+        # the largest tolerance whose near-minimizers have diameter < eps
+        delta, dm = max(((t, d) for t, d in zip(grid, curve.diam_values) if d < eps),
+                        default=(None, None))
         if delta is not None:
             break
-    status, terms, x_star, nu2, values, delta, dm = last
     dist = float(values.min())
-    grid_asc = tuple(reversed(grid_desc))
-    diams = [set_diameter(body.sample[values <= dist + d], setting.base) for d in grid_asc]
-    curve = ModulusCurve(eps_grid=grid_asc, diam_values=tuple(diams))
     moved = rho(nu2, nu, setting).value
     return WellposeReport(nu_prime=nu2, status=status, delta=delta,
                           achieved_diam=dm, moved=moved, dist=dist,
@@ -651,17 +641,15 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     per_point = []
     for step, p in zip(steps, points):
         values = nu.eval_many(p[None, :] - body.sample)
-        dist = float(values.min())
         tol = step.delta / 3.0
-        members = body.sample[values <= dist + tol]
-        dm = set_diameter(members, setting.base)
+        grid = tuple(sorted({float(d) for d in (tol, 2.0 * tol, 3.0 * tol)}))
+        curve = _sublevel_curve(values, body.sample, grid, setting.base)
+        dm = curve.diam_values[0]  # the claim: diameter at tolerance delta/3
         if not (dm < step.eps_step):
             raise ReplayError(
                 f"final replay broke step {step.index}: diam {dm} at tolerance "
                 f"{tol} is not below {step.eps_step}"
             )
-        grid = tuple(sorted({float(d) for d in (tol, 2.0 * tol, 3.0 * tol)}))
-        diams = tuple(set_diameter(body.sample[values <= dist + d], setting.base) for d in grid)
         per_point.append({
             "index": step.index,
             "point": step.point,
@@ -669,7 +657,7 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
             "diam": dm,
             "eps_step": step.eps_step,
             "bound": 1.0 / n_target,
-            "curve": ModulusCurve(eps_grid=grid, diam_values=diams),
+            "curve": curve,
         })
 
     rho_total = rho(nu, nu0, setting)
