@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Run the CLI commands with default arguments and keep every output.
+
+Usage: python3 scripts/cli_snapshot.py OUTDIR [COMMAND ...]
+
+Each command (default: vime, modulus, perturb, steckin, verify) runs
+in a fresh interpreter against the ``src`` tree of the checkout this
+script belongs to, with OUTDIR as working directory and ``--out
+COMMAND``.  Its stdout, stderr and exit code go to COMMAND/console.txt
+beside the files it writes.  Paths in the outputs are relative, so two
+checkouts compare with one ``diff -r``:
+
+    python3 A/scripts/cli_snapshot.py snapA
+    python3 B/scripts/cli_snapshot.py snapB
+    diff -r snapA snapB
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+COMMANDS = ("vime", "modulus", "perturb", "steckin", "verify")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def snapshot(outdir: Path, command: str) -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wellpose.cli", command, "--out", command],
+        cwd=outdir, env=env, capture_output=True, text=True, check=False)
+    (outdir / command).mkdir(exist_ok=True)
+    (outdir / command / "console.txt").write_text(
+        f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+    return proc.returncode
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("outdir", type=Path)
+    ap.add_argument("commands", nargs="*", metavar="COMMAND",
+                    help=f"subset of {', '.join(COMMANDS)}")
+    args = ap.parse_args()
+    unknown = sorted(set(args.commands) - set(COMMANDS))
+    if unknown:
+        ap.error(f"unknown command(s): {', '.join(unknown)}")
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    for command in args.commands or COMMANDS:
+        code = snapshot(args.outdir, command)
+        print(f"{command}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

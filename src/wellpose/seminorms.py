@@ -5,10 +5,11 @@ scaling, the euclidean norm, and the line quotient
 
     q(x) = min_t base(x - t * direction),
 
-the seminorm that flattens base along one direction.  The minimum is
-convex in t and is bracketed analytically, then resolved by golden
-section; reported values are minima over sampled points, so they never
-undershoot the true quotient and never exceed base(x).
+the seminorm that flattens base along one direction.  In R^2 it has the
+closed form kappa |perp . x|, perp orthogonal to the direction, with
+kappa found once per quotient; elsewhere the minimum, convex in t, is
+bracketed analytically and resolved by golden section at every point.
+Either way reported values never exceed base(x).
 
 Every node also carries a magnitude majorant (an upper bound on the
 absolute values flowing through its evaluation) used to scale rounding
@@ -158,8 +159,54 @@ class Scale(SeminormExpr):
         return self.factor * self.child.magnitude_many(X)
 
 
+def _golden_quotient(base: SeminormExpr, pts: np.ndarray, direction: np.ndarray,
+                     dir_value: float) -> np.ndarray:
+    """min_t base(x - t * direction) for each row x of pts, by golden section.
+
+    Values are minima over sampled t, so they never undershoot the true
+    quotient and never exceed base(x).
+    """
+    at_zero = base.eval_many(pts)
+    # base(x - t dir) >= |t| bd - base(x), so |t*| <= 2 base(x) / bd
+    T = 2.0 * at_zero / dir_value
+    a = -T
+    b = T.copy()
+
+    def phi(t):
+        return base.eval_many(pts - t[:, None] * direction[None, :])
+
+    best = at_zero.copy()
+    c = a + _INV_PHI2 * (b - a)
+    d = a + _INV_PHI * (b - a)
+    yc = phi(c)
+    yd = phi(d)
+    for _ in range(_GOLDEN_ITERS):
+        np.minimum(best, yc, out=best)
+        np.minimum(best, yd, out=best)
+        left = yc < yd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        h = b - a
+        c = a + _INV_PHI2 * h
+        d = a + _INV_PHI * h
+        yc = phi(c)
+        yd = phi(d)
+    np.minimum(best, yc, out=best)
+    np.minimum(best, yd, out=best)
+    np.minimum(best, phi(0.5 * (a + b)), out=best)
+    return best
+
+
 class LineQuotient(SeminormExpr):
-    """x -> min_t base(x - t * direction); base(direction) must be > 0."""
+    """x -> min_t base(x - t * direction); base(direction) must be > 0.
+
+    In R^2 the quotient vanishes on span(direction), so it equals
+    kappa |perp . x| with perp = (-d2, d1) and kappa = q(perp) / |perp|^2.
+    kappa comes from one golden-section search at construction; each
+    evaluation is then one dot product per point, clamped to base(x) so
+    rounding in kappa never lifts a value above base.  Other dimensions
+    run the search at every point.
+    """
 
     def __init__(self, base: SeminormExpr, direction):
         direction = np.asarray(direction, dtype=np.float64)
@@ -174,38 +221,21 @@ class LineQuotient(SeminormExpr):
         self.direction = direction
         self.dir_value = bd
         self.dim = base.dim
+        if self.dim == 2:
+            perp = np.array([-direction[1], direction[0]])
+            q_perp = float(_golden_quotient(base, perp[None, :], direction, bd)[0])
+            self._perp = perp
+            self._kappa = q_perp / float(perp @ perp)
 
     def eval_many(self, X):
         pts = _as_points(X, self.dim)
-        at_zero = self.base.eval_many(pts)
-        # base(x - t dir) >= |t| bd - base(x), so |t*| <= 2 base(x) / bd
-        T = 2.0 * at_zero / self.dir_value
-        a = -T
-        b = T.copy()
-
-        def phi(t):
-            return self.base.eval_many(pts - t[:, None] * self.direction[None, :])
-
-        best = at_zero.copy()
-        c = a + _INV_PHI2 * (b - a)
-        d = a + _INV_PHI * (b - a)
-        yc = phi(c)
-        yd = phi(d)
-        for _ in range(_GOLDEN_ITERS):
-            np.minimum(best, yc, out=best)
-            np.minimum(best, yd, out=best)
-            left = yc < yd
-            b = np.where(left, d, b)
-            a = np.where(left, a, c)
-            h = b - a
-            c = a + _INV_PHI2 * h
-            d = a + _INV_PHI * h
-            yc = phi(c)
-            yd = phi(d)
-        np.minimum(best, yc, out=best)
-        np.minimum(best, yd, out=best)
-        np.minimum(best, phi(0.5 * (a + b)), out=best)
-        return best
+        if self.dim != 2:
+            return _golden_quotient(self.base, pts, self.direction, self.dir_value)
+        # two products and a sum, never a fused multiply-add, so the dot
+        # product is exactly 0 at x = direction
+        perp = self._perp
+        flat = self._kappa * np.abs(pts[:, 0] * perp[0] + pts[:, 1] * perp[1])
+        return np.minimum(flat, self.base.eval_many(pts))
 
     def magnitude_many(self, X):
         pts = _as_points(X, self.dim)

@@ -50,6 +50,17 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _pairwise_matrix(coords: np.ndarray, metric: str) -> np.ndarray:
+    """All-pairs distance matrix, filled one row chunk of about
+    _CHUNK_CELLS cells at a time, so no (n, n, d) block is built."""
+    n = coords.shape[0]
+    out = np.empty((n, n))
+    rows = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, n, rows):
+        out[lo:lo + rows] = _pairwise(coords[lo:lo + rows], coords, metric)
+    return out
+
+
 class FiniteMetricSpace:
     """Indexed point set with a symmetric distance oracle.
 
@@ -81,7 +92,7 @@ class FiniteMetricSpace:
             self._coords = coords
             self.n = coords.shape[0]
             if matrix is None and self.n <= EAGER_MATRIX_LIMIT:
-                matrix = _pairwise(coords, coords, metric)
+                matrix = _pairwise_matrix(coords, metric)
         if matrix is not None:
             matrix = np.asarray(matrix, dtype=np.float64)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:

@@ -512,7 +512,8 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
         if delta is not None:
             break
     dist = float(values.min())
-    moved = rho(nu2, nu, setting).value
+    # nu2 - nu is exactly the sum of the added terms, a seminorm
+    moved = k_nu(SumOf(terms), setting).value
     return WellposeReport(nu_prime=nu2, status=status, delta=delta,
                           achieved_diam=dm, moved=moved, dist=dist,
                           curve=curve, x_star=x_star, added_exprs=terms)

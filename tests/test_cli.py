@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,3 +174,16 @@ def test_verify_inject_fault(capsys):
     code = cli.main(["verify", "--inject-fault"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_snapshot_script_on_verify(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "cli_snapshot.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path), "verify"],
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "verify: exit 0\n"
+    console = (tmp_path / "verify" / "console.txt").read_text()
+    assert console.startswith("exit 0\n") and "FAIL" not in console
+    report = _read(tmp_path / "verify" / "verify_report.json")
+    assert report and all(entry["passed"] for entry in report)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verify"]

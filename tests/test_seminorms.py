@@ -9,7 +9,9 @@ from wellpose.seminorms import (
     LineQuotient,
     MaxOf,
     Scale,
+    SeminormExpr,
     SumOf,
+    _golden_quotient,
     euclidean_norm,
     l1_norm,
     linf_norm,
@@ -118,6 +120,123 @@ class TestLineQuotientAccuracy:
             # grid scan can miss the true minimum by at most slope * step
             assert val <= scan + 1e-12 * max(1.0, bx)
             assert scan <= val + step * bd + 1e-12 * max(1.0, bx)
+
+
+def _bases_2d():
+    e1 = AbsLinear([1.0, -2.0])
+    e2 = AbsLinear([0.5, 0.5])
+    return {
+        "abslinear": e1,
+        "max": linf_norm(2),
+        "sum": l1_norm(2),
+        "scale": Scale(1.7, MaxOf((e1, e2))),
+        "euclidean": Euclidean(2),
+        "mixed_max": MaxOf((e1, e2, Scale(0.3, Euclidean(2)))),
+        "mixed_sum": SumOf((linf_norm(2), Scale(0.5, Euclidean(2)), e1)),
+    }
+
+
+_DIRECTIONS_2D = {
+    "random": [0.8137, -1.4402],
+    "axis_x": [1.0, 0.0],
+    "axis_y": [0.0, -3.0],
+    "near_x": [1.0, 1e-9],
+    "near_y": [-1e-12, 2.0],
+}
+
+
+def _search(base, direction, X):
+    """Brute-force reference: golden section at every point."""
+    d = np.asarray(direction, dtype=np.float64)
+    bd = float(base.eval_many(d[None, :])[0])
+    return _golden_quotient(base, np.asarray(X, dtype=np.float64), d, bd)
+
+
+@pytest.mark.parametrize("dname", list(_DIRECTIONS_2D))
+@pytest.mark.parametrize("bname", list(_bases_2d()))
+class TestClosedForm2D:
+    """The R^2 closed form kappa |perp . x| against the per-point search."""
+
+    @pytest.fixture
+    def case(self, bname, dname, rng):
+        base = _bases_2d()[bname]
+        direction = np.array(_DIRECTIONS_2D[dname])
+        pts = np.vstack([rng.normal(size=(300, 2)) * 5, np.eye(2), -np.eye(2)])
+        return base, direction, LineQuotient(base, direction), pts
+
+    def test_matches_the_search_at_every_point(self, case):
+        base, direction, q, pts = case
+        tol = 1e-13 * np.maximum(1.0, base.magnitude_many(pts))
+        assert np.all(np.abs(q.eval_many(pts) - _search(base, direction, pts)) <= tol)
+
+    def test_matches_a_dense_t_scan(self, case):
+        base, direction, q, pts = case
+        bd = q.dir_value
+        for x, val in zip(pts[:12], q.eval_many(pts[:12])):
+            bx = float(base.eval_many(x[None, :])[0])
+            ts = np.linspace(-2.0 * bx / bd, 2.0 * bx / bd, 4001)
+            scan = base.eval_many(x[None, :] - ts[:, None] * direction[None, :]).min()
+            step = 4.0 * bx / bd / 4000
+            assert val <= scan + 1e-12 * max(1.0, bx)
+            assert scan <= val + step * bd + 1e-12 * max(1.0, bx)
+
+    def test_never_exceeds_base(self, case):
+        base, _, q, pts = case
+        assert np.all(q.eval_many(pts) <= base.eval_many(pts))
+
+    def test_exactly_zero_on_the_direction(self, case):
+        _, direction, q, _ = case
+        line = np.array([1.0, -1.0, 2.0, 0.5, -1024.0])[:, None] * direction[None, :]
+        assert np.all(q.eval_many(line) == 0.0)
+
+    def test_json_round_trip_evaluates_identically(self, case):
+        _, _, q, pts = case
+        rebuilt = seminorm_from_json(seminorm_to_json(q))
+        assert np.array_equal(q.eval_many(pts), rebuilt.eval_many(pts))
+
+    def test_magnitude_bounds_the_dot_product(self, case):
+        # criterion 06 scales its rounding tolerance by magnitude_many; the
+        # closed form rounds in proportion to kappa (|x| . |perp|)
+        base, direction, q, pts = case
+        perp = np.array([-direction[1], direction[0]])
+        kappa = _search(base, direction, perp[None, :])[0] / (perp @ perp)
+        assert np.all(kappa * (np.abs(pts) @ np.abs(perp))
+                      <= q.magnitude_many(pts) * (1.0 + 1e-12))
+
+
+class _CountingBase(SeminormExpr):
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.rows = []
+
+    def eval_many(self, X):
+        self.rows.append(len(X))
+        return self.inner.eval_many(X)
+
+    def magnitude_many(self, X):
+        return self.inner.magnitude_many(X)
+
+
+def test_planar_quotient_evaluates_base_once_per_call(rng):
+    base = _CountingBase(MaxOf((AbsLinear([1.0, 0.3]), Scale(0.7, euclidean_norm(2)))))
+    q = LineQuotient(base, [0.8, -0.6])
+    base.rows.clear()
+    q.eval_many(rng.normal(size=(500, 2)))
+    assert base.rows == [500]
+
+
+def test_quotient_in_three_dimensions_still_searches(rng):
+    base = _CountingBase(SumOf((linf_norm(3), Scale(0.5, euclidean_norm(3)))))
+    direction = np.array([1.0, -2.0, 0.5])
+    q = LineQuotient(base, direction)
+    pts = rng.normal(size=(200, 3)) * 4
+    base.rows.clear()
+    got = q.eval_many(pts)
+    assert len(base.rows) > 70  # one evaluation per golden-section step
+    assert np.array_equal(got, _search(base.inner, direction, pts))
+    assert LineQuotient(euclidean_norm(3), [0.0, 0.0, 2.0])([3.0, 4.0, 7.0]) == 5.0
+    assert LineQuotient(linf_norm(3), [1.0, 0.0, 0.0])([17.0, 2.0, -1.0]) == 2.0
 
 
 def _tree_cases():

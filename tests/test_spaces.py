@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wellpose.spaces import (
+    _CHUNK_CELLS,
     FiniteMetricSpace,
+    _pairwise,
     PointSubset,
     ball,
     diam,
@@ -42,6 +46,28 @@ class TestConstruction:
         sp = FiniteMetricSpace.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             sp.row(0)[0] = 5.0
+
+
+class TestEagerMatrixBuild:
+    @pytest.mark.parametrize("metric", ["euclidean", "l1", "linf"])
+    def test_chunked_matrix_equals_the_full_block(self, metric, rng):
+        n = 300
+        assert n % (_CHUNK_CELLS // n) != 0  # a short last chunk
+        coords = rng.normal(size=(n, 3)) * 10
+        sp = FiniteMetricSpace(coords=coords, metric=metric)
+        assert np.array_equal(sp.block(np.arange(n)), _pairwise(coords, coords, metric))
+
+    def test_build_peak_stays_near_the_matrix(self):
+        n = 4000
+        matrix_bytes = n * n * 8
+        tracemalloc.start()
+        try:
+            sp = FiniteMetricSpace.grid1d(steps=n - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.n == n and sp.dist(0, n - 1) == 1.0
+        assert peak < 1.25 * matrix_bytes
 
 
 class TestValidate:

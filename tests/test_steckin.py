@@ -259,6 +259,17 @@ class TestWellposePoint:
         assert rep.delta == 0.0125
         assert len(rep.added_exprs) == 2
 
+    def test_moved_is_the_sphere_max_of_the_added_terms(self, segment_inst):
+        inst = segment_inst
+        for p in ([0.0, 0.0], inst.p):
+            rep = wellpose_point(inst.nu0, inst.body, p, 0.2, inst.setting)
+            terms = rep.added_exprs
+            assert rep.moved == float(SumOf(terms).eval_many(inst.setting.sphere).max())
+            # the whole-tree difference agrees up to cancellation error
+            whole = rho(rep.nu_prime, inst.nu0, inst.setting).value
+            assert abs(rep.moved - whole) <= 1e-12
+        assert rep.moved == 0.2  # sup of 0.1 base + 0.1 q is attained where q = base
+
     def test_curve_is_monotone_and_replayable(self, segment_inst):
         inst = segment_inst
         rep = wellpose_point(inst.nu0, inst.body, inst.p, 0.2, inst.setting)
