@@ -164,8 +164,8 @@ def random_lipschitz_family(rng: np.random.Generator, *, max_params: int = 40,
     cap = lipschitz_cap if lipschitz_cap is not None else 2.0
     c = rng.uniform(0.1, 0.999) * cap / peak
     ps = np.arange(steps + 1, dtype=np.float64) / steps
-    table = tuple(ObjectiveFunction(domain, base + (c * p) * bump) for p in ps)
-    return ParametricFamily(ParameterGrid(pspace), domain, table,
+    values = base + (c * ps)[:, None] * bump
+    return ParametricFamily(ParameterGrid(pspace), domain, values,
                             lipschitz_in_p=c * peak, meta={"kind": "lipschitz_expr"})
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "argmin_set",
     "wellposedness_modulus",
     "regularize",
+    "ball_min",
+    "proper_table",
     "check_cont_eps_lemma",
     "sup_norm",
 ]
@@ -50,6 +52,20 @@ def _as_values(obj, space: FiniteMetricSpace) -> np.ndarray:
     return values
 
 
+def proper_table(values, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only float64 copy of a value table whose last-axis rows are
+    proper: no NaN, no -inf, and at least one finite value per row."""
+    values = np.array(values, dtype=np.float64)
+    if values.shape != shape:
+        raise ValueError("value table does not match the space")
+    if np.any(np.isnan(values)) or np.any(values == -np.inf):
+        raise ValueError("values must avoid NaN and -inf")
+    if not np.all(np.any(np.isfinite(values), axis=-1)):
+        raise ValueError("objective must be proper (some finite value)")
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class ObjectiveFunction:
     """Proper extended-real function on a finite metric space.
@@ -62,23 +78,14 @@ class ObjectiveFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.space.n,):
-            raise ValueError("value table does not match the space")
-        if np.any(np.isnan(values)) or np.any(values == -np.inf):
-            raise ValueError("values must avoid NaN and -inf")
-        if not np.any(np.isfinite(values)):
-            raise ValueError("objective must be proper (some finite value)")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", proper_table(self.values, (self.space.n,)))
 
     def __add__(self, other) -> "ObjectiveFunction":
         # +inf + finite = +inf, so perturbing never leaves the domain
-        return ObjectiveFunction(self.space, self.values + _as_values(other, self.space))
+        return type(self)(self.space, self.values + _as_values(other, self.space))
 
     def __sub__(self, other) -> "ObjectiveFunction":
-        return ObjectiveFunction(self.space, self.values - _as_values(other, self.space))
+        return type(self)(self.space, self.values - _as_values(other, self.space))
 
 
 def sup_norm(values: np.ndarray) -> float:
@@ -159,14 +166,24 @@ def regularize(f: ObjectiveFunction, eps: float) -> ObjectiveFunction:
         raise ValueError("eps must be nonnegative")
     if eps == 0.0:
         return f
-    out = np.empty(f.space.n, dtype=np.float64)
-    chunk = 512
-    for lo in range(0, f.space.n, chunk):
-        idx = np.arange(lo, min(lo + chunk, f.space.n))
-        block = f.space.block(idx)
-        masked = np.where(block <= eps, f.values[None, :], np.inf)
-        out[idx] = masked.min(axis=1)
-    return ObjectiveFunction(f.space, out)
+    return ObjectiveFunction(f.space, ball_min(f.space, f.values[None, :], eps)[0])
+
+
+def ball_min(space: FiniteMetricSpace, rows: np.ndarray, eps: float) -> np.ndarray:
+    """Row-wise ball infimum of a (k, n) block: out[i, x] = min { rows[i, y] : d(y, x) <= eps }.
+
+    The distance mask is built 512 points at a time, and the reduction
+    reads the rows through a broadcast view, so temporaries stay at
+    O(k n) cells and no (k, chunk, n) block is built.  Min is exact, so
+    every entry equals the one-row enumeration bit for bit.
+    """
+    k, n = rows.shape
+    out = np.empty((k, n))
+    for lo in range(0, n, 512):
+        idx = np.arange(lo, min(lo + 512, n))
+        view = np.broadcast_to(rows[:, None, :], (k, idx.size, n))
+        out[:, idx] = np.min(view, axis=2, where=space.block(idx) <= eps, initial=np.inf)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

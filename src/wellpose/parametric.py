@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import ObjectiveFunction, argmin_set, inf_value, regularize
+from .objectives import ObjectiveFunction, argmin_set, ball_min, proper_table, regularize
 from .spaces import FiniteMetricSpace, ball, diam, prefix_diameters, sublevel_diameters
 
 __all__ = [
@@ -67,33 +67,35 @@ class ParameterGrid:
 class ParametricFamily:
     """One proper objective per parameter, all on a shared domain.
 
+    values is the read-only (n_params, n_points) table, row p holding f_p;
+    every row is proper (no NaN or -inf, some finite value).
     ``lipschitz_in_p`` (optional) asserts sup_x |f_p(x) - f_q(x)| <= L * mu(p, q)
     and unlocks an analytic delta fast path that searches cross-check.
     """
 
     params: ParameterGrid
     domain: FiniteMetricSpace
-    table: tuple[ObjectiveFunction, ...]
+    values: np.ndarray
     lipschitz_in_p: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.table) != self.params.space.n:
-            raise ValueError("need exactly one objective per parameter")
-        for f in self.table:
-            if f.space is not self.domain:
-                raise ValueError("family members must share the domain space")
+        shape = (self.params.space.n, self.domain.n)
+        object.__setattr__(self, "values", proper_table(self.values, shape))
 
     def objective(self, p: int) -> ObjectiveFunction:
-        return self.table[p]
+        return ObjectiveFunction(self.domain, self.values[p])
 
     def add_perturbation(self, g_fam) -> "ParametricFamily":
         """Pointwise sum family (f_p + g_p); g_fam is a PerturbationFamily
         over the same parameter space (a bare space, not a grid)."""
         if g_fam.params is not self.params.space:
             raise ValueError("perturbation family uses a different parameter space")
-        summed = tuple(f + g for f, g in zip(self.table, g_fam.table))
-        return ParametricFamily(self.params, self.domain, summed, meta={"kind": "sum"})
+        if g_fam.domain is not self.domain:
+            raise ValueError("perturbation family uses a different domain")
+        # +inf + finite = +inf, so perturbing never leaves the domain
+        return ParametricFamily(self.params, self.domain, self.values + g_fam.values,
+                                meta={"kind": "sum"})
 
 
 def default_delta_grid(fam: ParametricFamily, eps: float, octaves: int = 16) -> tuple[float, ...]:
@@ -104,13 +106,10 @@ def default_delta_grid(fam: ParametricFamily, eps: float, octaves: int = 16) -> 
     """
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    pspace = fam.params.space
-    spacing = np.inf
-    for i in range(pspace.n):
-        row = pspace.row(i)
-        pos = row[row > 0.0]
-        if pos.size:
-            spacing = min(spacing, float(pos.min()))
+    n = fam.params.space.n
+    rows = max(1, 4096 // n)  # distance blocks of about 4096 cells
+    blocks = (fam.params.space.block(np.arange(lo, min(lo + rows, n))) for lo in range(0, n, rows))
+    spacing = min(float(np.min(b, where=b > 0.0, initial=np.inf)) for b in blocks)
     vals = [eps / (2.0**k) for k in range(octaves + 1)]
     kept = tuple(v for v in vals if not (v < spacing))
     return kept if kept else (float(spacing) if np.isfinite(spacing) else eps,)
@@ -137,7 +136,7 @@ def _largest_delta(delta_grid: tuple[float, ...], min_bad_dist: float) -> float 
 
 def value_function(fam: ParametricFamily) -> np.ndarray:
     """V(p) = inf_x f_p(x) per parameter index."""
-    return np.array([inf_value(f) for f in fam.table], dtype=np.float64)
+    return fam.values.min(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,26 +172,21 @@ def check_cond1(fam: ParametricFamily, p: int, x: int, eps: float, delta_grid) -
     grid = _check_grid(delta_grid)
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    fp_x = float(fam.objective(p).values[x])
+    fp_x = float(fam.values[p, x])
     if fp_x == np.inf:
         return EpiCertificate(1, p, eps, grid[0], anchor_x=x, witnesses={}, vacuous=True)
-    bound = fp_x + eps
     ball_x = ball(fam.domain, x, eps).sorted_indices()
     prow = fam.params.space.row(p)
-    candidates = np.flatnonzero(prow <= grid[0])
-    witnesses: dict[int, int] = {}
-    min_bad = np.inf
-    for q in candidates:
-        sub = fam.objective(int(q)).values[ball_x]
-        k = int(np.argmin(sub))  # first minimum = lowest index
-        if sub[k] <= bound:
-            witnesses[int(q)] = int(ball_x[k])
-        else:
-            min_bad = min(min_bad, float(prow[q]))
-    delta = _largest_delta(grid, min_bad)
+    qs = np.flatnonzero(prow <= grid[0])
+    sub = fam.values[np.ix_(qs, ball_x)]
+    best = np.argmin(sub, axis=1)  # first minimum = lowest index
+    bad = sub[np.arange(qs.size), best] > fp_x + eps
+    delta = _largest_delta(grid, prow[qs[bad]].min(initial=np.inf))
     if delta is None:
         return EpiCertificate(1, p, eps, None, anchor_x=x, witnesses=None)
-    keep = {q: w for q, w in witnesses.items() if prow[q] <= delta}
+    # every q within delta is good, since delta is below the nearest bad q
+    near = prow[qs] <= delta
+    keep = dict(zip(qs[near].tolist(), ball_x[best[near]].tolist()))
     return EpiCertificate(1, p, eps, delta, anchor_x=x, witnesses=keep)
 
 
@@ -204,20 +198,15 @@ def check_cond2(fam: ParametricFamily, p: int, eps: float, delta_grid) -> EpiCer
         raise ValueError("eps must be positive")
     floor = regularize(fam.objective(p), eps).values - eps
     prow = fam.params.space.row(p)
-    candidates = np.flatnonzero(prow <= grid[0])
-    min_bad = np.inf
-    violation = None
-    for q in candidates:
-        viol = fam.objective(int(q)).values < floor
-        if np.any(viol):
-            d = float(prow[q])
-            if d < min_bad:
-                min_bad = d
-                violation = (int(q), int(np.flatnonzero(viol)[0]))
-    delta = _largest_delta(grid, min_bad)
-    if delta is None:
-        return EpiCertificate(2, p, eps, None, violation=violation)
-    return EpiCertificate(2, p, eps, delta)
+    qs = np.flatnonzero(prow <= grid[0])
+    viol = fam.values[qs] < floor
+    bad_dist = np.where(viol.any(axis=1), prow[qs], np.inf)
+    delta = _largest_delta(grid, bad_dist.min(initial=np.inf))
+    if delta is not None:
+        return EpiCertificate(2, p, eps, delta)
+    # the nearest bad q, lowest index on ties, at its first violating x
+    j = int(np.argmin(bad_dist))
+    return EpiCertificate(2, p, eps, None, violation=(int(qs[j]), int(np.argmax(viol[j]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,16 +239,11 @@ def certify_uniform_epi(fam: ParametricFamily, p: int, eps: float, delta_grid) -
     grid = _check_grid(delta_grid)
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    fp = fam.objective(p).values
     prow = fam.params.space.row(p)
-    candidates = np.flatnonzero(prow <= grid[0])
-    min_bad = np.inf
-    for q in candidates:
-        # (f_q)_eps <= f_p + eps everywhere == condition 1 at every anchor
-        reg_q = regularize(fam.objective(int(q)), eps).values
-        if not np.all(reg_q <= fp + eps):
-            min_bad = min(min_bad, float(prow[q]))
-    cond1_delta = _largest_delta(grid, min_bad)
+    qs = np.flatnonzero(prow <= grid[0])
+    # (f_q)_eps <= f_p + eps everywhere == condition 1 at every anchor
+    good = np.all(ball_min(fam.domain, fam.values[qs], eps) <= fam.values[p] + eps, axis=1)
+    cond1_delta = _largest_delta(grid, prow[qs[~good]].min(initial=np.inf))
     cond2 = check_cond2(fam, p, eps, grid)
     return UniformEpiReport(p=p, eps=eps, cond1_delta=cond1_delta, cond2=cond2)
 
@@ -271,21 +255,16 @@ def recheck_certificate(fam: ParametricFamily, cert: EpiCertificate) -> bool:
     prow = fam.params.space.row(cert.p)
     qs = np.flatnonzero(prow <= cert.delta)
     if cert.condition == 1:
+        fp_x = float(fam.values[cert.p, cert.anchor_x])
         if cert.vacuous:
-            return float(fam.objective(cert.p).values[cert.anchor_x]) == np.inf
-        bound = float(fam.objective(cert.p).values[cert.anchor_x]) + cert.eps
-        xrow = fam.domain.row(cert.anchor_x)
-        for q in qs:
-            xq = cert.witnesses.get(int(q))
-            if xq is None:
-                return False
-            if not (xrow[xq] <= cert.eps):
-                return False
-            if not (fam.objective(int(q)).values[xq] <= bound):
-                return False
-        return True
+            return fp_x == np.inf
+        if not all(int(q) in cert.witnesses for q in qs):
+            return False
+        xq = np.array([cert.witnesses[int(q)] for q in qs], dtype=np.intp)
+        return bool(np.all(fam.domain.row(cert.anchor_x)[xq] <= cert.eps)
+                    and np.all(fam.values[qs, xq] <= fp_x + cert.eps))
     floor = regularize(fam.objective(cert.p), cert.eps).values - cert.eps
-    return all(bool(np.all(fam.objective(int(q)).values >= floor)) for q in qs)
+    return bool(np.all(fam.values[qs] >= floor))
 
 
 def analytic_epi_delta(fam: ParametricFamily, eps: float) -> float | None:
@@ -335,7 +314,7 @@ def check_5r_lemma(fam: ParametricFamily, p: int, eps: float, r: float, delta_gr
     prow = fam.params.space.row(p)
     prefix = partial(prefix_diameters, fam.domain.block)
     # one curve q -> diam(argmin_set(f_q, delta)) over the whole grid
-    curves = {int(q): sublevel_diameters(fam.objective(int(q)).values, grid, prefix)
+    curves = {int(q): sublevel_diameters(fam.values[q], grid, prefix)
               for q in np.flatnonzero(prow <= grid[0])}
     for j, delta in enumerate(grid):
         q_diams = {q: float(c[j]) for q, c in curves.items() if prow[q] <= delta}
@@ -373,7 +352,7 @@ def argmin_usc(fam: ParametricFamily, p: int, eps: float, delta_grid) -> UscRepo
     x_p = int(next(iter(exact)))
     prow = fam.params.space.row(p)
     qs = np.flatnonzero(prow <= grid[0])
-    vals = np.array([fam.objective(int(q)).values for q in qs])
+    vals = fam.values[qs]
     # argmin_set(f_q, delta) ⊆ B_eps(x_p) iff f_q > inf f_q + delta off the ball
     outside = vals[:, fam.domain.row(x_p) > eps].min(axis=1, initial=np.inf)
     for delta in grid:
@@ -410,18 +389,8 @@ def vime_family(x_steps: int = 999, p_steps: int = 999) -> ParametricFamily:
     table_vals = np.zeros((p_steps + 1, x_steps + 1), dtype=np.float64)
     table_vals[:, left] = np.outer(1.0 - ps, 3.0 * xs[left] - 1.0)
     table_vals[:, right] = np.outer(ps, 2.0 - 3.0 * xs[right])
-    table = tuple(ObjectiveFunction(X, row) for row in table_vals)
     meta = {"kind": "vime", "x_steps": x_steps, "p_steps": p_steps}
-    return ParametricFamily(ParameterGrid(P), X, table, lipschitz_in_p=1.0, meta=meta)
-
-
-def _vime_blocks(fam: ParametricFamily) -> tuple[frozenset, frozenset, frozenset]:
-    k = fam.meta["x_steps"]
-    i3 = 3 * np.arange(k + 1)
-    left = frozenset(np.flatnonzero(i3 <= k).tolist())
-    interior = frozenset(np.flatnonzero((i3 > k) & (i3 < 2 * k)).tolist())
-    right = frozenset(np.flatnonzero(i3 >= 2 * k).tolist())
-    return left, interior, right
+    return ParametricFamily(ParameterGrid(P), X, table_vals, lipschitz_in_p=1.0, meta=meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,23 +422,19 @@ def no_continuous_selection_demo(fam: ParametricFamily, eps: float) -> Selection
         raise ValueError("demo requires a family built by vime_family")
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    left, interior, right = _vime_blocks(fam)
-    p_last = fam.params.space.n - 1
-    omega0 = argmin_set(fam.objective(0), eps)
-    omega1 = argmin_set(fam.objective(p_last), eps)
-    left_ok = omega0.members <= left
-    right_ok = omega1.members <= right
-    bad_p = []
-    for p in range(fam.params.space.n):
-        if not argmin_set(fam.objective(p), eps).members.isdisjoint(interior):
-            bad_p.append(p)
+    # blocks by integer comparison: left i/k <= 1/3, right i/k >= 2/3
+    k = fam.meta["x_steps"]
+    i3 = 3 * np.arange(k + 1)
+    # row p is argmin_set(f_p, eps): f_p(x) <= inf f_p + eps
+    near = fam.values <= fam.values.min(axis=1, keepdims=True) + eps
+    bad_p = np.flatnonzero(near[:, (i3 > k) & (i3 < 2 * k)].any(axis=1))
     return SelectionGapReport(
         eps=eps,
-        left_ok=left_ok,
-        right_ok=right_ok,
-        gap_ok=not bad_p,
+        left_ok=not near[0, i3 > k].any(),
+        right_ok=not near[-1, i3 < 2 * k].any(),
+        gap_ok=bad_p.size == 0,
         gap_interval=(1.0 / 3.0, 2.0 / 3.0),
-        bad_p=tuple(bad_p),
+        bad_p=tuple(bad_p.tolist()),
     )
 
 
@@ -503,28 +468,17 @@ def check_sum_epi(fam: ParametricFamily, g_fam, p: int, eps: float, delta_grid) 
     grid = _check_grid(delta_grid)
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    pspace = fam.params.space
-    dom = fam.domain
-    gp = np.asarray(g_fam.table[p].values, dtype=np.float64)
-    prow = pspace.row(p)
+    gp = g_fam.values[p]
+    prow = fam.params.space.row(p)
     gcont_delta = None
     for delta in grid:
-        qs = np.flatnonzero(prow <= delta)
-        ok = True
-        for q in qs:
-            gq = np.asarray(g_fam.table[int(q)].values, dtype=np.float64)
-            # max over x of max_{y in B_delta(x)} |g_q(y) - g_p(x)|
-            for lo in range(0, dom.n, 512):
-                idx = np.arange(lo, min(lo + 512, dom.n))
-                mask = dom.block(idx) <= delta
-                gap = np.abs(gq[None, :] - gp[idx, None])
-                worst = np.where(mask, gap, -np.inf).max()
-                if not (worst < eps):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        gq = g_fam.values[prow <= delta]
+        # max_{y in B_delta(x)} |g_q(y) - g_p(x)| is the larger of
+        # (ball max of g_q) - g_p(x) and g_p(x) - (ball min of g_q): rounded
+        # subtraction is monotone, so this is exact
+        hi = -ball_min(fam.domain, -gq, delta)
+        lo = ball_min(fam.domain, gq, delta)
+        if np.all(np.maximum(hi - gp, gp - lo) < eps):
             gcont_delta = delta
             break
     if gcont_delta is None:
@@ -552,12 +506,8 @@ def family_from_json(desc: dict) -> ParametricFamily:
     if kind == "table":
         domain = space_from_json(params["domain"])
         pspace = space_from_json(params["param_space"])
-        values = np.asarray(params["values"], dtype=np.float64)
-        if values.shape != (pspace.n, domain.n):
-            raise ValueError("value table shape must be (n_params, n_points)")
-        table = tuple(ObjectiveFunction(domain, row) for row in values)
         witness = tuple(int(i) for i in params.get("witness", ()))
-        return ParametricFamily(ParameterGrid(pspace, witness), domain, table,
+        return ParametricFamily(ParameterGrid(pspace, witness), domain, params["values"],
                                 meta={"kind": "table"})
     if kind == "lipschitz_expr":
         domain = space_from_json(params["domain"])
@@ -567,17 +517,14 @@ def family_from_json(desc: dict) -> ParametricFamily:
         coef = np.asarray(params["coef"], dtype=np.float64)
         if base.shape != (domain.n,) or bump.shape != (domain.n,) or coef.shape != (pspace.n,):
             raise ValueError("base/bump/coef shapes must match the spaces")
-        table = tuple(ObjectiveFunction(domain, base + c * bump) for c in coef)
+        values = base + coef[:, None] * bump
         lip = params.get("lipschitz")
         if lip is None:
             # empirical coefficient slope over parameter pairs
-            worst = 0.0
-            for i in range(pspace.n):
-                row = pspace.row(i)
-                for j in range(i + 1, pspace.n):
-                    if row[j] > 0.0:
-                        worst = max(worst, abs(float(coef[i] - coef[j])) / float(row[j]))
-            lip = worst * float(np.max(np.abs(bump)))
-        return ParametricFamily(ParameterGrid(pspace), domain, table,
+            mu = pspace.block(np.arange(pspace.n))
+            gap = np.abs(coef[:, None] - coef[None, :])
+            worst = np.max(np.divide(gap, mu, out=np.zeros_like(mu), where=mu > 0.0))
+            lip = float(worst) * float(np.max(np.abs(bump)))
+        return ParametricFamily(ParameterGrid(pspace), domain, values,
                                 lipschitz_in_p=float(lip), meta={"kind": "lipschitz_expr"})
     raise ValueError(f"unknown family kind {kind!r}")

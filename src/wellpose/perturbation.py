@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import ObjectiveFunction, argmin_set, sup_norm
+from .objectives import ObjectiveFunction, argmin_set, proper_table, sup_norm
 from .spaces import FiniteMetricSpace, ball, diam, prefix_diameters, sublevel_diameters
 
 __all__ = [
@@ -33,79 +33,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbationFunction:
-    """Finite bounded function on a finite metric space."""
+def _bounded(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("perturbations must be finite everywhere")
 
-    space: FiniteMetricSpace
-    values: np.ndarray
+
+class PerturbationFunction(ObjectiveFunction):
+    """Finite bounded function on a finite metric space.
+
+    An objective whose values are all finite, so it adds to any objective
+    directly: ``f + g`` is an ObjectiveFunction, ``g + h`` a perturbation.
+    """
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.space.n,):
-            raise ValueError(f"values shape {vals.shape} != ({self.space.n},)")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("perturbations must be finite everywhere")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        super().__post_init__()
+        _bounded(self.values)
 
     def sup_norm(self) -> float:
         return sup_norm(self.values)
-
-    def as_objective(self) -> ObjectiveFunction:
-        return ObjectiveFunction(self.space, self.values)
-
-    def _binary(self, other, op) -> "PerturbationFunction":
-        if isinstance(other, PerturbationFunction):
-            if other.space is not self.space:
-                raise ValueError("perturbations live on different spaces")
-            return PerturbationFunction(self.space, op(self.values, other.values))
-        return NotImplemented
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
 
     def scale(self, c: float) -> "PerturbationFunction":
         return PerturbationFunction(self.space, float(c) * self.values)
 
 
 def _default_rho(a: "PerturbationFamily", b: "PerturbationFamily") -> float:
-    return max(
-        sup_norm(ga.values - gb.values) for ga, gb in zip(a.table, b.table)
-    )
+    return sup_norm(a.values - b.values)
 
 
 @dataclass(frozen=True, eq=False)
 class PerturbationFamily:
     """One perturbation per parameter with a divergence between families.
 
+    values is the finite (n_params, n_points) table, row p holding g_p.
     rho_fn(a, b) must be a pseudometric on families over the same spaces;
     the default is the worst-case sup norm across parameters.  descriptor
     is an optional serializable note on how the family was built.
     """
 
     params: FiniteMetricSpace
-    table: tuple[PerturbationFunction, ...]
+    domain: FiniteMetricSpace
+    values: np.ndarray
     descriptor: dict | None = None
     rho_fn: object = None
 
     def __post_init__(self):
-        if len(self.table) != self.params.n:
-            raise ValueError("need exactly one perturbation per parameter")
-        if len(self.table) == 0:
-            raise ValueError("family must be non-empty")
-        dom = self.table[0].space
-        for g in self.table:
-            if g.space is not dom:
-                raise ValueError("family members must share the domain space")
-
-    @property
-    def domain(self) -> FiniteMetricSpace:
-        return self.table[0].space
+        values = proper_table(self.values, (self.params.n, self.domain.n))
+        _bounded(values)
+        object.__setattr__(self, "values", values)
 
     def rho(self, other: "PerturbationFamily") -> float:
         if other.params is not self.params or other.domain is not self.domain:
@@ -114,32 +88,29 @@ class PerturbationFamily:
         return float(fn(self, other))
 
     def sup_norm(self) -> float:
-        return max(g.sup_norm() for g in self.table)
+        return sup_norm(self.values)
 
     def zero_like(self) -> "PerturbationFamily":
-        zero = PerturbationFunction(self.domain, np.zeros(self.domain.n))
-        return PerturbationFamily(
-            self.params, (zero,) * self.params.n,
-            descriptor={"kind": "zero"}, rho_fn=self.rho_fn,
-        )
+        return PerturbationFamily(self.params, self.domain, np.zeros_like(self.values),
+                                  descriptor={"kind": "zero"}, rho_fn=self.rho_fn)
 
     def __add__(self, other):
         if not isinstance(other, PerturbationFamily):
             return NotImplemented
         if other.params is not self.params or other.domain is not self.domain:
             raise ValueError("families live on different spaces")
-        table = tuple(a + b for a, b in zip(self.table, other.table))
         desc = None
         if self.descriptor is not None and other.descriptor is not None:
             desc = {"kind": "sum", "terms": [self.descriptor, other.descriptor]}
-        return PerturbationFamily(self.params, table, descriptor=desc, rho_fn=self.rho_fn)
+        return PerturbationFamily(self.params, self.domain, self.values + other.values,
+                                  descriptor=desc, rho_fn=self.rho_fn)
 
     def scale(self, c: float) -> "PerturbationFamily":
-        table = tuple(g.scale(c) for g in self.table)
         desc = None
         if self.descriptor is not None:
             desc = {"kind": "scale", "factor": float(c), "term": self.descriptor}
-        return PerturbationFamily(self.params, table, descriptor=desc, rho_fn=self.rho_fn)
+        return PerturbationFamily(self.params, self.domain, float(c) * self.values,
+                                  descriptor=desc, rho_fn=self.rho_fn)
 
 
 def cone_perturbation(space: FiniteMetricSpace, a: int, beta: float, gamma: float) -> PerturbationFunction:
@@ -178,11 +149,11 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
         raise ValueError("perturbation lives on a different space")
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    fg = f + g.as_objective()
+    fg = f + g
     a = argmin_set(fg, eps / 4.0).sorted_indices()[0]
     cone = cone_perturbation(f.space, int(a), beta=eps, gamma=eps / 2.0)
     g_prime = g + cone
-    fg2 = f + g_prime.as_objective()
+    fg2 = f + g_prime
     omega = argmin_set(fg2, eps / 2.0)
     if not omega.issubset(ball(f.space, int(a), eps / 2.0)):
         # the cone construction proves this containment; reaching here is a bug
@@ -216,7 +187,7 @@ def mn_membership(f: ObjectiveFunction, g: PerturbationFunction, n: int,
     grid = sorted(float(t) for t in t_grid)
     if not grid or grid[0] <= 0.0:
         raise ValueError("t grid must be positive")
-    fg = f + g.as_objective()
+    fg = f + g
     diams = sublevel_diameters(fg.values, grid, partial(prefix_diameters, f.space.block))
     hits = np.flatnonzero(diams < 1.0 / n)
     return (True, grid[hits[0]]) if hits.size else (False, None)
@@ -258,7 +229,7 @@ def check_openness_contract(f: ObjectiveFunction, g: PerturbationFunction,
     """
     if g.space is not f.space or g2.space is not f.space:
         raise ValueError("perturbations live on a different space")
-    base = diam(argmin_set(f + g.as_objective(), eps))
+    base = diam(argmin_set(f + g, eps))
     if not (base < eps):
         raise PreconditionError(
             f"hypothesis fails: diam at eps is {base}, not < {eps}"
@@ -268,7 +239,7 @@ def check_openness_contract(f: ObjectiveFunction, g: PerturbationFunction,
     if not (rho < radius):
         return OpennessReport(radius=radius, rho=rho, applicable=False, holds=None,
                               diam_before=base, diam_after=None)
-    after = diam(argmin_set(f + g2.as_objective(), eps / 3.0))
+    after = diam(argmin_set(f + g2, eps / 3.0))
     return OpennessReport(radius=radius, rho=rho, applicable=True,
                           holds=bool(after < eps), diam_before=base, diam_after=after)
 

@@ -40,13 +40,18 @@ _METRICS = ("euclidean", "linf", "l1")
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     """Distance block between point arrays of shape (na, d) and (nb, d)."""
+    if metric == "linf":
+        # a running maximum over the coordinate columns: numpy reduces a
+        # short last axis slowly, and max is exact in any order
+        out = np.abs(a[:, None, 0] - b[None, :, 0])
+        for k in range(1, a.shape[1]):
+            np.maximum(out, np.abs(a[:, None, k] - b[None, :, k]), out=out)
+        return out
     diff = a[:, None, :] - b[None, :, :]
     if metric == "euclidean":
         return np.sqrt((diff * diff).sum(axis=2))
     if metric == "l1":
         return np.abs(diff).sum(axis=2)
-    if metric == "linf":
-        return np.abs(diff).max(axis=2)
     raise ValueError(f"unknown metric {metric!r}")
 
 

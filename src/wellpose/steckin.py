@@ -485,24 +485,26 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
         delta_grid = tuple(eps / 2.0**k for k in range(33))
     grid = _ascending_grid(delta_grid)
 
-    base_term = (Scale(eps, setting.base),)
+    # (status, quotient direction or None for the plain base term)
     if body.contains(p):
-        strategies = [("interior", base_term, None)]
+        strategies = [("interior", None)]
     else:
         vals0 = nu.eval_many(p[None, :] - body.sample)
         order = np.argsort(vals0, kind="stable")
-        x1 = p - body.sample[order[0]]
-        strategies = [("perturbed", _quotient_terms(setting, x1, eps), tuple(float(v) for v in x1))]
+        strategies = [("perturbed", p - body.sample[order[0]])]
         for k in range(1, order.size):
             if not np.array_equal(body.sample[order[k]], body.sample[order[0]]):
-                x2 = p - body.sample[order[k]]
-                strategies.append(
-                    ("perturbed_alt", _quotient_terms(setting, x2, eps),
-                     tuple(float(v) for v in x2)))
+                strategies.append(("perturbed_alt", p - body.sample[order[k]]))
                 break
-        strategies.append(("fallback", base_term, None))
+        strategies.append(("fallback", None))
 
-    for status, terms, x_star in strategies:
+    for status, x in strategies:
+        # terms are built only when their strategy is tried: a quotient
+        # costs one kappa search at construction
+        if x is None:
+            terms, x_star = (Scale(eps, setting.base),), None
+        else:
+            terms, x_star = _quotient_terms(setting, x, eps), tuple(float(v) for v in x)
         nu2 = SumOf((nu,) + terms)
         values = nu2.eval_many(p[None, :] - body.sample)
         curve = _sublevel_curve(values, body.sample, grid, setting.base)

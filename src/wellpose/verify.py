@@ -51,7 +51,7 @@ def run_all(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
         f = instances.random_objective(rng, sp, inf_prob=0.1)
         eps = float(rng.uniform(0.05, 1.0))
         g = instances.random_perturbation(rng, sp, eps / 3.0)
-        rep = objectives.check_cont_eps_lemma(f, g.as_objective(), eps)
+        rep = objectives.check_cont_eps_lemma(f, g, eps)
         ok = ok and rep.holds
     results.append(_check("cont_eps", ok, "50 random small-perturbation containments"))
 

@@ -65,7 +65,7 @@ def test_criterion_02_cont_eps_bulk(accept_report, rng):
         f = random_objective(rng, sp)
         eps = float(rng.uniform(0.05, 2.0))
         g = random_perturbation(rng, sp, eps / 3.0)
-        rep = check_cont_eps_lemma(f, g.as_objective(), eps)
+        rep = check_cont_eps_lemma(f, g, eps)
         if not rep.holds:
             failures += 1
     elapsed = time.perf_counter() - t0

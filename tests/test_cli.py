@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -187,3 +188,33 @@ def test_cli_snapshot_script_on_verify(tmp_path):
     report = _read(tmp_path / "verify" / "verify_report.json")
     assert report and all(entry["passed"] for entry in report)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["verify"]
+
+
+def _run_script(name, *args):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=300, check=False)
+
+
+def test_vime_demo_script():
+    proc = _run_script("run_vime_demo.py", "--steps", "99")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "family: 99 steps, V(0) = -1.000000, V(1) = -1.000000"
+    rows = [line.split() for line in lines[2:-1]]
+    assert [r[0] for r in rows] == ["0.05", "0.10", "0.20", "0.30", "0.40", "0.49"]
+    assert all(r[1] == "True" for r in rows)
+    assert rows[-1][2:] == ["0.1616", "0.1616"]
+
+
+def test_steckin_renorm_script():
+    proc = _run_script("run_steckin_renorm.py")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert out.count("success=True") == 2
+    assert "step 0: point=(0.0, 2.0) eps=1.000e-01 status=perturbed" in out
+    with_terms = float(out.split("with all terms:")[1].split()[1])
+    without = float(out.split("without step 0's terms:")[1].split()[1])
+    assert with_terms < 0.1 <= without

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wellpose.errors import PreconditionError
-from wellpose.objectives import ObjectiveFunction, argmin_set, regularize
+from wellpose.objectives import argmin_set, regularize
 from wellpose.parametric import (
     ParameterGrid,
     ParametricFamily,
@@ -20,35 +20,24 @@ from wellpose.parametric import (
     value_function,
     vime_family,
 )
-from wellpose.perturbation import PerturbationFamily, PerturbationFunction
+from wellpose.perturbation import PerturbationFamily
 from wellpose.spaces import FiniteMetricSpace
 
 
 def _family(param_pts, domain_n, rows, lipschitz=None):
     pspace = FiniteMetricSpace.pointcloud(np.asarray(param_pts, float)[:, None], metric="l1")
     domain = FiniteMetricSpace.grid1d(0.0, 1.0, domain_n - 1)
-    table = tuple(ObjectiveFunction(domain, np.asarray(r, float)) for r in rows)
-    return ParametricFamily(ParameterGrid(pspace), domain, table, lipschitz_in_p=lipschitz)
+    values = np.asarray(rows, float)
+    return ParametricFamily(ParameterGrid(pspace), domain, values, lipschitz_in_p=lipschitz)
 
 
 class TestFamilyConstruction:
     def test_one_objective_per_parameter(self):
         pspace = FiniteMetricSpace.grid1d(0.0, 1.0, 2)
         domain = FiniteMetricSpace.grid1d(0.0, 1.0, 1)
-        table = (ObjectiveFunction(domain, np.zeros(2)),)
+        values = np.zeros((1, 2))
         with pytest.raises(ValueError):
-            ParametricFamily(ParameterGrid(pspace), domain, table)
-
-    def test_members_must_share_the_domain_object(self):
-        pspace = FiniteMetricSpace.grid1d(0.0, 1.0, 1)
-        domain = FiniteMetricSpace.grid1d(0.0, 1.0, 1)
-        clone = FiniteMetricSpace.grid1d(0.0, 1.0, 1)
-        table = (
-            ObjectiveFunction(domain, np.zeros(2)),
-            ObjectiveFunction(clone, np.zeros(2)),
-        )
-        with pytest.raises(ValueError):
-            ParametricFamily(ParameterGrid(pspace), domain, table)
+            ParametricFamily(ParameterGrid(pspace), domain, values)
 
     def test_objective_returns_the_slice(self):
         fam = _family([0.0, 1.0], 3, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
@@ -58,15 +47,14 @@ class TestFamilyConstruction:
     def test_add_perturbation_space_mismatch_raises(self):
         fam = vime_family(9, 9)
         other_params = FiniteMetricSpace.grid1d(0.0, 1.0, 9)
-        zero = PerturbationFunction(fam.domain, np.zeros(10))
-        g = PerturbationFamily(params=other_params, table=(zero,) * 10)
+        g = PerturbationFamily(params=other_params, domain=fam.domain, values=np.zeros((10, 10)))
         with pytest.raises(ValueError):
             fam.add_perturbation(g)
 
     def test_add_perturbation_sums_pointwise(self):
         fam = vime_family(9, 9)
-        bump = PerturbationFunction(fam.domain, np.full(10, 0.5))
-        g = PerturbationFamily(params=fam.params.space, table=(bump,) * 10)
+        g = PerturbationFamily(params=fam.params.space, domain=fam.domain,
+                               values=np.full((10, 10), 0.5))
         summed = fam.add_perturbation(g)
         assert np.array_equal(summed.objective(3).values, fam.objective(3).values + 0.5)
 
@@ -273,7 +261,7 @@ class TestSelectionGap:
         for eps in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(ValueError):
                 no_continuous_selection_demo(fam, eps)
-        plain = ParametricFamily(fam.params, fam.domain, fam.table)
+        plain = ParametricFamily(fam.params, fam.domain, fam.values)
         with pytest.raises(ValueError):
             no_continuous_selection_demo(plain, 0.3)
 
@@ -281,8 +269,8 @@ class TestSelectionGap:
 class TestSumEpi:
     def test_certified_sum(self):
         fam = vime_family(99, 99)
-        bump = PerturbationFunction(fam.domain, np.full(100, 0.01))
-        g = PerturbationFamily(params=fam.params.space, table=(bump,) * 100)
+        g = PerturbationFamily(params=fam.params.space, domain=fam.domain,
+                               values=np.full((100, 100), 0.01))
         grid = default_delta_grid(fam, 0.3)
         rep = check_sum_epi(fam, g, p=0, eps=0.3, delta_grid=grid)
         assert rep.ok and rep.gcont_delta is not None
@@ -290,10 +278,10 @@ class TestSumEpi:
 
     def test_rough_perturbation_fails_the_continuity_precheck(self):
         fam = vime_family(99, 99)
-        flat = PerturbationFunction(fam.domain, np.zeros(100))
-        spike = PerturbationFunction(fam.domain, np.full(100, 5.0))
-        g = PerturbationFamily(params=fam.params.space,
-                               table=(flat,) + (spike,) * 99)
+        flat = np.zeros((1, 100))
+        spike = np.full((99, 100), 5.0)
+        g = PerturbationFamily(params=fam.params.space, domain=fam.domain,
+                               values=np.vstack([flat, spike]))
         rep = check_sum_epi(fam, g, p=0, eps=0.3, delta_grid=(0.3, 0.15))
         assert not rep.ok
         assert rep.gcont_delta is None
@@ -304,7 +292,7 @@ class TestFamilyFromJson:
     def test_vime_kind(self):
         fam = family_from_json({"kind": "vime", "params": {"x_steps": 9, "p_steps": 9}})
         assert fam.meta["kind"] == "vime"
-        assert len(fam.table) == 10 and fam.domain.n == 10
+        assert len(fam.values) == 10 and fam.domain.n == 10
 
     def test_table_kind(self):
         desc = {

@@ -49,39 +49,37 @@ class TestPerturbationFunction:
         with pytest.raises(ValueError):
             a + b
 
-    def test_as_objective_shares_values(self):
+    def test_sum_with_objective_adds_values(self):
         sp = _line(3)
+        f = ObjectiveFunction(sp, np.array([0.5, np.inf, 3.0]))
         g = PerturbationFunction(sp, np.array([1.0, -2.0, 0.0]))
-        assert np.array_equal(g.as_objective().values, g.values)
+        assert type(f + g) is ObjectiveFunction
+        assert np.array_equal((f + g).values, f.values + g.values)
 
 
 class TestPerturbationFamily:
     def _fam(self, rows, params=None):
         dom = _line(len(rows[0]))
         params = params if params is not None else _line(len(rows))
-        table = tuple(PerturbationFunction(dom, np.asarray(r, float)) for r in rows)
-        return PerturbationFamily(params=params, table=table)
+        return PerturbationFamily(params=params, domain=dom, values=np.asarray(rows, float))
 
     def test_default_rho_is_worst_sup_gap(self):
         a = self._fam([[0.0, 0.0], [1.0, 1.0]])
         b = PerturbationFamily(
             params=a.params,
-            table=tuple(
-                PerturbationFunction(a.domain, g.values + s)
-                for g, s in zip(a.table, (0.25, -0.75))
-            ),
+            domain=a.domain,
+            values=a.values + np.array([[0.25], [-0.75]]),
         )
         assert a.rho(b) == 0.75
 
     def test_rho_fn_override(self):
         a = self._fam([[0.0, 0.0], [0.0, 0.0]])
-        halved = lambda x, y: 0.5 * max(
-            sup_norm(p.values - q.values) for p, q in zip(x.table, y.table)
-        )
-        a2 = PerturbationFamily(params=a.params, table=a.table, rho_fn=halved)
+        halved = lambda x, y: 0.5 * sup_norm(x.values - y.values)
+        a2 = PerturbationFamily(params=a.params, domain=a.domain, values=a.values, rho_fn=halved)
         b = PerturbationFamily(
             params=a.params,
-            table=tuple(PerturbationFunction(a.domain, g.values + 1.0) for g in a.table),
+            domain=a.domain,
+            values=a.values + 1.0,
             rho_fn=halved,
         )
         assert a2.rho(b) == 0.5
@@ -89,32 +87,29 @@ class TestPerturbationFamily:
     def test_zero_like_and_sum_descriptor(self):
         dom = _line(2)
         params = _line(2)
-        table = tuple(PerturbationFunction(dom, np.ones(2)) for _ in range(2))
-        a = PerturbationFamily(params=params, table=table, descriptor={"kind": "ones"})
+        a = PerturbationFamily(params=params, domain=dom, values=np.ones((2, 2)),
+                               descriptor={"kind": "ones"})
         z = a.zero_like()
         assert z.sup_norm() == 0.0
         assert z.descriptor == {"kind": "zero"}
         s = a + z
         assert s.descriptor == {"kind": "sum", "terms": [{"kind": "ones"}, {"kind": "zero"}]}
-        assert np.array_equal(s.table[0].values, [1.0, 1.0])
+        assert np.array_equal(s.values[0], [1.0, 1.0])
 
     def test_scale_descriptor(self):
         a = self._fam([[2.0, 2.0], [2.0, 2.0]])
-        a = PerturbationFamily(params=a.params, table=a.table, descriptor={"kind": "c"})
+        a = PerturbationFamily(params=a.params, domain=a.domain, values=a.values,
+                               descriptor={"kind": "c"})
         half = a.scale(0.5)
-        assert half.table[1].values[0] == 1.0
+        assert half.values[1][0] == 1.0
         assert half.descriptor == {"kind": "scale", "factor": 0.5, "term": {"kind": "c"}}
 
     def test_family_shape_errors(self):
         dom = _line(2)
-        table = (PerturbationFunction(dom, np.zeros(2)),)
         with pytest.raises(ValueError):
-            PerturbationFamily(params=_line(2), table=table)
-        other_dom = _line(2)
-        mixed = (PerturbationFunction(dom, np.zeros(2)),
-                 PerturbationFunction(other_dom, np.zeros(2)))
+            PerturbationFamily(params=_line(2), domain=dom, values=np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            PerturbationFamily(params=_line(2), table=mixed)
+            PerturbationFamily(params=_line(2), domain=dom, values=np.zeros((2, 3)))
 
     def test_rho_space_mismatch(self):
         a = self._fam([[0.0, 0.0], [0.0, 0.0]])
@@ -166,7 +161,7 @@ class TestDensityStep:
             assert step.achieved_diam <= eps * (1.0 + 1e-12)
             if eps <= top:
                 assert step.distance_moved == eps
-            omega = argmin_set(f + step.g_prime.as_objective(), eps / 2.0)
+            omega = argmin_set(f + step.g_prime, eps / 2.0)
             assert omega.issubset(ball(sp, step.center, eps / 2.0))
 
     def test_validation(self):

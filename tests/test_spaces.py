@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wellpose.spaces import (
     _CHUNK_CELLS,
+    EAGER_MATRIX_LIMIT,
     FiniteMetricSpace,
     _pairwise,
     PointSubset,
@@ -56,6 +57,26 @@ class TestEagerMatrixBuild:
         coords = rng.normal(size=(n, 3)) * 10
         sp = FiniteMetricSpace(coords=coords, metric=metric)
         assert np.array_equal(sp.block(np.arange(n)), _pairwise(coords, coords, metric))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_linf_running_max_equals_the_axis_reduction(self, d, rng):
+        def reduction(a, b):
+            return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+
+        coords = rng.normal(size=(300, d)) * 10
+        eager = FiniteMetricSpace(coords=coords, metric="linf")
+        assert np.array_equal(eager.block(np.arange(300)), reduction(coords, coords))
+        if d == 1:
+            lazy = FiniteMetricSpace.grid1d(0.0, 1.0, EAGER_MATRIX_LIMIT + 3)
+            coords = lazy._coords
+        else:
+            coords = rng.normal(size=(EAGER_MATRIX_LIMIT + 4, d)) * 10
+            lazy = FiniteMetricSpace(coords=coords, metric="linf")
+        assert lazy._matrix is None
+        idx, cols = np.array([0, 7, lazy.n - 1]), np.arange(0, lazy.n, 5)
+        assert np.array_equal(lazy.row(3), reduction(coords[[3]], coords)[0])
+        assert np.array_equal(lazy.block(idx), reduction(coords[idx], coords))
+        assert np.array_equal(lazy.block(idx, cols), reduction(coords[idx], coords[cols]))
 
     def test_build_peak_stays_near_the_matrix(self):
         n = 4000

@@ -280,6 +280,28 @@ class TestWellposePoint:
         members = inst.body.sample[values <= dist + rep.delta]
         assert set_diameter(members, inst.setting.base) == rep.achieved_diam
 
+    def test_only_the_winning_strategy_builds_a_quotient(self, segment_inst, monkeypatch):
+        import wellpose.steckin as steckin_mod
+
+        built = []
+
+        class Counting(LineQuotient):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(steckin_mod, "LineQuotient", Counting)
+        inst = segment_inst
+        rep = wellpose_point(inst.nu0, inst.body, inst.p, 0.2, inst.setting)
+        # the segment has a second distinct minimizer, so "perturbed_alt"
+        # exists, but "perturbed" wins and its quotient is the only one built
+        assert rep.status == "perturbed"
+        assert len(built) == 1 and tuple(built[0]) == rep.x_star
+        built.clear()
+        rep = wellpose_point(inst.nu0, inst.body, inst.p, 0.2, inst.setting,
+                             delta_grid=(1000.0,))
+        assert rep.status == "fallback" and len(built) == 2
+
     def test_fallback_when_the_single_radius_is_hopeless(self, segment_inst):
         inst = segment_inst
         rep = wellpose_point(inst.nu0, inst.body, inst.p, 0.2, inst.setting,

@@ -249,8 +249,7 @@ class TestParametricSweeps:
         pspace = FiniteMetricSpace.pointcloud([[0.0], [1.0]], metric="l1")
         domain = FiniteMetricSpace.grid1d(0.0, 1.0, 4)
         rows = ([0.0, 1.0, 1.0, 1.0, 0.5], [1.0, 0.0, 1.0, 1.0, 1.0])
-        fam = ParametricFamily(ParameterGrid(pspace), domain,
-                               tuple(ObjectiveFunction(domain, np.array(r)) for r in rows))
+        fam = ParametricFamily(ParameterGrid(pspace), domain, np.array(rows))
         rep = argmin_usc(fam, 0, 0.3, (0.5, 0.25))
         assert (rep.x_p, rep.delta) == _loop_usc(fam, 0, 0.3, (0.5, 0.25)) == (0, 0.25)
 
