@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .objectives import ObjectiveFunction, argmin_set, ball_min, proper_table, regularize
-from .spaces import FiniteMetricSpace, ball, diam, prefix_diameters, sublevel_diameters
+from .spaces import FiniteMetricSpace, diam, prefix_diameters, sublevel_diameters
 
 __all__ = [
     "ParameterGrid",
@@ -175,7 +175,7 @@ def check_cond1(fam: ParametricFamily, p: int, x: int, eps: float, delta_grid) -
     fp_x = float(fam.values[p, x])
     if fp_x == np.inf:
         return EpiCertificate(1, p, eps, grid[0], anchor_x=x, witnesses={}, vacuous=True)
-    ball_x = ball(fam.domain, x, eps).sorted_indices()
+    ball_x = np.flatnonzero(fam.domain.row(x) <= eps)
     prow = fam.params.space.row(p)
     qs = np.flatnonzero(prow <= grid[0])
     sub = fam.values[np.ix_(qs, ball_x)]
@@ -196,10 +196,14 @@ def check_cond2(fam: ParametricFamily, p: int, eps: float, delta_grid) -> EpiCer
     grid = _check_grid(delta_grid)
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    floor = regularize(fam.objective(p), eps).values - eps
     prow = fam.params.space.row(p)
     qs = np.flatnonzero(prow <= grid[0])
-    viol = fam.values[qs] < floor
+    return _cond2(fam, p, eps, grid, prow, qs, regularize(fam.objective(p), eps).values)
+
+
+def _cond2(fam, p, eps, grid, prow, qs, reg_p) -> EpiCertificate:
+    """Condition 2 over the neighbours qs of p, given reg_p = (f_p)_eps."""
+    viol = fam.values[qs] < reg_p - eps
     bad_dist = np.where(viol.any(axis=1), prow[qs], np.inf)
     delta = _largest_delta(grid, bad_dist.min(initial=np.inf))
     if delta is not None:
@@ -241,10 +245,12 @@ def certify_uniform_epi(fam: ParametricFamily, p: int, eps: float, delta_grid) -
         raise ValueError("eps must be positive")
     prow = fam.params.space.row(p)
     qs = np.flatnonzero(prow <= grid[0])
+    reg = ball_min(fam.domain, fam.values[qs], eps)
     # (f_q)_eps <= f_p + eps everywhere == condition 1 at every anchor
-    good = np.all(ball_min(fam.domain, fam.values[qs], eps) <= fam.values[p] + eps, axis=1)
+    good = np.all(reg <= fam.values[p] + eps, axis=1)
     cond1_delta = _largest_delta(grid, prow[qs[~good]].min(initial=np.inf))
-    cond2 = check_cond2(fam, p, eps, grid)
+    # mu(p, p) = 0, so p is among its own neighbours and its row is (f_p)_eps
+    cond2 = _cond2(fam, p, eps, grid, prow, qs, reg[np.searchsorted(qs, p)])
     return UniformEpiReport(p=p, eps=eps, cond1_delta=cond1_delta, cond2=cond2)
 
 

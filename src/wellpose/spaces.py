@@ -2,10 +2,12 @@
 
 Every downstream object (objectives, parametric families, perturbations)
 lives on a :class:`FiniteMetricSpace`: an indexed point set with a
-symmetric distance oracle.  Geometry (grids, point clouds) is baked into
-a distance matrix at construction time so that all later set operations
-are exact enumeration on indices.  Ball membership and set comparisons
-use plain float comparisons with zero tolerance.
+symmetric distance oracle.  A space stores what it was given: a distance
+matrix, or point coordinates (grids, point clouds) plus a standard metric,
+from which every distance is computed on demand with the same per-cell
+arithmetic.  Set operations are exact enumeration on indices; ball
+membership and set comparisons use plain float comparisons with zero
+tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
-    "EAGER_MATRIX_LIMIT",
     "FiniteMetricSpace",
     "PointSubset",
     "ball",
@@ -28,10 +29,6 @@ __all__ = [
     "sublevel_diameters",
 ]
 
-# Above this size the full matrix is not materialized; rows are computed
-# on demand from coordinates.
-EAGER_MATRIX_LIMIT = 4096
-
 # cells per row chunk when a distance block is filled piecewise
 _CHUNK_CELLS = 1 << 15
 
@@ -39,40 +36,41 @@ _METRICS = ("euclidean", "linf", "l1")
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Distance block between point arrays of shape (na, d) and (nb, d)."""
+    """Distances between points a and b, arrays of shape (..., d) that
+    broadcast against each other; the all-pairs block of (na, d) and
+    (nb, d) arrays is _pairwise(a[:, None], b[None], metric).
+
+    The steps after the subtraction work in place where they can: a
+    fresh temporary the size of a large block costs more in page faults
+    than its arithmetic.
+    """
     if metric == "linf":
         # a running maximum over the coordinate columns: numpy reduces a
         # short last axis slowly, and max is exact in any order
-        out = np.abs(a[:, None, 0] - b[None, :, 0])
-        for k in range(1, a.shape[1]):
-            np.maximum(out, np.abs(a[:, None, k] - b[None, :, k]), out=out)
+        out = a[..., 0] - b[..., 0]
+        np.abs(out, out=out)
+        col = None
+        for k in range(1, a.shape[-1]):
+            col = np.subtract(a[..., k], b[..., k], out=col)
+            np.maximum(out, np.abs(col, out=col), out=out)
         return out
-    diff = a[:, None, :] - b[None, :, :]
+    diff = a - b
     if metric == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=2))
+        out = np.multiply(diff, diff, out=diff).sum(axis=-1)
+        return np.sqrt(out, out=out)
     if metric == "l1":
-        return np.abs(diff).sum(axis=2)
+        return np.abs(diff, out=diff).sum(axis=-1)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def _pairwise_matrix(coords: np.ndarray, metric: str) -> np.ndarray:
-    """All-pairs distance matrix, filled one row chunk of about
-    _CHUNK_CELLS cells at a time, so no (n, n, d) block is built."""
-    n = coords.shape[0]
-    out = np.empty((n, n))
-    rows = max(1, _CHUNK_CELLS // n)
-    for lo in range(0, n, rows):
-        out[lo:lo + rows] = _pairwise(coords[lo:lo + rows], coords, metric)
-    return out
 
 
 class FiniteMetricSpace:
     """Indexed point set with a symmetric distance oracle.
 
     Points are addressed by index 0..n-1; ``labels`` carries an opaque
-    per-point label (grid coordinates for generated grids).  For
-    n <= EAGER_MATRIX_LIMIT the distance matrix is materialized eagerly;
-    larger coordinate-backed spaces compute distance rows on demand.
+    per-point label (grid coordinates for generated grids).  A matrix
+    space keeps its matrix; a coordinate space keeps its coordinates and
+    metric only and computes each distance row or block on demand, so it
+    never holds an n x n array.  Given both, the matrix is used.
     """
 
     def __init__(
@@ -96,8 +94,6 @@ class FiniteMetricSpace:
                 raise ValueError("coords must be a non-empty (n, d) array")
             self._coords = coords
             self.n = coords.shape[0]
-            if matrix is None and self.n <= EAGER_MATRIX_LIMIT:
-                matrix = _pairwise_matrix(coords, metric)
         if matrix is not None:
             matrix = np.asarray(matrix, dtype=np.float64)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
@@ -176,22 +172,26 @@ class FiniteMetricSpace:
     # distance access
 
     def dist(self, i: int, j: int) -> float:
-        if self._matrix is not None:
-            return float(self._matrix[i, j])
-        return float(_pairwise(self._coords[[i]], self._coords[[j]], self._metric)[0, 0])
+        return float(self._pairs([i], [j])[0])
 
     def row(self, i: int) -> np.ndarray:
         """Distances from point i to every point, shape (n,)."""
         if self._matrix is not None:
             return self._matrix[i]
-        return _pairwise(self._coords[[i]], self._coords, self._metric)[0]
+        return _pairwise(self._coords[i], self._coords, self._metric)
 
     def block(self, idx: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """Distance block, shape (len(idx), n), or (len(idx), len(cols))."""
         if self._matrix is not None:
             return self._matrix[idx] if cols is None else self._matrix[np.ix_(idx, cols)]
         other = self._coords if cols is None else self._coords[cols]
-        return _pairwise(self._coords[idx], other, self._metric)
+        return _pairwise(self._coords[idx][:, None], other[None], self._metric)
+
+    def _pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Distances d(i[t], j[t]) for index arrays of one shape."""
+        if self._matrix is not None:
+            return self._matrix[i, j]
+        return _pairwise(self._coords[i], self._coords[j], self._metric)
 
     def diameter(self) -> float:
         """Max pairwise distance of the whole space (its scale)."""
@@ -204,47 +204,34 @@ class FiniteMetricSpace:
         """Check metric axioms: zero diagonal, symmetry, triangle inequality.
 
         Exhaustive for n <= 200, on 200_000 random triples beyond.  The
-        triangle check allows float-noise slack ``tol`` (default scales
-        with the largest distance) because a+b may round below an exactly
-        stored a+b distance.  Returns True; raises ValueError naming the
-        first violated axiom otherwise.
+        triangle check d(i, k) <= d(i, j) + d(j, k) allows float-noise
+        slack ``tol``, by default 64 ulps of the largest d(i, j) or d(j, k)
+        checked, because a+b may round below an exactly stored a+b
+        distance.  Returns True; raises ValueError naming the first
+        violated axiom otherwise.
         """
-        rng = rng if rng is not None else np.random.default_rng(0)
-        if self._matrix is not None:
-            m = self._matrix
-            if tol is None:
-                tol = 64.0 * np.finfo(np.float64).eps * float(m.max(initial=0.0))
+        if self.n <= 200:
+            m = self.block(np.arange(self.n))
             if np.any(np.diagonal(m) != 0.0):
                 raise ValueError("metric violation: nonzero self-distance")
             if not np.array_equal(m, m.T):
                 raise ValueError("metric violation: asymmetric distances")
-            if self.n <= 200:
-                through = np.min(m[:, :, None] + m[None, :, :], axis=1)
-                if np.any(m > through + tol):
-                    raise ValueError("metric violation: triangle inequality fails")
-                return True
+            largest = m.max()
+            lhs, rhs = m, np.min(m[:, :, None] + m[None, :, :], axis=1)
+            sampled = ""
+        else:
+            # a stored matrix had its diagonal and symmetry checked in full
+            # at construction; coordinate distances have both exactly
+            rng = rng if rng is not None else np.random.default_rng(0)
             i, j, k = rng.integers(0, self.n, size=(3, 200_000))
-            if np.any(m[i, k] > m[i, j] + m[j, k] + tol):
-                raise ValueError("metric violation: triangle inequality fails (sampled)")
-            return True
-        # coordinate-backed space too large for an eager matrix: sample triples
-        c = self._coords
-
-        def pd(a, b):
-            v = c[a] - c[b]
-            if self._metric == "euclidean":
-                return np.sqrt((v * v).sum(axis=1))
-            if self._metric == "l1":
-                return np.abs(v).sum(axis=1)
-            return np.abs(v).max(axis=1)
-
-        i, j, k = rng.integers(0, self.n, size=(3, 200_000))
-        lhs = pd(i, k)
-        rhs = pd(i, j) + pd(j, k)
+            d_ij, d_jk = self._pairs(i, j), self._pairs(j, k)
+            largest = max(d_ij.max(), d_jk.max())
+            lhs, rhs = self._pairs(i, k), d_ij + d_jk
+            sampled = " (sampled)"
         if tol is None:
-            tol = 64.0 * np.finfo(np.float64).eps * float(rhs.max(initial=0.0))
+            tol = 64.0 * np.finfo(np.float64).eps * float(largest)
         if np.any(lhs > rhs + tol):
-            raise ValueError("metric violation: triangle inequality fails (sampled)")
+            raise ValueError("metric violation: triangle inequality fails" + sampled)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -224,6 +224,30 @@ class TestAgainstTheLoops:
                     outcomes.add((rep.cond1_delta is None, cert.delta is None))
         assert outcomes == {(False, False), (True, True), (False, True), (True, False)}
 
+    def test_certify_reuses_its_ball_min_block_for_cond2(self, monkeypatch):
+        from wellpose import objectives, parametric
+
+        calls = []
+
+        def counting(space, rows, eps):
+            calls.append(rows.shape[0])
+            return ball_min(space, rows, eps)
+
+        fams = [vime_family(99, 99)] + [
+            random_lipschitz_family(np.random.default_rng(seed), max_params=25, max_points=30)
+            for seed in range(3)]
+        for fam in fams:
+            for eps in (0.1, 0.3, 1.0):
+                grid = default_delta_grid(fam, eps)
+                for p in _params(fam):
+                    with monkeypatch.context() as m:
+                        m.setattr(parametric, "ball_min", counting)
+                        m.setattr(objectives, "ball_min", counting)
+                        calls.clear()
+                        rep = certify_uniform_epi(fam, p, eps, grid)
+                        assert len(calls) == 1
+                    assert vars(rep.cond2) == vars(check_cond2(fam, p, eps, grid))
+
     def test_violation_tie_break_is_lowest_q_then_lowest_x(self):
         fam = _tie_table_family()
         cert = check_cond2(fam, 0, 0.3, (1.5, 1.0))

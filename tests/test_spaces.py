@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wellpose.spaces import (
-    _CHUNK_CELLS,
-    EAGER_MATRIX_LIMIT,
     FiniteMetricSpace,
     _pairwise,
     PointSubset,
@@ -49,46 +47,61 @@ class TestConstruction:
             sp.row(0)[0] = 5.0
 
 
-class TestEagerMatrixBuild:
-    @pytest.mark.parametrize("metric", ["euclidean", "l1", "linf"])
-    def test_chunked_matrix_equals_the_full_block(self, metric, rng):
-        n = 300
-        assert n % (_CHUNK_CELLS // n) != 0  # a short last chunk
-        coords = rng.normal(size=(n, 3)) * 10
-        sp = FiniteMetricSpace(coords=coords, metric=metric)
-        assert np.array_equal(sp.block(np.arange(n)), _pairwise(coords, coords, metric))
+def _reference_block(a, b, metric):
+    """All-pairs distances with the coordinate axis reduced by numpy."""
+    diff = a[:, None, :] - b[None, :, :]
+    if metric == "euclidean":
+        return np.sqrt((diff * diff).sum(axis=2))
+    if metric == "l1":
+        return np.abs(diff).sum(axis=2)
+    return np.abs(diff).max(axis=2)
 
+
+class TestCoordinateDistances:
+    @pytest.mark.parametrize("n", [300, 5000])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_linf_running_max_equals_the_axis_reduction(self, d, rng):
-        def reduction(a, b):
-            return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    @pytest.mark.parametrize("metric", ["euclidean", "l1", "linf"])
+    def test_every_access_equals_the_pairwise_block(self, metric, d, n, rng):
+        coords = rng.normal(size=(n, d)) * 10
+        sp = FiniteMetricSpace(coords=coords, metric=metric)
+        assert sp._matrix is None
+        # the full block at n = 300, three rows of it at n = 5000
+        idx = np.arange(n) if n <= 300 else np.array([0, 7, n - 1])
+        cols = np.arange(0, n, 7)
+        want = _pairwise(coords[idx][:, None], coords[None], metric)
+        assert np.array_equal(want, _reference_block(coords[idx], coords, metric))
+        assert np.array_equal(sp.block(idx), want)
+        assert np.array_equal(sp.block(idx, cols), want[:, cols])
+        for r in range(0, idx.size, max(1, idx.size // 5)):
+            assert np.array_equal(sp.row(idx[r]), want[r])
+            for j in (0, 7, n - 1):
+                assert sp.dist(idx[r], j) == want[r, j]
 
-        coords = rng.normal(size=(300, d)) * 10
-        eager = FiniteMetricSpace(coords=coords, metric="linf")
-        assert np.array_equal(eager.block(np.arange(300)), reduction(coords, coords))
-        if d == 1:
-            lazy = FiniteMetricSpace.grid1d(0.0, 1.0, EAGER_MATRIX_LIMIT + 3)
-            coords = lazy._coords
-        else:
-            coords = rng.normal(size=(EAGER_MATRIX_LIMIT + 4, d)) * 10
-            lazy = FiniteMetricSpace(coords=coords, metric="linf")
-        assert lazy._matrix is None
-        idx, cols = np.array([0, 7, lazy.n - 1]), np.arange(0, lazy.n, 5)
-        assert np.array_equal(lazy.row(3), reduction(coords[[3]], coords)[0])
-        assert np.array_equal(lazy.block(idx), reduction(coords[idx], coords))
-        assert np.array_equal(lazy.block(idx, cols), reduction(coords[idx], coords[cols]))
-
-    def test_build_peak_stays_near_the_matrix(self):
+    def test_grid1d_build_holds_no_matrix(self):
         n = 4000
-        matrix_bytes = n * n * 8
         tracemalloc.start()
         try:
             sp = FiniteMetricSpace.grid1d(steps=n - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert sp._matrix is None
         assert sp.n == n and sp.dist(0, n - 1) == 1.0
-        assert peak < 1.25 * matrix_bytes
+        assert peak < 1_000_000  # one n x n float64 matrix is 128 MB
+
+    def test_given_a_matrix_and_coordinates_the_matrix_is_stored(self):
+        coords = np.array([[0.0], [1.0], [3.0]])
+        m = np.array([[0.0, 2.0, 5.0], [2.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
+        sp = FiniteMetricSpace(matrix=m, coords=coords, metric="l1")
+        assert np.array_equal(sp._matrix, m)
+        assert sp.dist(0, 2) == 5.0 and np.array_equal(sp.row(1), m[1])
+
+
+class _NoDraws:
+    """A random generator stand-in that fails the test when drawn from."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used")
 
 
 class TestValidate:
@@ -107,10 +120,25 @@ class TestValidate:
         with pytest.raises(ValueError, match="triangle"):
             sp.validate()
 
+    @pytest.mark.parametrize("metric", ["euclidean", "linf", "l1"])
+    def test_small_spaces_are_checked_exhaustively(self, metric, rng):
+        pts = rng.uniform(-5, 5, size=(150, 2))
+        sp = FiniteMetricSpace.pointcloud(pts, metric=metric)
+        assert sp.validate(rng=_NoDraws())
+        assert FiniteMetricSpace.from_matrix(sp.block(np.arange(sp.n))).validate(rng=_NoDraws())
+
     def test_sampled_path_for_larger_matrix_spaces(self, rng):
         pts = rng.uniform(0, 1, size=(250, 2))
         sp = FiniteMetricSpace.pointcloud(pts, metric="l1")
         assert sp.validate(rng=rng)
+        m = sp.block(np.arange(sp.n))
+        assert FiniteMetricSpace.from_matrix(m).validate(rng=rng)
+        # stretch the distances within each half by 10: d(i, k) > d(i, j) + d(j, k)
+        # for a quarter of all triples (i, k in one half, j in the other)
+        half = np.arange(250) < 125
+        near = (half[:, None] == half[None, :]) & ~np.eye(250, dtype=bool)
+        with pytest.raises(ValueError, match=r"triangle inequality fails \(sampled\)"):
+            FiniteMetricSpace.from_matrix(m + 10.0 * near).validate(rng=rng)
 
     def test_lazy_coordinate_space_beyond_matrix_limit(self, rng):
         pts = rng.uniform(0, 1, size=(5000, 2))
