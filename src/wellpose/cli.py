@@ -1,7 +1,9 @@
 """Command line front end.
 
-Subcommands: vime, modulus, perturb, steckin, verify.  Heavy imports
-stay inside the command functions so --help is instant.
+Subcommands: vime, modulus, perturb, steckin, verify; run as
+``wellpose COMMAND`` or ``python -m wellpose COMMAND``.  Heavy imports
+stay inside the command functions so --help is instant.  Numeric options
+are checked before any work starts.
 
 Exit codes: 0 success, 1 a checked property failed, 2 usage or malformed
 input, 3 an internal replay failed (bug indicator), 4 renorming budget
@@ -15,10 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 __all__ = ["main"]
+
+# largest (steps + 1)^2 value table --steps may ask vime_family for:
+# 2^24 float64 cells, 128 MiB, so steps <= 4095
+_MAX_TABLE_CELLS = 1 << 24
 
 
 def _jsonable(obj):
@@ -52,7 +59,30 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"grid values must be finite: {text!r}")
     return vals
+
+
+def _positive_float(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(val) and val > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return val
+
+
+def _steps(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if (val + 1) ** 2 > _MAX_TABLE_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"{val} steps need a ({val + 1})^2 value table, more than {_MAX_TABLE_CELLS} cells")
+    return val
 
 
 def _out_dir(args) -> Path:
@@ -122,7 +152,6 @@ def _cmd_perturb(args) -> int:
     from .perturbation import buc_density_step, check_pert_axioms
 
     rng = np.random.default_rng(args.seed)
-    eps = args.eps or 0.5
     runs = []
     all_ok = True
     for k in range(20):
@@ -132,7 +161,7 @@ def _cmd_perturb(args) -> int:
             continue
         f = random_objective(rng, sp, inf_prob=0.1)
         g = random_perturbation(rng, sp, 1.0)
-        e = min(eps, 0.999 * dia)
+        e = min(args.eps, 0.999 * dia)
         step = buc_density_step(f, g, e)
         ok = bool(step.achieved_diam <= e and step.distance_moved <= e)
         all_ok = all_ok and ok
@@ -237,20 +266,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vime", help="two-ramp family selection-gap demo")
-    p.add_argument("--steps", type=int, default=999)
+    p.add_argument("--steps", type=_steps, default=999)
     p.add_argument("--eps-grid", type=_float_list, default=None)
     p.add_argument("--out", default="out_vime")
     p.set_defaults(fn=_cmd_vime)
 
     p = sub.add_parser("modulus", help="well-posedness modulus curves")
-    p.add_argument("--steps", type=int, default=999)
+    p.add_argument("--steps", type=_steps, default=999)
     p.add_argument("--eps-grid", type=_float_list, default=None)
     p.add_argument("--out", default="out_modulus")
     p.set_defaults(fn=_cmd_modulus)
 
     p = sub.add_parser("perturb", help="density-step batch and axiom battery")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_positive_float, default=0.5)
     p.add_argument("--out", default="out_perturb")
     p.set_defaults(fn=_cmd_perturb)
 

@@ -14,13 +14,12 @@ the minimum is strong exactly when that modulus tends to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping
 
 import numpy as np
 
 from .errors import PreconditionError
-from .spaces import FiniteMetricSpace, PointSubset, prefix_diameters, sublevel_diameters
+from .spaces import FiniteMetricSpace, PointSubset, sublevel_diameters
 
 __all__ = [
     "ObjectiveFunction",
@@ -135,7 +134,7 @@ class ModulusCurve:
 def wellposedness_modulus(f: ObjectiveFunction, eps_grid) -> ModulusCurve:
     """Modulus curve eps -> diam(argmin_set(f, eps)) over a grid."""
     eps_grid = tuple(float(e) for e in eps_grid)
-    diams = sublevel_diameters(f.values, eps_grid, partial(prefix_diameters, f.space.block))
+    diams = sublevel_diameters(f.values, eps_grid, f.space.prefix_diameters)
     return ModulusCurve(eps_grid, tuple(diams.tolist()))
 
 

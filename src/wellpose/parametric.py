@@ -17,13 +17,12 @@ shrinks both the parameter ball and the sublevel sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .errors import PreconditionError
 from .objectives import ObjectiveFunction, argmin_set, ball_min, proper_table, regularize
-from .spaces import FiniteMetricSpace, diam, prefix_diameters, sublevel_diameters
+from .spaces import FiniteMetricSpace, diam, sublevel_diameters
 
 __all__ = [
     "ParameterGrid",
@@ -318,9 +317,8 @@ def check_5r_lemma(fam: ParametricFamily, p: int, eps: float, r: float, delta_gr
             f"hypothesis fails: diam(argmin_set(f_p, eps)) = {base_diam} >= r = {r}"
         )
     prow = fam.params.space.row(p)
-    prefix = partial(prefix_diameters, fam.domain.block)
     # one curve q -> diam(argmin_set(f_q, delta)) over the whole grid
-    curves = {int(q): sublevel_diameters(fam.values[q], grid, prefix)
+    curves = {int(q): sublevel_diameters(fam.values[q], grid, fam.domain.prefix_diameters)
               for q in np.flatnonzero(prow <= grid[0])}
     for j, delta in enumerate(grid):
         q_diams = {q: float(c[j]) for q, c in curves.items() if prow[q] <= delta}

@@ -11,13 +11,12 @@ of radius eps/2 around a chosen anchor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import PreconditionError
 from .objectives import ObjectiveFunction, argmin_set, proper_table, sup_norm
-from .spaces import FiniteMetricSpace, ball, diam, prefix_diameters, sublevel_diameters
+from .spaces import FiniteMetricSpace, ball, diam, sublevel_diameters
 
 __all__ = [
     "PerturbationFunction",
@@ -188,7 +187,7 @@ def mn_membership(f: ObjectiveFunction, g: PerturbationFunction, n: int,
     if not grid or grid[0] <= 0.0:
         raise ValueError("t grid must be positive")
     fg = f + g
-    diams = sublevel_diameters(fg.values, grid, partial(prefix_diameters, f.space.block))
+    diams = sublevel_diameters(fg.values, grid, f.space.prefix_diameters)
     hits = np.flatnonzero(diams < 1.0 / n)
     return (True, grid[hits[0]]) if hits.size else (False, None)
 

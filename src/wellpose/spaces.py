@@ -92,6 +92,8 @@ class FiniteMetricSpace:
             coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
             if coords.ndim != 2 or coords.shape[0] == 0:
                 raise ValueError("coords must be a non-empty (n, d) array")
+            if not np.all(np.isfinite(coords)):
+                raise ValueError("coordinates must be finite")
             self._coords = coords
             self.n = coords.shape[0]
         if matrix is not None:
@@ -112,6 +114,11 @@ class FiniteMetricSpace:
             self._matrix = matrix
         if self._coords is not None:
             self._coords.setflags(write=False)
+        # a linf distance, or an l1 distance on a line, is max_k |c_k(x) -
+        # c_k(y)| with the very roundings _pairwise makes, so the
+        # coordinates are a spread array for prefix_diameters
+        self._spread = self._matrix is None and (
+            metric == "linf" or (metric == "l1" and self._coords.shape[1] == 1))
         if labels is None:
             if self._coords is not None:
                 labels = tuple(map(tuple, self._coords.tolist()))
@@ -193,8 +200,27 @@ class FiniteMetricSpace:
             return self._matrix[i, j]
         return _pairwise(self._coords[i], self._coords[j], self._metric)
 
+    def prefix_diameters(self, order) -> np.ndarray:
+        """Running diameter of the points in ``order`` as each one enters.
+
+        linf spaces and 1-D l1 spaces pass their coordinates in entry
+        order to :func:`prefix_diameters`'s spread path, O(m d) and exact;
+        every other space passes its distance block, O(m^2).
+        """
+        if self._spread:
+            return prefix_diameters(self._coords[order])
+        return prefix_diameters(self.block, order)
+
     def diameter(self) -> float:
-        """Max pairwise distance of the whole space (its scale)."""
+        """Max pairwise distance of the whole space (its scale).
+
+        This is the last running diameter over all points.  On the spread
+        path that is the largest coordinate range, max_k (max c_k - min
+        c_k), which needs no running arrays; it equals the pairwise
+        maximum exactly, as :func:`prefix_diameters` explains.
+        """
+        if self._spread:
+            return float((self._coords.max(axis=0) - self._coords.min(axis=0)).max())
         return float(prefix_diameters(self.block, np.arange(self.n))[-1])
 
     # ------------------------------------------------------------------
@@ -301,18 +327,32 @@ def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
     return PointSubset(space, frozenset(np.flatnonzero(row <= eps).tolist()))
 
 
-def prefix_diameters(block, order) -> np.ndarray:
-    """Running diameter of the points in ``order`` as each one enters.
+def prefix_diameters(dist, order=None) -> np.ndarray:
+    """Running diameter of a sequence of points as each one enters.
 
-    Entry j is the max distance among order[:j + 1]; block(rows, cols)
-    gives the distances between two index arrays.  One row chunk is
-    filled at a time, so memory stays O(chunk * len(order)).
+    Entry j is the max distance among the first j + 1 points.  There are
+    two ways in:
+
+    - ``dist`` is a block function and ``order`` the point indices in
+      entry order; dist(rows, cols) gives the distances between two index
+      arrays.  One row chunk is filled at a time, so memory stays
+      O(chunk * len(order)) and the work is O(m^2).
+    - ``dist`` is an (m, k) spread array of per-point projections in
+      entry order, for a distance d(x, y) = max_k |s_k(x) - s_k(y)|, and
+      ``order`` is not given.  The running diameter is then the largest
+      running range of a column, max_k (cummax s_k - cummin s_k), in
+      O(m k).  For finite projections it equals the pairwise maximum bit
+      for bit: rounded subtraction is monotone, so fl(max - min) = max
+      over pairs of fl(|s_i - s_j|).
     """
+    if not callable(dist):
+        spread = np.asarray(dist)
+        return (np.maximum.accumulate(spread) - np.minimum.accumulate(spread)).max(axis=1)
     order = np.asarray(order)
     step = max(1, _CHUNK_CELLS // max(order.size, 1))
     row_max = np.zeros(order.size)
     for lo in range(0, order.size, step):
-        d = block(order[lo:lo + step], order[:lo + step])
+        d = dist(order[lo:lo + step], order[:lo + step])
         # row lo + i meets the points entered up to and including itself
         row_max[lo:lo + step] = np.tril(d, lo).max(axis=1)
     return np.maximum.accumulate(row_max)
@@ -341,7 +381,7 @@ def diam(subset: PointSubset) -> float:
     """
     if len(subset) == 0:
         raise ValueError("diameter of the empty set is undefined")
-    return float(prefix_diameters(subset.space.block, subset.sorted_indices())[-1])
+    return float(subset.space.prefix_diameters(subset.sorted_indices())[-1])
 
 
 def set_distance(a: PointSubset, b: PointSubset) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
@@ -290,6 +289,10 @@ class ConvexBody:
         return self.vertices.shape[1]
 
     def contains(self, p, tol: float = 1e-9) -> bool:
+        # imported here, its one use: scipy.optimize costs most of the
+        # package's import time and memory
+        from scipy.optimize import linprog
+
         p = np.asarray(p, dtype=np.float64).reshape(-1)
         if p.size != self.dim:
             raise ValueError("point has the wrong dimension")
@@ -363,8 +366,7 @@ def _running_diameters(pts: np.ndarray, nu: SeminormExpr) -> np.ndarray:
     rows = _linear_rows(nu)
     if rows is not None:
         # nu(x - y) = max_j |L_j.x - L_j.y|: spread of each projection
-        proj = pts @ rows.T
-        return (np.maximum.accumulate(proj) - np.minimum.accumulate(proj)).max(axis=1)
+        return prefix_diameters(pts @ rows.T)
 
     def block(i, j):
         diffs = pts[i][:, None, :] - pts[j][None, :, :]
@@ -380,8 +382,15 @@ def _sublevel_curve(values: np.ndarray, sample: np.ndarray, grid, base: Seminorm
 
 
 def set_diameter(points: np.ndarray, nu: SeminormExpr) -> float:
-    """max over pairs of nu(x - y), the last running diameter: spreads of
-    the projections for max-of-linear trees, else pairwise by row chunk."""
+    """max over pairs of nu(x - y), the last running diameter.
+
+    For a max-of-linear tree, nu(x - y) = max_j |L_j.x - L_j.y|, so the
+    projections pts @ L.T go to the spread path of
+    :func:`~wellpose.spaces.prefix_diameters` (O(m j)); every other tree
+    goes to its block path, pairwise by row chunk.  The spread path rounds
+    each L_j.x once, where eval_many rounds L_j.(x - y), so the two can
+    differ in the last bits.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != nu.dim:
         raise ValueError("points must be (m, d) matching the seminorm")

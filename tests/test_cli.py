@@ -47,6 +47,40 @@ def test_vime_rejects_bad_eps_grid(tmp_path):
     assert code == 2  # eps outside (0, 1/2) is a usage error
 
 
+@pytest.mark.parametrize("argv", [
+    ["perturb", "--eps", "0"],
+    ["perturb", "--eps", "-0.5"],
+    ["perturb", "--eps", "nan"],
+    ["modulus", "--eps-grid", "inf"],
+    ["modulus", "--eps-grid", "0.1,nan"],
+    ["vime", "--eps-grid", "-inf"],
+    ["steckin", "--delta-grid", "0.1,inf"],
+])
+def test_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["modulus", "vime"])
+def test_oversized_steps_are_refused_before_allocating(command, tmp_path, monkeypatch, capsys):
+    import wellpose.parametric as parametric
+
+    def unreachable(*args):
+        raise AssertionError("vime_family reached")
+
+    monkeypatch.setattr(parametric, "vime_family", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--steps", "999999999", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "value table" in capsys.readouterr().err
+    # the largest accepted size reaches the family builder
+    with pytest.raises(AssertionError, match="vime_family reached"):
+        cli.main([command, "--steps", "4095", "--out", str(tmp_path / "o")])
+
+
 def test_modulus_command(tmp_path):
     out = tmp_path / "m"
     code = cli.main(["modulus", "--steps", "99", "--out", str(out)])
@@ -190,11 +224,34 @@ def test_cli_snapshot_script_on_verify(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["verify"]
 
 
+def _src_env():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_wellpose(tmp_path):
+    run = [sys.executable, "-m", "wellpose"]
+    proc = subprocess.run(run + ["--help"], env=_src_env(), capture_output=True,
+                          text=True, timeout=60, check=False)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: wellpose")
+    proc = subprocess.run(run + ["perturb", "--eps", "0", "--out", str(tmp_path / "o")],
+                          env=_src_env(), capture_output=True, text=True, timeout=60,
+                          check=False)
+    assert proc.returncode == 2 and "--eps" in proc.stderr
+
+
+def test_import_does_not_load_the_lp_solver():
+    code = "import sys, wellpose; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == "False\n"
+
+
 def _run_script(name, *args):
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(root / "scripts" / name), *args], env=env,
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args], env=_src_env(),
                           capture_output=True, text=True, timeout=300, check=False)
 
 

@@ -214,6 +214,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             space_from_json({"kind": "mystery"})
 
+    @pytest.mark.parametrize("metric", ["linf", "l1", "euclidean"])
+    def test_non_finite_coordinates_are_rejected(self, metric):
+        # linf and 1-D l1 take the spread path, the others the block path
+        for points in ([[np.inf, 0.0], [0.0, 0.0], [np.nan, 1.0]], [[0.0], [-np.inf]],
+                       [[0.0], [np.nan]]):
+            with pytest.raises(ValueError, match="finite"):
+                space_from_json({"kind": "pointcloud", "metric": metric,
+                                 "params": {"points": points}})
+
 
 @given(
     vals=st.lists(st.floats(0.1, 50.0), min_size=2, max_size=25),

@@ -23,6 +23,7 @@ from wellpose.parametric import (
     default_delta_grid,
     vime_family,
 )
+from wellpose.perturbation import PerturbationFunction, mn_membership
 from wellpose.seminorms import AbsLinear, MaxOf, Scale, euclidean_norm, linf_norm
 from wellpose.spaces import (
     FiniteMetricSpace,
@@ -43,7 +44,7 @@ def _pair_max(space: FiniteMetricSpace, members) -> float:
 
 
 def _space_curve(space, values, grid):
-    return sublevel_diameters(values, grid, lambda order: prefix_diameters(space.block, order))
+    return sublevel_diameters(values, grid, space.prefix_diameters)
 
 
 def _tied_values(rng, n, inf_share=0.1):
@@ -52,6 +53,11 @@ def _tied_values(rng, n, inf_share=0.1):
     vals[rng.uniform(size=n) < inf_share] = np.inf
     vals[rng.integers(n)] = 0.0
     return vals
+
+
+def _tied_coords(rng, n, d):
+    # quarter steps make many exact coordinate ties
+    return rng.integers(-20, 20, size=(n, d)) / 4.0
 
 
 def _spaces(rng):
@@ -63,11 +69,19 @@ def _spaces(rng):
         "lazy_cloud": FiniteMetricSpace.pointcloud(rng.uniform(0.0, 1.0, size=(4200, 2)),
                                                    metric="linf"),
         "matrix": FiniteMetricSpace.from_matrix(matrix),
+        "linf_line": FiniteMetricSpace.pointcloud(_tied_coords(rng, 70, 1), metric="linf"),
+        "linf_cloud3": FiniteMetricSpace.pointcloud(_tied_coords(rng, 70, 3), metric="linf"),
+        "l1_line": FiniteMetricSpace.pointcloud(rng.normal(size=(70, 1)), metric="l1"),
     }
 
 
+# spaces whose running diameter is a running coordinate range
+SPREAD_KINDS = ["eager_grid", "lazy_cloud", "linf_line", "linf_cloud3", "l1_line"]
+
+
 class TestSublevelDiameters:
-    @pytest.mark.parametrize("kind", ["eager_grid", "eager_cloud", "lazy_cloud", "matrix"])
+    @pytest.mark.parametrize("kind", ["eager_grid", "eager_cloud", "lazy_cloud", "matrix",
+                                      "linf_line", "linf_cloud3", "l1_line"])
     def test_matches_per_threshold_enumeration(self, kind, rng):
         space = _spaces(rng)[kind]
         f = ObjectiveFunction(space, _tied_values(rng, space.n))
@@ -116,13 +130,14 @@ class TestSublevelDiameters:
                     min_size=1, max_size=30),
     grid=st.lists(st.integers(0, 16).map(lambda k: k / 8.0), min_size=1, max_size=6),
     seed=st.integers(0, 2**16),
+    metric=st.sampled_from([("l1", 2), ("linf", 2), ("linf", 1), ("l1", 1)]),
 )
-def test_sublevel_sweep_against_enumeration(values, grid, seed):
+def test_sublevel_sweep_against_enumeration(values, grid, seed, metric):
     values = np.asarray(values)
     if not np.any(np.isfinite(values)):
         values[0] = 1.0
-    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(values.size, 2))
-    space = FiniteMetricSpace.pointcloud(pts, metric="l1")
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(values.size, metric[1]))
+    space = FiniteMetricSpace.pointcloud(pts, metric=metric[0])
     f = ObjectiveFunction(space, values)
     for t, d in zip(grid, _space_curve(space, values, grid)):
         assert d == _pair_max(space, argmin_set(f, t).members)
@@ -152,6 +167,114 @@ class TestPrefixDiameters:
         b = PointSubset.of(space, range(1, 90, 2))
         brute = min(space.dist(i, j) for i in a for j in b)
         assert set_distance(a, b) == brute
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Count every FiniteMetricSpace.block call while the test runs."""
+    calls = []
+    real = FiniteMetricSpace.block
+
+    def counting(space, idx, cols=None):
+        calls.append(len(idx))
+        return real(space, idx, cols)
+
+    monkeypatch.setattr(FiniteMetricSpace, "block", counting)
+    return calls
+
+
+class TestSpreadPath:
+    """linf and 1-D l1 spaces take the running coordinate range; every
+    result must equal the block path and the all-pairs maximum bit for bit."""
+
+    @pytest.mark.parametrize("kind", SPREAD_KINDS)
+    def test_running_diameter_equals_block_path(self, kind, rng):
+        space = _spaces(rng)[kind]
+        order = rng.permutation(space.n)[:120]
+        spread = space.prefix_diameters(order)
+        assert _bits(spread) == _bits(prefix_diameters(space.block, order))
+        assert spread.tolist() == [_pair_max(space, order[:j + 1]) for j in range(order.size)]
+
+    @pytest.mark.parametrize("kind", SPREAD_KINDS)
+    def test_diam_of_subsets_and_the_whole_space(self, kind, rng):
+        space = _spaces(rng)[kind]
+        for size in (1, 2, 7, 60):
+            idx = rng.choice(space.n, size=size, replace=False)
+            d = diam(PointSubset.of(space, idx))
+            assert _bits(d) == _bits(prefix_diameters(space.block, np.sort(idx))[-1])
+            assert d == _pair_max(space, idx)
+        if space.n <= 200:
+            whole = _pair_max(space, range(space.n))
+        else:
+            # on a large cloud the extreme points decide: pairs among them
+            c = space._coords
+            whole = _pair_max(space, set(c.argmin(axis=0)) | set(c.argmax(axis=0)))
+        assert _bits(space.diameter()) == _bits(whole)
+
+    def test_tied_and_infinite_values_in_modulus_and_membership(self, rng):
+        space = _spaces(rng)["linf_cloud3"]
+        f = ObjectiveFunction(space, _tied_values(rng, space.n, inf_share=0.3))
+        g = PerturbationFunction(space, np.zeros(space.n))
+        grid = (0.25, 0.5, 1.0, 2.5, 10.0)
+        curve = wellposedness_modulus(f, grid)
+        for t, d in zip(grid, curve.diam_values):
+            assert d == _pair_max(space, argmin_set(f, t).members)
+        finite = int(np.count_nonzero(np.isfinite(f.values)))
+        assert len(argmin_set(f, 10.0)) == finite < space.n  # +inf never enters
+        hit, t = mn_membership(f, g, 1, grid)
+        first = next((t for t, d in zip(grid, curve.diam_values) if d < 1.0), None)
+        assert (hit, t) == (first is not None, first)
+
+    def test_block_is_never_called_on_spread_spaces(self, rng, block_calls):
+        for kind in SPREAD_KINDS:
+            space = _spaces(rng)[kind]
+            f = ObjectiveFunction(space, _tied_values(rng, space.n))
+            g = PerturbationFunction(space, np.zeros(space.n))
+            block_calls.clear()  # building a matrix space above reads blocks
+            space.diameter()
+            diam(PointSubset.of(space, range(0, space.n, 2)))
+            wellposedness_modulus(f, (0.25, 1.0))
+            mn_membership(f, g, 3)
+            assert block_calls == [], kind
+        fam = vime_family(59, 59)
+        grid = default_delta_grid(fam, 0.05, octaves=4)  # reads parameter blocks
+        block_calls.clear()
+        assert check_5r_lemma(fam, 10, 0.05, 0.2, grid).ok
+        assert block_calls == []
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_euclidean_spaces_keep_the_block_path(self, d, rng, block_calls):
+        space = FiniteMetricSpace.pointcloud(rng.normal(size=(40, d)), metric="euclidean")
+        for run in (space.diameter, lambda: diam(PointSubset.of(space, range(9)))):
+            block_calls.clear()
+            run()
+            assert block_calls
+
+    def test_one_dimensional_euclidean_with_subnormal_gaps(self):
+        # sqrt(x * x) underflows to 0 for a subnormal x: the Euclidean
+        # distance is not |x| there, so the coordinate range would be wrong
+        space = FiniteMetricSpace.pointcloud([[0.0], [5e-324], [1e-320]], metric="euclidean")
+        assert space.diameter() == _pair_max(space, range(3)) == 0.0
+        assert space.prefix_diameters(np.arange(3)).tolist() == [0.0, 0.0, 0.0]
+        assert prefix_diameters(space._coords)[-1] == 1e-320
+        # the same points under l1 on a line are the spread path's domain
+        line = FiniteMetricSpace.pointcloud([[0.0], [5e-324], [1e-320]], metric="l1")
+        assert line.diameter() == _pair_max(line, range(3)) == 1e-320
+
+    def test_diameter_of_a_million_point_grid_stays_small(self):
+        space = FiniteMetricSpace.grid1d(0.0, 1.0, 999_999)
+        tracemalloc.start()
+        try:
+            dia = space.diameter()
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 array over the points would be 8 MB
+        assert dia == 1.0 and used < 1 << 20
 
 
 class TestProjectionCurves:
