@@ -171,17 +171,45 @@ def regularize(f: ObjectiveFunction, eps: float) -> ObjectiveFunction:
 def ball_min(space: FiniteMetricSpace, rows: np.ndarray, eps: float) -> np.ndarray:
     """Row-wise ball infimum of a (k, n) block: out[i, x] = min { rows[i, y] : d(y, x) <= eps }.
 
-    The distance mask is built 512 points at a time, and the reduction
-    reads the rows through a broadcast view, so temporaries stay at
-    O(k n) cells and no (k, chunk, n) block is built.  Min is exact, so
-    every entry equals the one-row enumeration bit for bit.
+    On a 1-D coordinate space every ball is a contiguous run [lo, hi] of
+    the points' sort order (see FiniteMetricSpace._ball_intervals), so
+    each x is a range minimum over the sorted columns.  A doubling table
+    answers it: level j holds the minima of the runs of length 2^j, and
+    x with 2^j <= hi - lo + 1 < 2^(j+1) reads the two level-j runs that
+    start at lo and end at hi.  Only the current level is kept, so memory
+    stays O(k n), and the work is O(k n log n).
+
+    Every other space takes the masked path: the distance mask is built
+    512 points at a time, and the reduction reads the rows through a
+    broadcast view, so temporaries stay at O(k n) cells and no (k, chunk,
+    n) block is built.  Min is exact in any order, so both paths equal
+    the one-row enumeration bit for bit.
     """
+    if not (eps >= 0.0):
+        raise ValueError("eps must be nonnegative")
     k, n = rows.shape
+    runs = space._ball_intervals(eps)
+    if runs is not None:
+        return _run_min(rows, *runs)
     out = np.empty((k, n))
     for lo in range(0, n, 512):
         idx = np.arange(lo, min(lo + 512, n))
         view = np.broadcast_to(rows[:, None, :], (k, idx.size, n))
         out[:, idx] = np.min(view, axis=2, where=space.block(idx) <= eps, initial=np.inf)
+    return out
+
+
+def _run_min(rows: np.ndarray, order: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """out[:, order[i]] = rows[:, order[lo[i]:hi[i] + 1]].min(axis=1), by doubling."""
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(run length))
+    table = rows[:, order]  # level 0: the runs of length 1
+    out = np.empty(table.shape)
+    for j in range(int(level.max()) + 1):
+        if j:
+            half = 1 << (j - 1)
+            table = np.minimum(table[:, :-half], table[:, half:])
+        at = np.flatnonzero(level == j)
+        out[:, order[at]] = np.minimum(table[:, lo[at]], table[:, hi[at] - (1 << j) + 1])
     return out
 
 

@@ -105,10 +105,7 @@ def default_delta_grid(fam: ParametricFamily, eps: float, octaves: int = 16) -> 
     """
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    n = fam.params.space.n
-    rows = max(1, 4096 // n)  # distance blocks of about 4096 cells
-    blocks = (fam.params.space.block(np.arange(lo, min(lo + rows, n))) for lo in range(0, n, rows))
-    spacing = min(float(np.min(b, where=b > 0.0, initial=np.inf)) for b in blocks)
+    spacing = fam.params.space.min_positive_distance()
     vals = [eps / (2.0**k) for k in range(octaves + 1)]
     kept = tuple(v for v in vals if not (v < spacing))
     return kept if kept else (float(spacing) if np.isfinite(spacing) else eps,)

@@ -63,6 +63,13 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _check_bounds(start: float, stop: float) -> None:
+    # a grid spans start + (i/steps) * (stop - start): an infinite span
+    # would turn 0 * inf into NaN before the coordinate check sees it
+    if not np.isfinite(float(stop) - float(start)):
+        raise ValueError("grid bounds must be finite")
+
+
 class FiniteMetricSpace:
     """Indexed point set with a symmetric distance oracle.
 
@@ -144,6 +151,7 @@ class FiniteMetricSpace:
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
+        _check_bounds(start, stop)
         frac = np.arange(steps + 1, dtype=np.float64) / steps
         if start == 0.0 and stop == 1.0:
             xs = frac
@@ -165,6 +173,8 @@ class FiniteMetricSpace:
         y0, y1, ny = y
         if nx < 1 or ny < 1:
             raise ValueError("steps must be >= 1")
+        _check_bounds(x0, x1)
+        _check_bounds(y0, y1)
         xs = x0 + (np.arange(nx + 1, dtype=np.float64) / nx) * (x1 - x0)
         ys = y0 + (np.arange(ny + 1, dtype=np.float64) / ny) * (y1 - y0)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -200,6 +210,57 @@ class FiniteMetricSpace:
             return self._matrix[i, j]
         return _pairwise(self._coords[i], self._coords[j], self._metric)
 
+    def _ball_intervals(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Every closed eps-ball as a run of the sort order, on a line.
+
+        Returns None for a matrix space or a coordinate space with d >= 2.
+        Otherwise returns (order, lo, hi): the stable sort order of the
+        coordinate and, for each sorted position i, the first and last
+        sorted positions of the ball around point order[i].  Each 1-D
+        distance (linf, l1 and Euclidean alike) is a nondecreasing
+        function of fl(|c_x - c_y|), and rounded subtraction is monotone,
+        so along the sort order d(order[i], .) falls to 0 at i and rises
+        after it: the ball is a contiguous run.  A searchsorted guess
+        places each end, and every guess that fails an exact check with
+        this space's own arithmetic is bisected, so position j lies in
+        [lo[i], hi[i]] exactly when block(order[i]) <= eps holds at
+        order[j].  eps must be >= 0.
+        """
+        if self._matrix is not None or self._coords.shape[1] != 1:
+            return None
+        order = np.argsort(self._coords[:, 0], kind="stable")
+        s = self._coords[order, 0]
+        pos = np.arange(self.n)
+
+        def inside(i, j):
+            return self._pairs(order[i], order[j]) <= eps
+
+        def run_end(guess, stop):
+            # the last position from i toward stop (exclusive) inside the ball
+            beyond = guess + np.sign(stop)
+            ok = inside(pos, guess) & ((beyond == stop) | ~inside(pos, np.clip(beyond, 0, self.n - 1)))
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                # bisect between a position inside (a) and one outside (b)
+                hit = inside(bad, guess[bad])
+                a = np.where(hit, guess[bad], bad)
+                b = np.where(hit, stop, guess[bad])
+                while True:
+                    open_ = np.flatnonzero(np.abs(b - a) > 1)
+                    if not open_.size:
+                        break
+                    mid = (a[open_] + b[open_]) // 2
+                    hit = inside(bad[open_], mid)
+                    a[open_] = np.where(hit, mid, a[open_])
+                    b[open_] = np.where(hit, b[open_], mid)
+                guess[bad] = a
+            return guess
+
+        with np.errstate(over="ignore"):  # an end past the largest float is still a guess
+            lo_guess = np.searchsorted(s, s - eps, side="left")
+            hi_guess = np.searchsorted(s, s + eps, side="right") - 1
+        return order, run_end(lo_guess, -1), run_end(hi_guess, self.n)
+
     def prefix_diameters(self, order) -> np.ndarray:
         """Running diameter of the points in ``order`` as each one enters.
 
@@ -222,6 +283,22 @@ class FiniteMetricSpace:
         if self._spread:
             return float((self._coords.max(axis=0) - self._coords.min(axis=0)).max())
         return float(prefix_diameters(self.block, np.arange(self.n))[-1])
+
+    def min_positive_distance(self) -> float:
+        """Smallest positive pairwise distance; inf if every distance is 0.
+
+        On a line under linf or l1 the distance is fl(|c_x - c_y|), which
+        grows along the sort order away from each point, so the smallest
+        positive gap between sorted neighbours is the answer, O(n log n).
+        Every other space scans its distance blocks, about 4096 cells at a
+        time, O(n^2).
+        """
+        if self._spread and self._coords.shape[1] == 1:
+            gaps = np.diff(np.sort(self._coords[:, 0]))
+            return float(np.min(gaps, where=gaps > 0.0, initial=np.inf))
+        rows = max(1, 4096 // self.n)
+        blocks = (self.block(np.arange(lo, min(lo + rows, self.n))) for lo in range(0, self.n, rows))
+        return min(float(np.min(b, where=b > 0.0, initial=np.inf)) for b in blocks)
 
     # ------------------------------------------------------------------
     # validation
@@ -277,9 +354,10 @@ class PointSubset:
     members: frozenset[int]
 
     def __post_init__(self):
-        for i in self.members:
-            if not (0 <= i < self.space.n):
-                raise ValueError(f"point index {i} out of range")
+        if self.members:
+            low, high = min(self.members), max(self.members)
+            if not (0 <= low and high < self.space.n):
+                raise ValueError(f"point index {low if low < 0 else high} out of range")
 
     @classmethod
     def of(cls, space: FiniteMetricSpace, indices: Iterable[int]) -> "PointSubset":

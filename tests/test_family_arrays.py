@@ -181,6 +181,40 @@ def _families():
         yield _random_table_family(seed)
 
 
+def _line_spaces(rng):
+    """1-D coordinate spaces for the interval path, by name."""
+    ticks = rng.integers(0, 12, size=40) / 4.0  # unsorted, many duplicates
+    spaces = {f"{m}_ticks": FiniteMetricSpace.pointcloud(ticks[:, None], metric=m)
+              for m in ("linf", "l1", "euclidean")}
+    spaces.update({f"{m}_floats": FiniteMetricSpace.pointcloud(rng.normal(size=(50, 1)), metric=m)
+                   for m in ("linf", "l1", "euclidean")})
+    # sqrt(x * x) underflows to 0 for these gaps, so every ball is the
+    # whole line: the searchsorted guesses at c +- eps miss it, the
+    # bisection has to find it
+    subnormal = [[1e-320], [0.0], [5e-324], [1e-320], [3e-321], [2.5e-322]]
+    spaces["euclidean_subnormal"] = FiniteMetricSpace.pointcloud(subnormal, metric="euclidean")
+    spaces["grid"] = FiniteMetricSpace.grid1d(0.0, 1.0, 299)
+    # c + eps overflows here for the largest radii
+    spaces["linf_wide"] = FiniteMetricSpace.pointcloud(rng.normal(size=(20, 1)) * 1e307, metric="linf")
+    return spaces
+
+
+def _line_radii(space, rng):
+    """eps = 0, exact pairwise distances, values between them, the diameter and beyond."""
+    dists = np.unique(space.block(np.arange(space.n)))
+    picked = rng.choice(dists, size=min(8, dists.size), replace=False)
+    return sorted({0.0, *picked.tolist(), *(np.nextafter(picked, 0.0)).tolist(),
+                   float(dists[-1]), 2.0 * float(dists[-1]) + 1.0,
+                   float(np.finfo(np.float64).max), np.inf})
+
+
+def _line_rows(space, rng):
+    rows = rng.integers(-4, 5, size=(5, space.n)) / 2.0  # ties
+    rows[rng.uniform(size=rows.shape) < 0.3] = np.inf
+    rows[:, rng.integers(space.n)] = 0.0
+    return rows
+
+
 def _params(fam):
     n = fam.params.space.n
     return sorted({0, n // 3, n // 2, n - 1})
@@ -199,6 +233,65 @@ class TestAgainstTheLoops:
                 assert np.array_equal(got, want)
                 if eps > 0.0:  # regularize(f, 0) is f itself, even beside duplicate points
                     assert np.array_equal(regularize(fam.objective(0), eps).values, want[0])
+
+    def test_ball_min_on_a_line_equals_the_enumeration_and_the_masked_path(self):
+        rng = np.random.default_rng(7)
+        for name, space in _line_spaces(rng).items():
+            # a matrix space of the same distances takes the masked path
+            masked = FiniteMetricSpace.from_matrix(space.block(np.arange(space.n)))
+            rows = _line_rows(space, rng)
+            for eps in _line_radii(space, rng):
+                got = ball_min(space, rows, eps)
+                want = np.array([_ref_ball_min(space, row, eps) for row in rows])
+                assert np.array_equal(got, want), (name, eps)
+                assert np.array_equal(ball_min(masked, rows, eps), want), (name, eps)
+
+    def test_ball_intervals_are_exactly_the_balls(self):
+        rng = np.random.default_rng(8)
+        for name, space in _line_spaces(rng).items():
+            for eps in _line_radii(space, rng):
+                order, lo, hi = space._ball_intervals(eps)
+                assert np.array_equal(order, np.argsort(space._coords[:, 0], kind="stable"))
+                inside = space.block(order)[:, order] <= eps
+                pos = np.arange(space.n)
+                runs = (pos[None, :] >= lo[:, None]) & (pos[None, :] <= hi[:, None])
+                assert np.array_equal(inside, runs), (name, eps)
+
+    def test_the_interval_path_runs_on_lines_only(self, monkeypatch):
+        calls = {"block": 0, "runs": []}
+        real_block, real_runs = FiniteMetricSpace.block, FiniteMetricSpace._ball_intervals
+
+        def block(space, idx, cols=None):
+            calls["block"] += 1
+            return real_block(space, idx, cols)
+
+        def runs(space, eps):
+            out = real_runs(space, eps)
+            calls["runs"].append(out is not None)
+            return out
+
+        monkeypatch.setattr(FiniteMetricSpace, "block", block)
+        monkeypatch.setattr(FiniteMetricSpace, "_ball_intervals", runs)
+        fam = vime_family(59, 59)
+        rng = np.random.default_rng(9)
+        for space in _line_spaces(rng).values():
+            ball_min(space, _line_rows(space, rng), 0.5)
+        certify_uniform_epi(fam, 10, 0.3, default_delta_grid(fam, 0.3))
+        assert calls["block"] == 0 and calls["runs"] and all(calls["runs"])
+        # a plane, and a matrix space even of a line, keep the masked path
+        calls["runs"].clear()
+        for space in (FiniteMetricSpace.pointcloud(rng.normal(size=(30, 2)), metric="linf"),
+                      FiniteMetricSpace.from_matrix(fam.domain.block(np.arange(fam.domain.n)))):
+            calls["block"] = 0
+            ball_min(space, np.zeros((2, space.n)), 0.5)
+            assert calls["block"] > 0
+        assert calls["runs"] == [False, False]
+
+    def test_ball_min_rejects_negative_radii(self):
+        fam = vime_family(9, 9)
+        for eps in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ball_min(fam.domain, fam.values, eps)
 
     def test_cond1_at_every_anchor(self):
         for fam in _families():
@@ -360,6 +453,27 @@ class TestAgainstTheLoops:
         kept = tuple(v for v in (eps / 2.0**k for k in range(17)) if not (v < spacing))
         want = kept if kept else ((spacing,) if np.isfinite(spacing) else (eps,))
         assert default_delta_grid(fam, eps) == want
+
+    @pytest.mark.parametrize("metric", ["linf", "l1"])
+    def test_spacing_on_a_line_equals_the_block_path(self, metric):
+        rng = np.random.default_rng(11)
+        lines = [rng.integers(0, 6, size=30) / 8.0,  # unsorted, duplicates
+                 rng.normal(size=40),
+                 np.array([2.0, 2.0, 2.0]),  # one distinct point: no spacing
+                 np.array([1e-320, 0.0, 5e-324, 1e-320])]
+        domain = FiniteMetricSpace.grid1d(0.0, 1.0, 2)
+        for pts in lines:
+            line = FiniteMetricSpace.pointcloud(pts[:, None], metric=metric)
+            # a matrix space of the same distances scans its blocks
+            blocks = FiniteMetricSpace.from_matrix(line.block(np.arange(line.n)))
+            dists = [d for i in range(line.n) for d in line.row(i) if d > 0.0]
+            assert line.min_positive_distance() == blocks.min_positive_distance() == \
+                min(dists, default=np.inf)
+            for eps in (0.3, 1e-3):
+                grids = [default_delta_grid(ParametricFamily(ParameterGrid(sp), domain,
+                                                             np.zeros((sp.n, 3))), eps)
+                         for sp in (line, blocks)]
+                assert grids[0] == grids[1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_family_from_json_empirical_slope(self, seed):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,14 @@ class TestSubsetsAndBalls:
         with pytest.raises(ValueError):
             PointSubset.of(sp, (9,))
 
+    def test_out_of_range_member_is_named(self):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="-1 out of range"):
+            PointSubset.of(sp, (3, -1, 2, 9))
+        with pytest.raises(ValueError, match="6 out of range"):
+            PointSubset.of(sp, (0, 6, 5))
+        assert len(PointSubset.of(sp, range(6))) == 6
+
     def test_set_distance(self):
         sp = FiniteMetricSpace.grid1d(0.0, 1.0, 10)
         a = PointSubset.of(sp, (0, 1))
@@ -222,6 +231,30 @@ class TestSerialization:
             with pytest.raises(ValueError, match="finite"):
                 space_from_json({"kind": "pointcloud", "metric": metric,
                                  "params": {"points": points}})
+
+
+    @pytest.mark.parametrize("params", [
+        {"stop": np.inf, "steps": 3},
+        {"start": -np.inf, "steps": 3},
+        {"start": np.nan, "stop": 1.0, "steps": 3},
+        {"start": -1e308, "stop": 1e308, "steps": 3},  # finite ends, infinite span
+    ])
+    def test_non_finite_grid1d_bounds_are_rejected_before_any_arithmetic(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid bounds must be finite"):
+                space_from_json({"kind": "grid1d", "params": params})
+
+    @pytest.mark.parametrize("x, y", [
+        ([0, np.inf, 3], [0, 1, 2]),
+        ([0, 1, 3], [np.nan, 1, 2]),
+        ([0, 1, 3], [-1.5e308, 1.5e308, 2]),
+    ])
+    def test_non_finite_grid2d_bounds_are_rejected_before_any_arithmetic(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid bounds must be finite"):
+                space_from_json({"kind": "grid2d", "params": {"x": x, "y": y}})
 
 
 @given(

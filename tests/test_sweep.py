@@ -241,7 +241,7 @@ class TestSpreadPath:
             mn_membership(f, g, 3)
             assert block_calls == [], kind
         fam = vime_family(59, 59)
-        grid = default_delta_grid(fam, 0.05, octaves=4)  # reads parameter blocks
+        grid = default_delta_grid(fam, 0.05, octaves=4)
         block_calls.clear()
         assert check_5r_lemma(fam, 10, 0.05, 0.2, grid).ok
         assert block_calls == []
