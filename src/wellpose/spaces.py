@@ -40,27 +40,29 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     broadcast against each other; the all-pairs block of (na, d) and
     (nb, d) arrays is _pairwise(a[:, None], b[None], metric).
 
-    The steps after the subtraction work in place where they can: a
-    fresh temporary the size of a large block costs more in page faults
-    than its arithmetic.
+    One in-place loop over the coordinate columns, for every metric in
+    _METRICS: numpy reduces a short last axis slowly, and a fresh
+    temporary the size of a large block costs more in page faults than
+    its arithmetic.  numpy adds fewer than 8 terms in order, so for
+    d <= 7 this equals its reduction over the coordinate axis bit for
+    bit; from d = 8 on l1 and Euclidean move at rounding level (no CLI or
+    benchmark space has d >= 8).
     """
-    if metric == "linf":
-        # a running maximum over the coordinate columns: numpy reduces a
-        # short last axis slowly, and max is exact in any order
-        out = a[..., 0] - b[..., 0]
-        np.abs(out, out=out)
-        col = None
-        for k in range(1, a.shape[-1]):
-            col = np.subtract(a[..., k], b[..., k], out=col)
-            np.maximum(out, np.abs(col, out=col), out=out)
-        return out
-    diff = a - b
+    fold = np.maximum if metric == "linf" else np.add
+    out, col = None, None
+    for k in range(a.shape[-1]):
+        col = np.subtract(a[..., k], b[..., k], out=col)
+        if metric == "euclidean":
+            np.multiply(col, col, out=col)
+        else:
+            np.abs(col, out=col)
+        if out is None:
+            out, col = col, None
+        else:
+            fold(out, col, out=out)
     if metric == "euclidean":
-        out = np.multiply(diff, diff, out=diff).sum(axis=-1)
-        return np.sqrt(out, out=out)
-    if metric == "l1":
-        return np.abs(diff, out=diff).sum(axis=-1)
-    raise ValueError(f"unknown metric {metric!r}")
+        np.sqrt(out, out=out)
+    return out
 
 
 def _check_bounds(start: float, stop: float) -> None:
@@ -97,10 +99,13 @@ class FiniteMetricSpace:
             if metric not in _METRICS:
                 raise ValueError(f"unknown metric {metric!r}")
             coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
-            if coords.ndim != 2 or coords.shape[0] == 0:
+            if coords.ndim != 2 or coords.size == 0:
                 raise ValueError("coords must be a non-empty (n, d) array")
             if not np.all(np.isfinite(coords)):
                 raise ValueError("coordinates must be finite")
+            if coords.shape[1] == 1:
+                # on a line every metric is |x - y|, which linf computes exactly
+                self._metric = metric = "linf"
             self._coords = coords
             self.n = coords.shape[0]
         if matrix is not None:
@@ -121,11 +126,18 @@ class FiniteMetricSpace:
             self._matrix = matrix
         if self._coords is not None:
             self._coords.setflags(write=False)
-        # a linf distance, or an l1 distance on a line, is max_k |c_k(x) -
-        # c_k(y)| with the very roundings _pairwise makes, so the
-        # coordinates are a spread array for prefix_diameters
-        self._spread = self._matrix is None and (
-            metric == "linf" or (metric == "l1" and self._coords.shape[1] == 1))
+        if self._matrix is None:
+            # rounding is monotone, so no pairwise distance exceeds the
+            # distance across the per-column span: where that is finite,
+            # no block can overflow
+            with np.errstate(over="ignore"):
+                span = _pairwise(coords.max(axis=0)[None], coords.min(axis=0)[None], metric)
+            if not np.isfinite(span[0]):
+                raise ValueError("coordinate distances overflow: the point spread is too wide")
+        # a linf distance is max_k |c_k(x) - c_k(y)| with the very
+        # roundings _pairwise makes, so the coordinates are a spread array
+        # for prefix_diameters
+        self._spread = self._matrix is None and metric == "linf"
         if labels is None:
             if self._coords is not None:
                 labels = tuple(map(tuple, self._coords.tolist()))
@@ -216,9 +228,8 @@ class FiniteMetricSpace:
         Returns None for a matrix space or a coordinate space with d >= 2.
         Otherwise returns (order, lo, hi): the stable sort order of the
         coordinate and, for each sorted position i, the first and last
-        sorted positions of the ball around point order[i].  Each 1-D
-        distance (linf, l1 and Euclidean alike) is a nondecreasing
-        function of fl(|c_x - c_y|), and rounded subtraction is monotone,
+        sorted positions of the ball around point order[i].  A 1-D
+        distance is fl(|c_x - c_y|), and rounded subtraction is monotone,
         so along the sort order d(order[i], .) falls to 0 at i and rises
         after it: the ball is a contiguous run.  A searchsorted guess
         places each end, and every guess that fails an exact check with
@@ -264,9 +275,9 @@ class FiniteMetricSpace:
     def prefix_diameters(self, order) -> np.ndarray:
         """Running diameter of the points in ``order`` as each one enters.
 
-        linf spaces and 1-D l1 spaces pass their coordinates in entry
-        order to :func:`prefix_diameters`'s spread path, O(m d) and exact;
-        every other space passes its distance block, O(m^2).
+        linf spaces (every 1-D coordinate space among them) pass their
+        coordinates in entry order to :func:`prefix_diameters`'s spread
+        path, O(m d) and exact; every other space passes its distance block, O(m^2).
         """
         if self._spread:
             return prefix_diameters(self._coords[order])
@@ -287,9 +298,8 @@ class FiniteMetricSpace:
     def min_positive_distance(self) -> float:
         """Smallest positive pairwise distance; inf if every distance is 0.
 
-        On a line under linf or l1 the distance is fl(|c_x - c_y|), which
-        grows along the sort order away from each point, so the smallest
-        positive gap between sorted neighbours is the answer, O(n log n).
+        On a line the distance is fl(|c_x - c_y|), which grows along the
+        sort order away from each point, so the smallest positive gap between sorted neighbours is the answer, O(n log n).
         Every other space scans its distance blocks, about 4096 cells at a
         time, O(n^2).
         """
@@ -320,7 +330,11 @@ class FiniteMetricSpace:
             if not np.array_equal(m, m.T):
                 raise ValueError("metric violation: asymmetric distances")
             largest = m.max()
-            lhs, rhs = m, np.min(m[:, :, None] + m[None, :, :], axis=1)
+            # the min-plus product min_j d(i, j) + d(j, k), a row chunk at
+            # a time: all at once it is an n^3 temporary, 64 MB at n = 200
+            step = max(1, _CHUNK_CELLS // (self.n * self.n))
+            lhs, rhs = m, np.concatenate([np.min(m[lo:lo + step, :, None] + m[None], axis=1)
+                                          for lo in range(0, self.n, step)])
             sampled = ""
         else:
             # a stored matrix had its diagonal and symmetry checked in full
@@ -431,8 +445,10 @@ def prefix_diameters(dist, order=None) -> np.ndarray:
     row_max = np.zeros(order.size)
     for lo in range(0, order.size, step):
         d = dist(order[lo:lo + step], order[:lo + step])
-        # row lo + i meets the points entered up to and including itself
-        row_max[lo:lo + step] = np.tril(d, lo).max(axis=1)
+        # row lo + i meets every point entered before the chunk and, in
+        # the chunk's own square, the points up to and including itself
+        row_max[lo:lo + step] = np.maximum(d[:, :lo].max(axis=1, initial=0.0),
+                                           np.tril(d[:, lo:]).max(axis=1))
     return np.maximum.accumulate(row_max)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
 from .seminorms import AbsLinear, LineQuotient, MaxOf, Scale, SeminormExpr, SumOf
-from .spaces import prefix_diameters, sublevel_diameters
+from .spaces import _pairwise, prefix_diameters, sublevel_diameters
 
 __all__ = [
     "NormedSetting",
@@ -255,6 +255,9 @@ def n0_open_check(nu: SeminormExpr, nu_prime: SeminormExpr, setting: NormedSetti
 # ----------------------------------------------------------------------
 # convex bodies and projection
 
+# primal feasibility tolerance of the hull-membership LP
+_CONTAINS_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
@@ -288,7 +291,7 @@ class ConvexBody:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
         # imported here, its one use: scipy.optimize costs most of the
         # package's import time and memory
         from scipy.optimize import linprog
@@ -301,7 +304,7 @@ class ConvexBody:
         b_eq = np.concatenate([p, [1.0]])
         res = linprog(np.zeros(k), A_eq=A_eq, b_eq=b_eq,
                       bounds=[(0.0, None)] * k, method="highs",
-                      options={"primal_feasibility_tolerance": tol})
+                      options={"primal_feasibility_tolerance": _CONTAINS_TOL})
         return bool(res.status == 0)
 
 
@@ -332,18 +335,18 @@ def polytope_body(vertices, n_samples: int = 2048, seed: int = 0) -> ConvexBody:
     m = sample.shape[0]
     for lo in range(0, m, 256):
         blk = sample[lo:lo + 256]
-        d2 = np.sum((blk[:, None, :] - sample[None, :, :]) ** 2, axis=2)
+        d = _pairwise(blk[:, None], sample[None], "euclidean")
         rows = np.arange(lo, min(lo + 256, m))
-        d2[np.arange(blk.shape[0]), rows] = np.inf
-        mesh = max(mesh, float(np.sqrt(d2.min(axis=1).max())))
+        d[np.arange(blk.shape[0]), rows] = np.inf
+        mesh = max(mesh, float(d.min(axis=1).max()))
     return ConvexBody(vertices=verts, sample=sample, mesh=mesh)
 
 
-def validate_sample(body: ConvexBody, limit: int = 64, tol: float = 1e-9) -> bool:
+def validate_sample(body: ConvexBody, limit: int = 64) -> bool:
     """Membership-check up to limit evenly spaced sample points."""
     m = body.sample.shape[0]
     idx = np.unique(np.linspace(0, m - 1, min(limit, m)).astype(int))
-    return all(body.contains(body.sample[i], tol=tol) for i in idx)
+    return all(body.contains(body.sample[i]) for i in idx)
 
 
 def _linear_rows(expr: SeminormExpr) -> np.ndarray | None:

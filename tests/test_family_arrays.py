@@ -188,9 +188,8 @@ def _line_spaces(rng):
               for m in ("linf", "l1", "euclidean")}
     spaces.update({f"{m}_floats": FiniteMetricSpace.pointcloud(rng.normal(size=(50, 1)), metric=m)
                    for m in ("linf", "l1", "euclidean")})
-    # sqrt(x * x) underflows to 0 for these gaps, so every ball is the
-    # whole line: the searchsorted guesses at c +- eps miss it, the
-    # bisection has to find it
+    # subnormal gaps, which a line measures exactly under every metric
+    # name: sqrt(x * x) would underflow to 0 here
     subnormal = [[1e-320], [0.0], [5e-324], [1e-320], [3e-321], [2.5e-322]]
     spaces["euclidean_subnormal"] = FiniteMetricSpace.pointcloud(subnormal, metric="euclidean")
     spaces["grid"] = FiniteMetricSpace.grid1d(0.0, 1.0, 299)
@@ -454,7 +453,7 @@ class TestAgainstTheLoops:
         want = kept if kept else ((spacing,) if np.isfinite(spacing) else (eps,))
         assert default_delta_grid(fam, eps) == want
 
-    @pytest.mark.parametrize("metric", ["linf", "l1"])
+    @pytest.mark.parametrize("metric", ["linf", "l1", "euclidean"])
     def test_spacing_on_a_line_equals_the_block_path(self, metric):
         rng = np.random.default_rng(11)
         lines = [rng.integers(0, 6, size=30) / 8.0,  # unsorted, duplicates

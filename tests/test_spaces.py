@@ -78,6 +78,54 @@ class TestCoordinateDistances:
             for j in (0, 7, n - 1):
                 assert sp.dist(idx[r], j) == want[r, j]
 
+    @pytest.mark.parametrize("d", range(1, 10))
+    @pytest.mark.parametrize("metric", ["euclidean", "l1", "linf"])
+    def test_the_column_loop_equals_the_axis_reduction(self, metric, d, rng):
+        a = rng.normal(size=(60, d)) * 10
+        b = rng.normal(size=(50, d)) * 10
+        b[:5] = a[:5]  # zero distances
+        got = _pairwise(a[:, None], b[None], metric)
+        want = _reference_block(a, b, metric)
+        if d <= 7 or metric == "linf":
+            assert np.array_equal(got, want)
+        else:
+            # two summation orders of d nonnegative terms, each within
+            # (d - 1) / 2 ulps of the exact sum
+            assert np.all(np.abs(got - want) <= d * np.finfo(np.float64).eps * want)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "l1", "linf"])
+    def test_a_line_measures_the_gap_under_every_metric(self, metric):
+        x = np.array([0.0, 5e-324, 1e-320, -2.5, 3.0, 1e200, -1e200, 7e-310])
+        sp = FiniteMetricSpace.pointcloud(x[:, None], metric=metric)
+        want = np.abs(x[:, None] - x[None])
+        assert np.array_equal(sp.block(np.arange(x.size)), want)
+        assert sp.dist(0, 1) == 5e-324 and sp.dist(0, 5) == 1e200
+        assert FiniteMetricSpace.pointcloud([[0.0], [1e200]], metric=metric).dist(0, 1) == 1e200
+
+    @pytest.mark.parametrize("points, metric", [
+        ([[0.0, 0.0], [1e200, 0.0]], "euclidean"),  # 1e400 squared
+        ([[-1e308], [1e308]], "linf"),  # the gap itself overflows
+        ([[-1e308], [1e308]], "euclidean"),
+        ([[1e308, 1e308], [0.0, 0.0]], "l1"),  # the sum overflows
+    ])
+    def test_an_overflowing_spread_is_rejected(self, points, metric):
+        with pytest.raises(ValueError, match="overflow"):
+            FiniteMetricSpace.pointcloud(points, metric=metric)
+        with pytest.raises(ValueError, match="overflow"):
+            space_from_json({"kind": "pointcloud", "metric": metric, "params": {"points": points}})
+
+    @pytest.mark.parametrize("metric", ["euclidean", "l1", "linf"])
+    def test_points_without_coordinates_are_rejected(self, metric):
+        # the column loop has no column to start from
+        with pytest.raises(ValueError, match="non-empty"):
+            FiniteMetricSpace.pointcloud(np.zeros((3, 0)), metric=metric)
+
+    def test_the_widest_finite_spread_is_kept(self):
+        sp = FiniteMetricSpace.pointcloud([[0.0, 0.0], [1e154, 0.0]], metric="euclidean")
+        assert sp.dist(0, 1) == 1e154
+        sp = FiniteMetricSpace.pointcloud([[-8e307], [8e307]], metric="linf")
+        assert sp.diameter() == sp.dist(0, 1) == 1.6e308
+
     def test_grid1d_build_holds_no_matrix(self):
         n = 4000
         tracemalloc.start()
@@ -120,6 +168,24 @@ class TestValidate:
         sp = FiniteMetricSpace.from_matrix(m)
         with pytest.raises(ValueError, match="triangle"):
             sp.validate()
+
+    def test_exhaustive_check_finds_a_violation_in_the_last_row_chunk(self):
+        # a line of 200 points whose last gap is stretched from 1 to 5:
+        # (198, 199) and (199, 198) are the only violated pairs
+        x = np.arange(200.0)
+        m = np.abs(x[:, None] - x[None])
+        assert FiniteMetricSpace.from_matrix(m).validate(rng=_NoDraws())
+        m = m.copy()
+        m[198, 199] = m[199, 198] = 5.0
+        sp = FiniteMetricSpace.from_matrix(m)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="triangle"):
+                sp.validate(rng=_NoDraws())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # the whole min-plus temporary is 64 MB
 
     @pytest.mark.parametrize("metric", ["euclidean", "linf", "l1"])
     def test_small_spaces_are_checked_exhaustively(self, metric, rng):

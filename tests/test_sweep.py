@@ -248,22 +248,22 @@ class TestSpreadPath:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_euclidean_spaces_keep_the_block_path(self, d, rng, block_calls):
+        # in d >= 2 only: on a line the Euclidean distance is |x - y|, a
+        # spread distance
         space = FiniteMetricSpace.pointcloud(rng.normal(size=(40, d)), metric="euclidean")
         for run in (space.diameter, lambda: diam(PointSubset.of(space, range(9)))):
             block_calls.clear()
             run()
-            assert block_calls
+            assert bool(block_calls) == (d >= 2)
 
     def test_one_dimensional_euclidean_with_subnormal_gaps(self):
-        # sqrt(x * x) underflows to 0 for a subnormal x: the Euclidean
-        # distance is not |x| there, so the coordinate range would be wrong
-        space = FiniteMetricSpace.pointcloud([[0.0], [5e-324], [1e-320]], metric="euclidean")
-        assert space.diameter() == _pair_max(space, range(3)) == 0.0
-        assert space.prefix_diameters(np.arange(3)).tolist() == [0.0, 0.0, 0.0]
-        assert prefix_diameters(space._coords)[-1] == 1e-320
-        # the same points under l1 on a line are the spread path's domain
-        line = FiniteMetricSpace.pointcloud([[0.0], [5e-324], [1e-320]], metric="l1")
-        assert line.diameter() == _pair_max(line, range(3)) == 1e-320
+        # sqrt(x * x) would underflow to 0 for a subnormal x; a line
+        # measures |x - y| under every metric name, exactly
+        for metric in ("euclidean", "l1", "linf"):
+            space = FiniteMetricSpace.pointcloud([[0.0], [5e-324], [1e-320]], metric=metric)
+            assert space.diameter() == _pair_max(space, range(3)) == 1e-320
+            assert space.prefix_diameters(np.arange(3)).tolist() == [0.0, 5e-324, 1e-320]
+            assert space.dist(0, 1) == 5e-324
 
     def test_diameter_of_a_million_point_grid_stays_small(self):
         space = FiniteMetricSpace.grid1d(0.0, 1.0, 999_999)
