@@ -40,26 +40,19 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     broadcast against each other; the all-pairs block of (na, d) and
     (nb, d) arrays is _pairwise(a[:, None], b[None], metric).
 
-    One in-place loop over the coordinate columns, for every metric in
-    _METRICS: numpy reduces a short last axis slowly, and a fresh
-    temporary the size of a large block costs more in page faults than
-    its arithmetic.  numpy adds fewer than 8 terms in order, so for
-    d <= 7 this equals its reduction over the coordinate axis bit for
-    bit; from d = 8 on l1 and Euclidean move at rounding level (no CLI or
-    benchmark space has d >= 8).
+    One in-place loop over the coordinate columns for every metric: numpy
+    reduces a short last axis slowly, and a block-sized temporary costs
+    more in page faults than its arithmetic.  For d <= 7 the sums equal
+    numpy's axis reduction bit for bit (no CLI or benchmark space has d >= 8).
     """
     fold = np.maximum if metric == "linf" else np.add
-    out, col = None, None
-    for k in range(a.shape[-1]):
+    term = np.square if metric == "euclidean" else np.abs
+    out = a[..., 0] - b[..., 0]
+    term(out, out=out)
+    col = None
+    for k in range(1, a.shape[-1]):
         col = np.subtract(a[..., k], b[..., k], out=col)
-        if metric == "euclidean":
-            np.multiply(col, col, out=col)
-        else:
-            np.abs(col, out=col)
-        if out is None:
-            out, col = col, None
-        else:
-            fold(out, col, out=out)
+        fold(out, term(col, out=col), out=out)
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out
@@ -128,15 +121,15 @@ class FiniteMetricSpace:
             self._coords.setflags(write=False)
         if self._matrix is None:
             # rounding is monotone, so no pairwise distance exceeds the
-            # distance across the per-column span: where that is finite,
-            # no block can overflow
+            # distance across the per-column span, and where that is finite
+            # no block can overflow; the bound is the diameter for linf but
+            # may exceed it for l1 and Euclidean in d >= 2
             with np.errstate(over="ignore"):
                 span = _pairwise(coords.max(axis=0)[None], coords.min(axis=0)[None], metric)
             if not np.isfinite(span[0]):
-                raise ValueError("coordinate distances overflow: the point spread is too wide")
-        # a linf distance is max_k |c_k(x) - c_k(y)| with the very
-        # roundings _pairwise makes, so the coordinates are a spread array
-        # for prefix_diameters
+                raise ValueError("coordinate distances may overflow: the point spread is too wide")
+        # a linf distance is max_k |c_k(x) - c_k(y)| with _pairwise's own
+        # roundings, so the coordinates are a spread array for prefix_diameters
         self._spread = self._matrix is None and metric == "linf"
         if labels is None:
             if self._coords is not None:
@@ -275,9 +268,9 @@ class FiniteMetricSpace:
     def prefix_diameters(self, order) -> np.ndarray:
         """Running diameter of the points in ``order`` as each one enters.
 
-        linf spaces (every 1-D coordinate space among them) pass their
-        coordinates in entry order to :func:`prefix_diameters`'s spread
-        path, O(m d) and exact; every other space passes its distance block, O(m^2).
+        linf spaces, every 1-D space among them, pass their coordinates
+        in entry order to :func:`prefix_diameters`'s spread path, O(m d)
+        and exact; every other space passes its distance block, O(m^2).
         """
         if self._spread:
             return prefix_diameters(self._coords[order])
@@ -299,7 +292,8 @@ class FiniteMetricSpace:
         """Smallest positive pairwise distance; inf if every distance is 0.
 
         On a line the distance is fl(|c_x - c_y|), which grows along the
-        sort order away from each point, so the smallest positive gap between sorted neighbours is the answer, O(n log n).
+        sort order away from each point, so the smallest positive gap
+        between sorted neighbours is the answer, O(n log n).
         Every other space scans its distance blocks, about 4096 cells at a
         time, O(n^2).
         """
@@ -330,8 +324,7 @@ class FiniteMetricSpace:
             if not np.array_equal(m, m.T):
                 raise ValueError("metric violation: asymmetric distances")
             largest = m.max()
-            # the min-plus product min_j d(i, j) + d(j, k), a row chunk at
-            # a time: all at once it is an n^3 temporary, 64 MB at n = 200
+            # min_j d(i, j) + d(j, k) a row chunk at a time, not as one n^3 temporary
             step = max(1, _CHUNK_CELLS // (self.n * self.n))
             lhs, rhs = m, np.concatenate([np.min(m[lo:lo + step, :, None] + m[None], axis=1)
                                           for lo in range(0, self.n, step)])
@@ -445,10 +438,8 @@ def prefix_diameters(dist, order=None) -> np.ndarray:
     row_max = np.zeros(order.size)
     for lo in range(0, order.size, step):
         d = dist(order[lo:lo + step], order[:lo + step])
-        # row lo + i meets every point entered before the chunk and, in
-        # the chunk's own square, the points up to and including itself
-        row_max[lo:lo + step] = np.maximum(d[:, :lo].max(axis=1, initial=0.0),
-                                           np.tril(d[:, lo:]).max(axis=1))
+        # row lo + i meets the points entered up to and including itself
+        row_max[lo:lo + step] = np.tril(d, lo).max(axis=1)
     return np.maximum.accumulate(row_max)
 
 

@@ -325,19 +325,16 @@ def segment_body(a, b, n_samples: int = 2001) -> ConvexBody:
 def polytope_body(vertices, n_samples: int = 2048, seed: int = 0) -> ConvexBody:
     """Convex hull of vertices sampled by seeded barycentric mixing."""
     verts = np.asarray(vertices, dtype=np.float64)
-    if verts.ndim != 2 or verts.shape[0] < 1:
+    if verts.ndim != 2 or min(verts.shape) < 1:
         raise ValueError("vertices must be a non-empty (k, d) array")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(verts.shape[0]), size=max(n_samples - verts.shape[0], 0))
     sample = np.vstack([verts, weights @ verts]) if weights.size else verts.copy()
     # nearest-neighbour spacing as a fineness proxy
     mesh = 0.0
-    m = sample.shape[0]
-    for lo in range(0, m, 256):
-        blk = sample[lo:lo + 256]
-        d = _pairwise(blk[:, None], sample[None], "euclidean")
-        rows = np.arange(lo, min(lo + 256, m))
-        d[np.arange(blk.shape[0]), rows] = np.inf
+    for lo in range(0, sample.shape[0], 256):
+        d = _pairwise(sample[lo:lo + 256, None], sample[None], "euclidean")
+        d[np.arange(d.shape[0]), np.arange(lo, lo + d.shape[0])] = np.inf
         mesh = max(mesh, float(d.min(axis=1).max()))
     return ConvexBody(vertices=verts, sample=sample, mesh=mesh)
 

@@ -120,6 +120,17 @@ class TestCoordinateDistances:
         with pytest.raises(ValueError, match="non-empty"):
             FiniteMetricSpace.pointcloud(np.zeros((3, 0)), metric=metric)
 
+    def test_the_span_bound_is_conservative_off_linf(self):
+        # every pairwise Euclidean distance of this diamond is finite (the
+        # largest squared sum is s^2 = 1.69e308), but the span vector
+        # (s, s) squares to 3.38e308, so the space is rejected
+        s = 1.3e154
+        pts = s * np.array([[0.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0]])
+        assert np.all(np.isfinite(_reference_block(pts, pts, "euclidean")))
+        with pytest.raises(ValueError, match="may overflow"):
+            FiniteMetricSpace.pointcloud(pts, metric="euclidean")
+        assert FiniteMetricSpace.pointcloud(pts, metric="linf").diameter() == s
+
     def test_the_widest_finite_spread_is_kept(self):
         sp = FiniteMetricSpace.pointcloud([[0.0, 0.0], [1e154, 0.0]], metric="euclidean")
         assert sp.dist(0, 1) == 1e154

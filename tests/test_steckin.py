@@ -168,6 +168,8 @@ class TestConvexBody:
             segment_body([0.0], [1.0], n_samples=1)
         with pytest.raises(ValueError):
             polytope_body(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="non-empty"):
+            polytope_body(np.zeros((2, 0)))  # vertices without coordinates
 
 
 class TestSetDiameter:
