@@ -3,12 +3,14 @@
 
 Usage: python3 scripts/cli_snapshot.py OUTDIR [COMMAND ...]
 
-Each command (default: vime, modulus, perturb, steckin, verify) runs
-in a fresh interpreter against the ``src`` tree of the checkout this
-script belongs to, with OUTDIR as working directory and ``--out
-COMMAND``.  Its stdout, stderr and exit code go to COMMAND/console.txt
-beside the files it writes.  Paths in the outputs are relative, so two
-checkouts compare with one ``diff -r``:
+Each command (default: vime, modulus, perturb, steckin, steckin_l1,
+steckin_euclidean, verify) runs in a fresh interpreter against the
+``src`` tree of the checkout this script belongs to, with OUTDIR as
+working directory and ``--out COMMAND``.  Its stdout, stderr and exit
+code go to COMMAND/console.txt beside the files it writes.  steckin_l1
+and steckin_euclidean run ``steckin`` on the instance files beside this
+script: an l1 polytope and a euclidean segment.  Paths in the outputs
+are relative, so two checkouts compare with one ``diff -r``:
 
     python3 A/scripts/cli_snapshot.py snapA
     python3 B/scripts/cli_snapshot.py snapB
@@ -21,15 +23,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-COMMANDS = ("vime", "modulus", "perturb", "steckin", "verify")
-SRC = Path(__file__).resolve().parent.parent / "src"
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
+# snapshot name -> CLI arguments before --out
+RUNS = {
+    "vime": ["vime"],
+    "modulus": ["modulus"],
+    "perturb": ["perturb"],
+    "steckin": ["steckin"],
+    "steckin_l1": ["steckin", "--instance", str(HERE / "steckin_l1_polytope.json")],
+    "steckin_euclidean": ["steckin", "--instance", str(HERE / "steckin_euclidean_segment.json")],
+    "verify": ["verify"],
+}
 
 
 def snapshot(outdir: Path, command: str) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "wellpose.cli", command, "--out", command],
+        [sys.executable, "-m", "wellpose.cli", *RUNS[command], "--out", command],
         cwd=outdir, env=env, capture_output=True, text=True, check=False)
     (outdir / command).mkdir(exist_ok=True)
     (outdir / command / "console.txt").write_text(
@@ -42,13 +54,13 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("outdir", type=Path)
     ap.add_argument("commands", nargs="*", metavar="COMMAND",
-                    help=f"subset of {', '.join(COMMANDS)}")
+                    help=f"subset of {', '.join(RUNS)}")
     args = ap.parse_args()
-    unknown = sorted(set(args.commands) - set(COMMANDS))
+    unknown = sorted(set(args.commands) - set(RUNS))
     if unknown:
         ap.error(f"unknown command(s): {', '.join(unknown)}")
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for command in args.commands or COMMANDS:
+    for command in args.commands or RUNS:
         code = snapshot(args.outdir, command)
         print(f"{command}: exit {code}")
     return 0

@@ -98,10 +98,13 @@ def steckin_instance_from_json(desc: dict) -> SteckinInstance:
         base = seminorm_from_json(base_desc)
     setting = make_setting(dim_hint, base, float(desc.get("mesh", 1e-3)))
     nu0 = seminorm_from_json(desc["nu0"]) if "nu0" in desc else base
-    p = np.asarray(desc.get("p", desc.get("witness_points", [[0] * dim_hint])[0]),
-                   dtype=np.float64)
-    witnesses = tuple(tuple(float(v) for v in w)
-                      for w in desc.get("witness_points", [p.tolist()]))
+    witnesses = desc.get("witness_points", [desc.get("p", [0.0] * dim_hint)])
+    if not witnesses:
+        raise ValueError("witness_points must not be empty")
+    witnesses = tuple(tuple(float(v) for v in w) for w in witnesses)
+    p = np.asarray(desc.get("p", witnesses[0]), dtype=np.float64)
+    if not all(np.all(np.isfinite(w)) for w in witnesses + (p,)):
+        raise ValueError("witness points and p must be finite")
     return SteckinInstance(setting=setting, body=body, nu0=nu0, p=p,
                            witness_points=witnesses)
 

@@ -7,9 +7,11 @@ scaling, the euclidean norm, and the line quotient
 
 the seminorm that flattens base along one direction.  In R^2 it has the
 closed form kappa |perp . x|, perp orthogonal to the direction, with
-kappa found once per quotient; elsewhere the minimum, convex in t, is
-bracketed analytically and resolved by golden section at every point.
-Either way reported values never exceed base(x).
+kappa computed once per quotient: exactly for a euclidean or polyhedral
+(max/sum/scale of absolute linear) base, by golden section for any other
+tree.  Elsewhere the minimum, convex in t, is bracketed analytically and
+resolved by golden section at every point.  Either way reported values
+never exceed base(x).
 
 Every node also carries a magnitude majorant (an upper bound on the
 absolute values flowing through its evaluation) used to scale rounding
@@ -35,6 +37,9 @@ __all__ = [
     "seminorm_from_json",
 ]
 
+# sign expansion multiplies row counts: a tree with more rows than this
+# is left to its own evaluation
+_MAX_LINEAR_ROWS = 64
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 _GOLDEN_ITERS = 72  # bracket width shrinks below 1e-15 of its start
@@ -159,6 +164,37 @@ class Scale(SeminormExpr):
         return self.factor * self.child.magnitude_many(X)
 
 
+def _linear_rows(expr: SeminormExpr) -> np.ndarray | None:
+    """Rows L with expr(z) = max_j |L_j . z|, when the tree permits.
+
+    Absolute linear leaves, scales and maxima flatten directly.  A sum of
+    such maxima is the maximum of |(L_i +- L_j +- ...) . z| over one row
+    per child and every sign pattern.  Any other leaf, or more than
+    _MAX_LINEAR_ROWS rows, gives None.
+    """
+    if isinstance(expr, AbsLinear):
+        return expr.coef[None, :]
+    if isinstance(expr, Scale):
+        rows = _linear_rows(expr.child)
+        return None if rows is None else expr.factor * rows
+    if not isinstance(expr, (MaxOf, SumOf)):
+        return None
+    parts = [_linear_rows(c) for c in expr.children]
+    if any(p is None for p in parts):
+        return None
+    if isinstance(expr, MaxOf):
+        rows = np.vstack(parts)
+    else:
+        rows = parts[0]
+        for part in parts[1:]:
+            if 2 * rows.shape[0] * part.shape[0] > _MAX_LINEAR_ROWS:
+                return None
+            # |u| + |v| = max(|u + v|, |u - v|)
+            pairs = [rows[:, None, :] + part[None, :, :], rows[:, None, :] - part[None, :, :]]
+            rows = np.concatenate(pairs).reshape(-1, expr.dim)
+    return rows if rows.shape[0] <= _MAX_LINEAR_ROWS else None
+
+
 def _golden_quotient(base: SeminormExpr, pts: np.ndarray, direction: np.ndarray,
                      dir_value: float) -> np.ndarray:
     """min_t base(x - t * direction) for each row x of pts, by golden section.
@@ -197,15 +233,45 @@ def _golden_quotient(base: SeminormExpr, pts: np.ndarray, direction: np.ndarray,
     return best
 
 
+def _perp_quotient(base: SeminormExpr, perp: np.ndarray, direction: np.ndarray,
+                   dir_value: float) -> float:
+    """min_t base(perp - t * direction) for perp orthogonal to direction in R^2.
+
+    A euclidean base is smallest at t = 0.  For a polyhedral base, t ->
+    max_j |a_j - t b_j| with a = L.perp, b = L.direction is convex and
+    piecewise linear, so its minimum sits at a kink: a zero a_j / b_j of
+    one row or a crossing (a_i -+ a_j) / (b_i -+ b_j) of two.  base is
+    evaluated once at every kink inside the bracket |t| <= 2 base(perp) /
+    base(direction) that holds the minimum.  Any other tree is searched.
+    """
+    at_zero = float(base.eval_many(perp[None, :])[0])
+    if isinstance(base, Euclidean):
+        return at_zero
+    rows = _linear_rows(base)
+    if rows is None:
+        return float(_golden_quotient(base, perp[None, :], direction, dir_value)[0])
+    a = rows @ perp
+    b = rows @ direction
+    i, j = np.triu_indices(a.size, 1)
+    num = np.concatenate([a, a[i] - a[j], a[i] + a[j]])
+    den = np.concatenate([b, b[i] - b[j], b[i] + b[j]])
+    # a zero denominator is a pair of parallel pieces, which has no kink
+    keep = (den != 0.0) & (np.abs(num) <= 2.0 * at_zero / dir_value * np.abs(den))
+    t = num[keep] / den[keep]
+    kinks = base.eval_many(perp[None, :] - t[:, None] * direction[None, :])
+    return float(kinks.min(initial=at_zero))
+
+
 class LineQuotient(SeminormExpr):
     """x -> min_t base(x - t * direction); base(direction) must be > 0.
 
     In R^2 the quotient vanishes on span(direction), so it equals
     kappa |perp . x| with perp = (-d2, d1) and kappa = q(perp) / |perp|^2.
-    kappa comes from one golden-section search at construction; each
-    evaluation is then one dot product per point, clamped to base(x) so
-    rounding in kappa never lifts a value above base.  Other dimensions
-    run the search at every point.
+    q(perp) is a base value at one t, found at construction: in closed
+    form for a euclidean or polyhedral base (:func:`_perp_quotient`), by
+    golden section otherwise.  Each evaluation is then one dot product per
+    point, clamped to base(x) so rounding in kappa never lifts a value
+    above base.  Other dimensions run the search at every point.
     """
 
     def __init__(self, base: SeminormExpr, direction):
@@ -223,9 +289,8 @@ class LineQuotient(SeminormExpr):
         self.dim = base.dim
         if self.dim == 2:
             perp = np.array([-direction[1], direction[0]])
-            q_perp = float(_golden_quotient(base, perp[None, :], direction, bd)[0])
             self._perp = perp
-            self._kappa = q_perp / float(perp @ perp)
+            self._kappa = _perp_quotient(base, perp, direction, bd) / float(perp @ perp)
 
     def eval_many(self, X):
         pts = _as_points(X, self.dim)

@@ -21,12 +21,13 @@ through a shrinking-radius ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
-from .seminorms import AbsLinear, LineQuotient, MaxOf, Scale, SeminormExpr, SumOf
+from .seminorms import LineQuotient, Scale, SeminormExpr, SumOf, _linear_rows
 from .spaces import _pairwise, prefix_diameters, sublevel_diameters
 
 __all__ = [
@@ -255,7 +256,7 @@ def n0_open_check(nu: SeminormExpr, nu_prime: SeminormExpr, setting: NormedSetti
 # ----------------------------------------------------------------------
 # convex bodies and projection
 
-# primal feasibility tolerance of the hull-membership LP
+# how far off its hull (euclidean) a point may lie and still be a member
 _CONTAINS_TOL = 1e-9
 
 
@@ -265,6 +266,7 @@ class ConvexBody:
 
     mesh records the sample spacing (euclidean); membership queries use
     the exact hull, while projection estimates range over the sample.
+    The hull's facet table is built on the first membership query.
     """
 
     vertices: np.ndarray
@@ -291,21 +293,45 @@ class ConvexBody:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def contains(self, p) -> bool:
-        # imported here, its one use: scipy.optimize costs most of the
-        # package's import time and memory
-        from scipy.optimize import linprog
+    @cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centre, basis, equations) of the hull.
 
+        basis (d, r) spans the vertices' affine hull, from an SVD of the
+        centred vertices; directions in which no vertex leaves the centre
+        by more than _CONTAINS_TOL are dropped.  Each row (n, c) of
+        equations is a unit normal and offset in hull coordinates y, with
+        n . y + c <= 0 on the hull: none for a point, the two ends of an
+        interval on a line, qhull's facets in two or more dimensions.
+        """
+        centre = self.vertices.mean(axis=0)
+        u, s, vt = np.linalg.svd(self.vertices - centre, full_matrices=False)
+        basis = vt[np.abs(u * s).max(axis=0) > _CONTAINS_TOL].T
+        coords = (self.vertices - centre) @ basis
+        if basis.shape[1] == 0:
+            equations = np.zeros((0, 1))
+        elif basis.shape[1] == 1:
+            equations = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
+        else:
+            # imported here, its one use: scipy.spatial takes about half a
+            # second to import, and a segment or a point never needs it
+            from scipy.spatial import ConvexHull
+
+            equations = ConvexHull(coords).equations
+        return centre, basis, equations
+
+    def contains(self, p) -> bool:
         p = np.asarray(p, dtype=np.float64).reshape(-1)
         if p.size != self.dim:
             raise ValueError("point has the wrong dimension")
-        k = self.vertices.shape[0]
-        A_eq = np.vstack([self.vertices.T, np.ones((1, k))])
-        b_eq = np.concatenate([p, [1.0]])
-        res = linprog(np.zeros(k), A_eq=A_eq, b_eq=b_eq,
-                      bounds=[(0.0, None)] * k, method="highs",
-                      options={"primal_feasibility_tolerance": _CONTAINS_TOL})
-        return bool(res.status == 0)
+        if not np.all(np.isfinite(p)):
+            raise ValueError("point must be finite")
+        centre, basis, equations = self._facets
+        offset = p - centre
+        y = offset @ basis
+        off_hull = float(np.linalg.norm(offset - basis @ y))
+        return bool(off_hull <= _CONTAINS_TOL
+                    and np.all(equations[:, :-1] @ y + equations[:, -1] <= _CONTAINS_TOL))
 
 
 def segment_body(a, b, n_samples: int = 2001) -> ConvexBody:
@@ -346,21 +372,6 @@ def validate_sample(body: ConvexBody, limit: int = 64) -> bool:
     return all(body.contains(body.sample[i]) for i in idx)
 
 
-def _linear_rows(expr: SeminormExpr) -> np.ndarray | None:
-    """Rows L with expr(z) = max_j |L_j . z|, when the tree permits."""
-    if isinstance(expr, AbsLinear):
-        return expr.coef[None, :]
-    if isinstance(expr, Scale):
-        rows = _linear_rows(expr.child)
-        return None if rows is None else expr.factor * rows
-    if isinstance(expr, MaxOf):
-        parts = [_linear_rows(c) for c in expr.children]
-        if any(p is None for p in parts):
-            return None
-        return np.vstack(parts)
-    return None
-
-
 def _running_diameters(pts: np.ndarray, nu: SeminormExpr) -> np.ndarray:
     """Running nu-diameter of the rows of pts as each one enters."""
     rows = _linear_rows(nu)
@@ -384,12 +395,14 @@ def _sublevel_curve(values: np.ndarray, sample: np.ndarray, grid, base: Seminorm
 def set_diameter(points: np.ndarray, nu: SeminormExpr) -> float:
     """max over pairs of nu(x - y), the last running diameter.
 
-    For a max-of-linear tree, nu(x - y) = max_j |L_j.x - L_j.y|, so the
-    projections pts @ L.T go to the spread path of
-    :func:`~wellpose.spaces.prefix_diameters` (O(m j)); every other tree
-    goes to its block path, pairwise by row chunk.  The spread path rounds
-    each L_j.x once, where eval_many rounds L_j.(x - y), so the two can
-    differ in the last bits.
+    For a polyhedral tree (max, sum and scale of absolute linear leaves),
+    nu(x - y) = max_j |L_j.x - L_j.y|, so the projections pts @ L.T go to
+    the spread path of :func:`~wellpose.spaces.prefix_diameters` (O(m j));
+    every other tree goes to its block path, pairwise by row chunk.  The
+    spread path rounds each L_j.x once, where eval_many rounds
+    L_j.(x - y) (and a sum adds its terms' roundings), so the two can
+    differ in the last bits.  A tree that flattens to more rows than
+    seminorms._MAX_LINEAR_ROWS takes the block path.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != nu.dim:
@@ -488,6 +501,8 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     if p.size != body.dim or nu.dim != body.dim or setting.dim != body.dim:
         raise ValueError("dimension mismatch")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"point must be finite, got {p.tolist()}")
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     if delta_grid is None:
@@ -509,7 +524,7 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
 
     for status, x in strategies:
         # terms are built only when their strategy is tried: a quotient
-        # costs one kappa search at construction
+        # computes its kappa at construction
         if x is None:
             terms, x_star = (Scale(eps, setting.base),), None
         else:
@@ -607,6 +622,8 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     points = [np.asarray(p, dtype=np.float64).reshape(-1) for p in witness_points]
     if not points:
         raise ValueError("need at least one witness point")
+    if not all(np.all(np.isfinite(p)) for p in points):
+        raise ValueError("witness points must be finite")
     a0 = a_nu(nu0, setting)
     if not (eps_total < a0.value - a0.error_bound):
         raise PreconditionError(

@@ -148,6 +148,32 @@ def test_steckin_bad_instance_file(tmp_path, capsys):
     assert "bad instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("witnesses, message", [
+    ([], "witness_points must not be empty"),
+    ([[0.0, 2.0], [float("nan"), 2.0]], "witness points and p must be finite"),
+    ([[float("inf"), 2.0]], "witness points and p must be finite"),
+    ([[0.0, float("-inf")]], "witness points and p must be finite"),
+])
+def test_steckin_unusable_witness_points(witnesses, message, tmp_path, capsys):
+    inst = {k: v for k, v in COARSE_INSTANCE.items() if k != "p"}
+    inst["witness_points"] = witnesses
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps(inst))  # nan and inf as NaN and Infinity
+    code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad instance" in err and message in err
+
+
+def test_steckin_non_finite_p(tmp_path, capsys):
+    inst = dict(COARSE_INSTANCE, p=[float("nan"), 2.0])
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps(inst))
+    code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_steckin_missing_instance_file(tmp_path):
     code = cli.main(["steckin", "--instance", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "s")])
@@ -247,6 +273,32 @@ def test_import_does_not_load_the_lp_solver():
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout == "False\n"
+
+
+def _loaded_after(code: str, *modules: str) -> list[bool]:
+    probe = f"import sys\n{code}\nprint([m in sys.modules for m in {modules!r}])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.lower())
+
+
+def test_renorming_a_segment_loads_no_solver():
+    run = ("from wellpose.instances import segment_instance\n"
+           "from wellpose.steckin import baire_renorm\n"
+           "inst = segment_instance()\n"
+           "rep = baire_renorm(inst.nu0, inst.body, inst.witness_points, 0.3, 5, inst.setting)\n"
+           "assert rep.success")
+    assert _loaded_after(run, "scipy.optimize", "scipy.spatial") == [False, False]
+
+
+def test_building_bodies_loads_no_hull_code():
+    build = ("from wellpose.steckin import polytope_body, segment_body\n"
+             "segment_body([0.0, 0.0], [1.0, 0.0])\n"
+             "polytope_body([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], n_samples=64)")
+    assert _loaded_after(build, "scipy.spatial") == [False]
+    # the first membership query of a full-dimensional body builds its facets
+    query = build.replace("n_samples=64)", "n_samples=64).contains([0.2, 0.2])")
+    assert _loaded_after(query, "scipy.spatial") == [True]
 
 
 def _run_script(name, *args):

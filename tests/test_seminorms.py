@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wellpose import seminorms
+from wellpose.instances import random_polyhedral_seminorm
 from wellpose.seminorms import (
     AbsLinear,
     Euclidean,
@@ -12,6 +14,8 @@ from wellpose.seminorms import (
     SeminormExpr,
     SumOf,
     _golden_quotient,
+    _linear_rows,
+    _perp_quotient,
     euclidean_norm,
     l1_norm,
     linf_norm,
@@ -237,6 +241,105 @@ def test_quotient_in_three_dimensions_still_searches(rng):
     assert np.array_equal(got, _search(base.inner, direction, pts))
     assert LineQuotient(euclidean_norm(3), [0.0, 0.0, 2.0])([3.0, 4.0, 7.0]) == 5.0
     assert LineQuotient(linf_norm(3), [1.0, 0.0, 0.0])([17.0, 2.0, -1.0]) == 2.0
+
+
+def _kappa_bases(rng):
+    e1 = AbsLinear([1.0, -2.0])
+    e2 = AbsLinear([0.5, 0.5])
+    bases = [linf_norm(2), l1_norm(2), Scale(1.7, MaxOf((e1, e2))), Euclidean(2),
+             MaxOf((SumOf((e1, e2)), SumOf((linf_norm(2), Scale(0.3, l1_norm(2))))))]
+    return bases + [random_polyhedral_seminorm(rng, 2) for _ in range(40)]
+
+
+def _kappa_directions(base, rng):
+    """Random directions, the axes, the diagonals, and for every row L of a
+    polyhedral base both L itself (a facet normal: L . perp = 0) and L's
+    perpendicular (L . direction = 0): the zero-denominator cases."""
+    dirs = [rng.normal(size=2) for _ in range(4)]
+    dirs += [np.array(v, dtype=np.float64) for v in ([1, 0], [0, -2], [1, 1], [1, -1])]
+    rows = _linear_rows(base)
+    if rows is not None:
+        dirs += [r for r in rows] + [np.array([-r[1], r[0]]) for r in rows]
+    # a base that (nearly) vanishes on the direction leaves the quotient
+    # ill-conditioned for both methods
+    return [d for d in dirs if base(d) > 1e-6 * np.linalg.norm(d)]
+
+
+def test_closed_form_kappa_matches_the_search(rng):
+    """The one-shot kink evaluation against golden section, the oracle."""
+    ulp = np.finfo(np.float64).eps
+    checked = 0
+    for base in _kappa_bases(rng):
+        for d in _kappa_directions(base, rng):
+            perp = np.array([-d[1], d[0]])
+            bd = base(d)
+            exact = _perp_quotient(base, perp, d, bd)
+            search = float(_golden_quotient(base, perp[None, :], d, bd)[0])
+            # both round at the size of the base's terms along the bracket
+            scale = LineQuotient(base, d).magnitude_many(perp[None, :])[0]
+            assert abs(exact - search) <= 8 * ulp * scale
+            assert exact <= base(perp)
+            checked += 1
+    assert checked > 400
+
+
+def test_closed_form_kappa_beats_every_sampled_t(rng):
+    # the minimum of a convex piecewise-linear function: no t does better
+    for base in _kappa_bases(rng)[:10]:
+        for d in _kappa_directions(base, rng):
+            perp = np.array([-d[1], d[0]])
+            exact = _perp_quotient(base, perp, d, base(d))
+            T = 4.0 * base(perp) / base(d)
+            scan = base.eval_many(perp[None, :] - np.linspace(-T, T, 2001)[:, None] * d)
+            scale = LineQuotient(base, d).magnitude_many(perp[None, :])[0]
+            assert exact <= scan.min() + 8 * np.finfo(np.float64).eps * scale
+
+
+def test_kappa_search_runs_only_without_a_closed_form(monkeypatch):
+    calls = []
+    real = seminorms._golden_quotient
+
+    def spy(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(seminorms, "_golden_quotient", spy)
+    e1 = AbsLinear([1.0, -2.0])
+    e2 = AbsLinear([0.5, 0.5])
+    closed = [linf_norm(2), l1_norm(2), Scale(0.4, MaxOf((e1, e2))), Euclidean(2),
+              SumOf((MaxOf((e1, e2)), e1))]
+    for base in closed:
+        LineQuotient(base, [0.8, -0.6]).eval_many(np.eye(2))
+    assert calls == []
+    LineQuotient(MaxOf((e1, e2, Scale(0.3, Euclidean(2)))), [0.8, -0.6])
+    assert calls == [(1, 2)]
+    LineQuotient(linf_norm(3), [1.0, 0.5, 0.0]).eval_many(np.eye(3))
+    assert len(calls) > 1
+
+
+class TestLinearRows:
+    def test_rows_reproduce_the_tree(self, rng):
+        trees = [linf_norm(3), l1_norm(3), Scale(2.5, l1_norm(2)),
+                 SumOf((linf_norm(2), Scale(0.3, l1_norm(2)), AbsLinear([1.0, -1.0])))]
+        trees += [random_polyhedral_seminorm(rng, 2) for _ in range(20)]
+        for tree in trees:
+            rows = _linear_rows(tree)
+            pts = rng.normal(size=(100, tree.dim)) * 3
+            flat = np.abs(pts @ rows.T).max(axis=1)
+            tol = 1e-13 * np.maximum(1.0, tree.magnitude_many(pts))
+            assert np.all(np.abs(flat - tree.eval_many(pts)) <= tol)
+
+    def test_other_leaves_and_large_expansions_give_none(self):
+        assert _linear_rows(Euclidean(2)) is None
+        assert _linear_rows(MaxOf((AbsLinear([1.0, 0.0]), Scale(0.3, Euclidean(2))))) is None
+        assert _linear_rows(LineQuotient(linf_norm(2), [1.0, 1.0])) is None
+        cap = seminorms._MAX_LINEAR_ROWS
+        atoms = [AbsLinear([1.0, float(k)]) for k in range(8)]
+        # a sum of k leaves expands to 2^(k-1) rows
+        assert _linear_rows(SumOf(atoms[:7])).shape[0] == 64 <= cap
+        assert _linear_rows(SumOf(atoms)) is None
+        assert _linear_rows(MaxOf(tuple(AbsLinear([1.0, float(k)])
+                                        for k in range(cap + 1)))) is None
 
 
 def _tree_cases():

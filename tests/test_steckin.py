@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -172,11 +174,96 @@ class TestConvexBody:
             polytope_body(np.zeros((2, 0)))  # vertices without coordinates
 
 
+def _lp_contains(verts, p) -> bool:
+    """The oracle: a feasible convex combination of the vertices, by LP."""
+    from scipy.optimize import linprog
+
+    k = verts.shape[0]
+    res = linprog(np.zeros(k), A_eq=np.vstack([verts.T, np.ones((1, k))]),
+                  b_eq=np.append(p, 1.0), bounds=[(0.0, None)] * k, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9})
+    return res.status == 0
+
+
+def _simplex_gap(verts, p) -> float:
+    """Least distance from p to the hull of any <= d vertices.
+
+    Every boundary point of the hull lies in such a simplex, so this is a
+    lower bound on p's distance to the boundary (and the distance to the
+    hull when p is outside), found without the facet table.
+    """
+    k, d = verts.shape
+    best = np.inf
+    for size in range(1, min(k, d) + 1):
+        for subset in itertools.combinations(range(k), size):
+            v = verts[list(subset)]
+            span = (v[1:] - v[0]).T
+            if np.linalg.matrix_rank(span) < size - 1:
+                continue
+            w = np.linalg.lstsq(span, p - v[0], rcond=None)[0]
+            if size > 1 and min(w.min(), 1.0 - w.sum()) < 0.0:
+                continue  # nearest point of the affine hull is off the simplex
+            best = min(best, float(np.linalg.norm(p - v[0] - span @ w)))
+    return best
+
+
+_HULL_CASES = {
+    "segment": [[-1.0, 0.5], [2.0, -1.0]],
+    "quadrilateral": [[-1.0, -0.5], [1.0, -0.6], [0.8, 0.7], [-0.6, 0.9]],
+    "collinear": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+    "vertex": [[0.3, -0.2]],
+    "tetrahedron": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 1.0]],
+    "planar_polygon_3d": [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [1.0, 1.0, 3.0], [0.0, 1.0, 2.0],
+                          [0.5, -0.5, 1.0]],
+}
+
+
+@pytest.mark.parametrize("name", list(_HULL_CASES))
+def test_contains_matches_the_lp(name, rng):
+    verts = np.array(_HULL_CASES[name])
+    body = (segment_body(verts[0], verts[1], n_samples=33) if name == "segment"
+            else polytope_body(verts, n_samples=64, seed=1))
+    k, d = verts.shape
+    on_body = [*verts, *body.sample[::4]]
+    on_body += [(verts[i] + verts[j]) / 2 for i, j in itertools.combinations(range(k), 2)]
+    # random points in the affine hull and in the surrounding box
+    lo, hi = verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0
+    probes = [verts[0] + rng.uniform(-1.0, 2.0, size=k) @ (verts - verts[0])
+              for _ in range(80)]
+    probes += list(rng.uniform(lo, hi, size=(80, d)))
+    probes = [x for x in probes if _simplex_gap(verts, x) > 1e-7]
+    for x in on_body:
+        assert body.contains(x) and _lp_contains(verts, x)
+    verdicts = [body.contains(x) for x in probes]
+    assert verdicts == [_lp_contains(verts, x) for x in probes]
+    assert len(probes) >= 60 and not all(verdicts)
+    if name in ("quadrilateral", "tetrahedron"):
+        # a flat body has no interior: its members are all within the band
+        assert any(verdicts)
+
+
+def test_contains_rejects_non_finite_points():
+    body = segment_body([0.0, 0.0], [1.0, 0.0], n_samples=5)
+    for bad in ([np.nan, 0.0], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            body.contains(bad)
+
+
+def test_non_finite_points_are_rejected_before_any_step():
+    inst = segment_instance(n_samples=101, mesh=1e-2)
+    with pytest.raises(ValueError, match="witness points must be finite"):
+        baire_renorm(inst.nu0, inst.body, [(0.0, 2.0), (np.nan, 2.0)], 0.3, 5, inst.setting)
+    with pytest.raises(ValueError, match="finite"):
+        wellpose_point(inst.nu0, inst.body, [np.inf, 2.0], 0.1, inst.setting)
+
+
 class TestSetDiameter:
-    def test_fast_path_matches_bruteforce(self, rng):
+    @pytest.mark.parametrize("nu", [
+        MaxOf((AbsLinear([1.0, 0.0]), AbsLinear([0.0, 1.0]), Scale(0.5, AbsLinear([1.0, 1.0])))),
+        SumOf((l1_norm(2), Scale(0.5, MaxOf((AbsLinear([1.0, 1.0]), AbsLinear([0.3, -1.0])))))),
+    ], ids=["max", "sum"])
+    def test_fast_path_matches_bruteforce(self, nu, rng):
         pts = rng.normal(size=(150, 2)) * 3
-        nu = MaxOf((AbsLinear([1.0, 0.0]), AbsLinear([0.0, 1.0]),
-                    Scale(0.5, AbsLinear([1.0, 1.0]))))
         fast = set_diameter(pts, nu)
         brute = max(
             float(nu.eval_many((pts[i] - pts[j])[None, :])[0])
