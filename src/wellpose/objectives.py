@@ -36,6 +36,9 @@ __all__ = [
     "sup_norm",
 ]
 
+# cells of the gathered (k, members) block of one ball_min chunk (8 MiB)
+_BALL_CELLS = 1 << 20
+
 
 def _as_values(obj, space: FiniteMetricSpace) -> np.ndarray:
     """Accept an ObjectiveFunction-like (has .values/.space) or an array."""
@@ -171,6 +174,9 @@ def regularize(f: ObjectiveFunction, eps: float) -> ObjectiveFunction:
 def ball_min(space: FiniteMetricSpace, rows: np.ndarray, eps: float) -> np.ndarray:
     """Row-wise ball infimum of a (k, n) block: out[i, x] = min { rows[i, y] : d(y, x) <= eps }.
 
+    ``rows`` must be a 2-D array with one column per point of ``space``
+    (k = 0 gives an empty (0, n) block); eps must be >= 0.
+
     On a 1-D coordinate space every ball is a contiguous run [lo, hi] of
     the points' sort order (see FiniteMetricSpace._ball_intervals), so
     each x is a range minimum over the sorted columns.  A doubling table
@@ -179,23 +185,39 @@ def ball_min(space: FiniteMetricSpace, rows: np.ndarray, eps: float) -> np.ndarr
     start at lo and end at hi.  Only the current level is kept, so memory
     stays O(k n), and the work is O(k n log n).
 
-    Every other space takes the masked path: the distance mask is built
-    512 points at a time, and the reduction reads the rows through a
-    broadcast view, so temporaries stay at O(k n) cells and no (k, chunk,
-    n) block is built.  Min is exact in any order, so both paths equal
-    the one-row enumeration bit for bit.
+    Every other space gathers the balls: for a chunk of points x, the
+    flat nonzero positions of the mask block(x) <= eps list each ball's
+    members in point order, the member columns of ``rows`` are gathered
+    into one (k, members) block, and np.minimum.reduceat reduces each
+    ball's segment of it, which starts at the first member in its mask
+    row.  No segment is empty, because every point lies in its own ball:
+    d(x, x) = 0 <= eps exactly (the coordinate kernel subtracts equal
+    numbers, and a matrix space's diagonal is checked to be zero), and
+    reduceat would read an empty segment as its start element.  With
+    k' = max(k, 1), a chunk holds max(1, _BALL_CELLS // (k' n)) points, so
+    its gathered block holds at most max(_BALL_CELLS, k' n) cells and its
+    distance block and mask a k'-th of that: temporaries stay
+    O(_BALL_CELLS + k' n) cells beside the (k, n) result.  The work is
+    O(n^2 + k m) for m ball members in all.  Min is exact in any order,
+    so both paths equal the one-row enumeration bit for bit.
     """
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != space.n:
+        raise ValueError(f"rows must be a (k, {space.n}) array, got shape {rows.shape}")
     k, n = rows.shape
     runs = space._ball_intervals(eps)
     if runs is not None:
         return _run_min(rows, *runs)
     out = np.empty((k, n))
-    for lo in range(0, n, 512):
-        idx = np.arange(lo, min(lo + 512, n))
-        view = np.broadcast_to(rows[:, None, :], (k, idx.size, n))
-        out[:, idx] = np.min(view, axis=2, where=space.block(idx) <= eps, initial=np.inf)
+    step = max(1, _BALL_CELLS // (max(k, 1) * n))
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        # flat positions c n + y of the chunk's ball members, in point order
+        members = np.flatnonzero(space.block(np.arange(lo, lo + m)) <= eps)
+        starts = np.searchsorted(members, np.arange(0, m * n, n))
+        out[:, lo:lo + m] = np.minimum.reduceat(rows[:, members % n], starts, axis=1)
     return out
 
 

@@ -263,7 +263,12 @@ def _perp_quotient(base: SeminormExpr, perp: np.ndarray, direction: np.ndarray,
 
 
 class LineQuotient(SeminormExpr):
-    """x -> min_t base(x - t * direction); base(direction) must be > 0.
+    """x -> min_t base(x - t * direction).
+
+    base(direction) must exceed 8 ulps of base.magnitude_many(direction),
+    the rounding scale of a base value: a base that is positive on the
+    direction only by rounding (a true 0) is rejected, since kappa would
+    then be noise.
 
     In R^2 the quotient vanishes on span(direction), so it equals
     kappa |perp . x| with perp = (-d2, d1) and kappa = q(perp) / |perp|^2.
@@ -279,8 +284,8 @@ class LineQuotient(SeminormExpr):
         if direction.shape != (base.dim,) or not np.all(np.isfinite(direction)):
             raise ValueError(f"direction must be a finite vector of length {base.dim}")
         bd = float(base.eval_many(direction.reshape(1, -1))[0])
-        if not (bd > 0.0):
-            raise ValueError("base must be positive on the direction")
+        if not (bd > 8.0 * np.finfo(float).eps * float(base.magnitude_many(direction[None])[0])):
+            raise ValueError("base must be positive on the direction, beyond rounding")
         direction = direction.copy()
         direction.flags.writeable = False
         self.base = base

@@ -7,6 +7,8 @@ certificates must agree exactly: deltas, witness dicts, violation
 tuples and bad parameter lists.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,8 +200,22 @@ def _line_spaces(rng):
     return spaces
 
 
-def _line_radii(space, rng):
-    """eps = 0, exact pairwise distances, values between them, the diameter and beyond."""
+def _cloud_spaces(rng):
+    """Spaces for the gather path (d >= 2 or a stored matrix), by name."""
+    ticks = rng.integers(0, 6, size=(60, 2)) / 4.0  # many duplicate points
+    spaces = {f"{m}_ticks": FiniteMetricSpace.pointcloud(ticks, metric=m)
+              for m in ("linf", "l1", "euclidean")}
+    spaces["linf_3d"] = FiniteMetricSpace.pointcloud(rng.normal(size=(50, 3)), metric="linf")
+    spaces["matrix"] = FiniteMetricSpace.from_matrix(spaces["l1_ticks"].block(np.arange(60)))
+    for seed in range(2):
+        spaces[f"random_family{seed}"] = random_lipschitz_family(
+            np.random.default_rng(seed), max_params=8, max_points=120).domain
+    return spaces
+
+
+def _radii(space, rng):
+    """eps = 0, exact pairwise distances and the float just below each, the
+    diameter, beyond it, the largest float and inf."""
     dists = np.unique(space.block(np.arange(space.n)))
     picked = rng.choice(dists, size=min(8, dists.size), replace=False)
     return sorted({0.0, *picked.tolist(), *(np.nextafter(picked, 0.0)).tolist(),
@@ -207,11 +223,19 @@ def _line_radii(space, rng):
                    float(np.finfo(np.float64).max), np.inf})
 
 
-def _line_rows(space, rng):
-    rows = rng.integers(-4, 5, size=(5, space.n)) / 2.0  # ties
+def _tied_rows(space, rng, k=5):
+    rows = rng.integers(-4, 5, size=(k, space.n)) / 2.0  # ties
     rows[rng.uniform(size=rows.shape) < 0.3] = np.inf
     rows[:, rng.integers(space.n)] = 0.0
     return rows
+
+
+def _enumerated_ball_min(space, rows, eps):
+    """One ball at a time, every row at once: rows of any count."""
+    out = np.empty(rows.shape)
+    for x in range(space.n):
+        out[:, x] = rows[:, space.row(x) <= eps].min(axis=1)
+    return out
 
 
 def _params(fam):
@@ -236,19 +260,20 @@ class TestAgainstTheLoops:
     def test_ball_min_on_a_line_equals_the_enumeration_and_the_masked_path(self):
         rng = np.random.default_rng(7)
         for name, space in _line_spaces(rng).items():
-            # a matrix space of the same distances takes the masked path
-            masked = FiniteMetricSpace.from_matrix(space.block(np.arange(space.n)))
-            rows = _line_rows(space, rng)
-            for eps in _line_radii(space, rng):
+            # a matrix space of the same distances takes the gather path (the
+            # test keeps its name from the masked path that the gather replaced)
+            matrix = FiniteMetricSpace.from_matrix(space.block(np.arange(space.n)))
+            rows = _tied_rows(space, rng)
+            for eps in _radii(space, rng):
                 got = ball_min(space, rows, eps)
                 want = np.array([_ref_ball_min(space, row, eps) for row in rows])
                 assert np.array_equal(got, want), (name, eps)
-                assert np.array_equal(ball_min(masked, rows, eps), want), (name, eps)
+                assert np.array_equal(ball_min(matrix, rows, eps), want), (name, eps)
 
     def test_ball_intervals_are_exactly_the_balls(self):
         rng = np.random.default_rng(8)
         for name, space in _line_spaces(rng).items():
-            for eps in _line_radii(space, rng):
+            for eps in _radii(space, rng):
                 order, lo, hi = space._ball_intervals(eps)
                 assert np.array_equal(order, np.argsort(space._coords[:, 0], kind="stable"))
                 inside = space.block(order)[:, order] <= eps
@@ -274,10 +299,10 @@ class TestAgainstTheLoops:
         fam = vime_family(59, 59)
         rng = np.random.default_rng(9)
         for space in _line_spaces(rng).values():
-            ball_min(space, _line_rows(space, rng), 0.5)
+            ball_min(space, _tied_rows(space, rng), 0.5)
         certify_uniform_epi(fam, 10, 0.3, default_delta_grid(fam, 0.3))
         assert calls["block"] == 0 and calls["runs"] and all(calls["runs"])
-        # a plane, and a matrix space even of a line, keep the masked path
+        # a plane, and a matrix space even of a line, take the gather path
         calls["runs"].clear()
         for space in (FiniteMetricSpace.pointcloud(rng.normal(size=(30, 2)), metric="linf"),
                       FiniteMetricSpace.from_matrix(fam.domain.block(np.arange(fam.domain.n)))):
@@ -291,6 +316,68 @@ class TestAgainstTheLoops:
         for eps in (-0.1, np.nan):
             with pytest.raises(ValueError, match="nonnegative"):
                 ball_min(fam.domain, fam.values, eps)
+
+    @pytest.mark.parametrize("kind", ["line", "plane", "matrix"])
+    def test_ball_min_checks_the_block_shape(self, kind):
+        line = FiniteMetricSpace.grid1d(0.0, 1.0, 4)
+        space = {"line": line,
+                 "plane": FiniteMetricSpace.pointcloud(np.random.default_rng(15).normal(size=(5, 2)),
+                                                       metric="linf"),
+                 "matrix": FiniteMetricSpace.from_matrix(line.block(np.arange(5)))}[kind]
+        # too many columns, too few, one row without its axis, a 3-D block
+        for bad in (np.zeros((2, 7)), np.zeros((2, 3)), np.zeros(5), np.zeros((1, 2, 5))):
+            with pytest.raises(ValueError, match="rows must be a"):
+                ball_min(space, bad, 0.3)
+        for eps in (0.0, 0.3, np.inf):
+            assert ball_min(space, np.zeros((0, 5)), eps).shape == (0, 5)
+
+    def test_the_gather_equals_the_enumeration_on_clouds(self):
+        rng = np.random.default_rng(12)
+        for name, space in _cloud_spaces(rng).items():
+            for k in (0, 1, 5):
+                rows = _tied_rows(space, rng, k)
+                for eps in _radii(space, rng):
+                    want = np.array([_ref_ball_min(space, row, eps) for row in rows])
+                    assert np.array_equal(ball_min(space, rows, eps),
+                                          want.reshape(k, space.n)), (name, k, eps)
+
+    def test_the_gather_in_several_chunks(self, monkeypatch):
+        from wellpose import objectives
+
+        rng = np.random.default_rng(13)
+        space = FiniteMetricSpace.pointcloud(rng.uniform(-3.0, 3.0, size=(300, 2)), metric="linf")
+        # k n above the budget: one point per chunk; 40 rows: chunks of
+        # several points, the last one short
+        for k in (objectives._BALL_CELLS // space.n + 1, 40):
+            step = max(1, objectives._BALL_CELLS // (k * space.n))
+            assert step < space.n and (k * space.n > objectives._BALL_CELLS or space.n % step)
+            rows = _tied_rows(space, rng, k)
+            for eps in (0.0, 0.3, 2.0):
+                assert np.array_equal(ball_min(space, rows, eps),
+                                      _enumerated_ball_min(space, rows, eps)), (k, eps)
+        for budget in (64, 1000, 2048):
+            monkeypatch.setattr(objectives, "_BALL_CELLS", budget)
+            for name, space in _cloud_spaces(rng).items():
+                rows = _tied_rows(space, rng, 3)
+                for eps in _radii(space, rng):
+                    assert np.array_equal(ball_min(space, rows, eps),
+                                          _enumerated_ball_min(space, rows, eps)), (budget, name, eps)
+
+    def test_the_gather_stays_within_its_cell_budget(self):
+        from wellpose import objectives
+
+        rng = np.random.default_rng(14)
+        space = FiniteMetricSpace.pointcloud(rng.uniform(-3.0, 3.0, size=(400, 2)), metric="linf")
+        rows = rng.normal(size=(64, 400))
+        tracemalloc.start()
+        try:
+            out = ball_min(space, rows, np.inf)  # every ball is the whole space
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, np.repeat(rows.min(axis=1)[:, None], 400, axis=1))
+        # one gather of every ball at once would hold 64 x 400 x 400 cells, 82 MB
+        assert peak < 3 * 8 * objectives._BALL_CELLS
 
     def test_cond1_at_every_anchor(self):
         for fam in _families():
@@ -436,6 +523,23 @@ class TestAgainstTheLoops:
         rep = check_sum_epi(fam, PerturbationFamily(fam.params.space, fam.domain, rough),
                             16, 0.3, grid)
         assert rep.gcont_delta is None and rep.epi is None and not rep.ok
+
+    def test_sum_epi_on_planes_like_the_loop(self):
+        # the precheck's ball max is a negated ball min on the gather path
+        rng = np.random.default_rng(16)
+        pspace = FiniteMetricSpace.grid1d(0.0, 1.0, 6)
+        grid = (0.3, 0.2, 0.125, 0.05)
+        seen = set()
+        for metric in ("linf", "l1", "euclidean"):
+            domain = FiniteMetricSpace.pointcloud(rng.integers(0, 5, size=(25, 2)) / 8.0,
+                                                  metric=metric)
+            fam = ParametricFamily(ParameterGrid(pspace), domain, rng.normal(size=(7, 25)))
+            g = PerturbationFamily(pspace, domain, rng.integers(-3, 4, size=(7, 25)) * 0.05)
+            for p in range(7):
+                rep = check_sum_epi(fam, g, p, 0.3, grid)
+                assert rep.gcont_delta == _ref_gcont(fam, g, p, 0.3, grid), (metric, p)
+                seen.add(rep.gcont_delta)
+        assert None in seen and len(seen) > 2
 
     @pytest.mark.parametrize("pts, eps", [
         (np.r_[np.arange(99.0), 98.5], 1.0),  # the only 0.5 gap is in the last rows

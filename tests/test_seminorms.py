@@ -65,6 +65,16 @@ class TestNodeValidation:
         with pytest.raises(ValueError):
             LineQuotient(base, [1.0])  # wrong length
 
+    def test_line_quotient_rejects_a_direction_positive_only_by_rounding(self):
+        # the row is perpendicular to the direction, so base(d) = 2.2e-17 is
+        # rounding of an exact 0; accepted, it gave kappa = 1 and a quotient
+        # of 1.745 at the row itself, where the true value is 0
+        with pytest.raises(ValueError, match="beyond rounding"):
+            LineQuotient(AbsLinear([-0.314, 1.283]), [1.283, 0.314])
+        # a tiny direction is positive beyond rounding, relative to its size
+        q = LineQuotient(linf_norm(2), [1e-100, 0.0])
+        assert q([5.0, 2.0]) == 2.0 and q([1e-100, 0.0]) == 0.0
+
     def test_eval_shape_check(self):
         with pytest.raises(ValueError):
             linf_norm(2).eval_many(np.zeros((3, 5)))
