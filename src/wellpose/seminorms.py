@@ -13,6 +13,19 @@ tree.  Elsewhere the minimum, convex in t, is bracketed analytically and
 resolved by golden section at every point.  Either way reported values
 never exceed base(x).
 
+Trees share nodes: a renorming step adds base twice, once scaled and
+once inside its quotient, beside the nu that already holds it.  Within
+one top-level eval_many call each built-in node is evaluated once on the
+call's points.  The outermost call keeps a memo of node results for its
+own points array, and a node looks itself up only when it is handed
+that same array object; any other array (the golden-section trial
+points of a quotient outside R^2) is always computed, and so is a node
+whose class overrides eval_many without the memo.  The memo is dropped
+when the outermost call returns or raises, so a hit is a value the same
+node computed on the same, unchanged points during the same call:
+results equal those of an unshared tree bit for bit.  Until then it
+holds one value per point for every node evaluated.
+
 Every node also carries a magnitude majorant (an upper bound on the
 absolute values flowing through its evaluation) used to scale rounding
 tolerances in exactness tests.
@@ -20,7 +33,12 @@ tolerances in exactness tests.
 
 from __future__ import annotations
 
+import functools
+import threading
+
 import numpy as np
+
+from .spaces import _pairwise
 
 __all__ = [
     "SeminormExpr",
@@ -50,6 +68,39 @@ def _as_points(X, dim: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"expected points of shape (m, {dim}), got {pts.shape}")
     return pts
+
+
+# the outermost eval_many call's points and node memo, per thread
+_call = threading.local()
+
+
+def _once_per_call(eval_many):
+    """Decorate a node's eval_many so a shared node runs once per top-level call.
+
+    The outermost call opens the memo (keyed by id(node), holding the node
+    so its id cannot be reused) and clears it in ``finally``.  Nested
+    calls on the outermost points look the node up; every other call
+    computes.
+    """
+
+    @functools.wraps(eval_many)
+    def memoized(self, X):
+        top = getattr(_call, "top", None)
+        if top is None:
+            X = np.asarray(X, dtype=np.float64)
+            _call.top, _call.memo = X, {}
+            try:
+                return eval_many(self, X)
+            finally:
+                _call.top = _call.memo = None
+        if X is not top:
+            return eval_many(self, X)
+        hit = _call.memo.get(id(self))
+        if hit is None:
+            hit = _call.memo[id(self)] = (self, eval_many(self, X))
+        return hit[1]
+
+    return memoized
 
 
 class SeminormExpr:
@@ -85,6 +136,7 @@ class AbsLinear(SeminormExpr):
         self.coef = coef
         self.dim = coef.size
 
+    @_once_per_call
     def eval_many(self, X):
         return np.abs(_as_points(X, self.dim) @ self.coef)
 
@@ -100,8 +152,10 @@ class Euclidean(SeminormExpr):
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
 
+    @_once_per_call
     def eval_many(self, X):
-        return np.linalg.norm(_as_points(X, self.dim), axis=1)
+        # the distance kernel's column loop, bit for bit numpy's norm for d <= 7
+        return _pairwise(_as_points(X, self.dim), np.zeros(self.dim), "euclidean")
 
     def magnitude_many(self, X):
         return self.eval_many(X)
@@ -126,6 +180,7 @@ class MaxOf(SeminormExpr):
     def __init__(self, children):
         self.children, self.dim = _combine(children)
 
+    @_once_per_call
     def eval_many(self, X):
         return np.max([c.eval_many(X) for c in self.children], axis=0)
 
@@ -139,6 +194,7 @@ class SumOf(SeminormExpr):
     def __init__(self, children):
         self.children, self.dim = _combine(children)
 
+    @_once_per_call
     def eval_many(self, X):
         return np.sum([c.eval_many(X) for c in self.children], axis=0)
 
@@ -157,6 +213,7 @@ class Scale(SeminormExpr):
         self.child = child
         self.dim = child.dim
 
+    @_once_per_call
     def eval_many(self, X):
         return self.factor * self.child.eval_many(X)
 
@@ -271,12 +328,17 @@ class LineQuotient(SeminormExpr):
     then be noise.
 
     In R^2 the quotient vanishes on span(direction), so it equals
-    kappa |perp . x| with perp = (-d2, d1) and kappa = q(perp) / |perp|^2.
-    q(perp) is a base value at one t, found at construction: in closed
-    form for a euclidean or polyhedral base (:func:`_perp_quotient`), by
-    golden section otherwise.  Each evaluation is then one dot product per
-    point, clamped to base(x) so rounding in kappa never lifts a value
-    above base.  Other dimensions run the search at every point.
+    kappa |perp . x| with perp = 2^-e (-d2, d1) and kappa = q(perp) /
+    |perp|^2.  The power of two, e from np.frexp of the largest |d_k|,
+    puts perp's largest entry in [1/2, 1), so |perp|^2 cannot underflow
+    or overflow.  It scales kappa by exactly 2^e and perp . x by exactly
+    2^-e, so every value is the unscaled one bit for bit while no
+    product leaves the normal range.  q(perp) is a base value at one t,
+    found at construction: in closed form for a euclidean or polyhedral
+    base (:func:`_perp_quotient`), by golden section otherwise.  Each
+    evaluation is then one dot product per point, clamped to base(x) so
+    rounding in kappa never lifts a value above base.  Other dimensions
+    run the search at every point.
     """
 
     def __init__(self, base: SeminormExpr, direction):
@@ -294,9 +356,11 @@ class LineQuotient(SeminormExpr):
         self.dim = base.dim
         if self.dim == 2:
             perp = np.array([-direction[1], direction[0]])
+            perp = np.ldexp(perp, -np.frexp(np.abs(perp).max())[1])
             self._perp = perp
             self._kappa = _perp_quotient(base, perp, direction, bd) / float(perp @ perp)
 
+    @_once_per_call
     def eval_many(self, X):
         pts = _as_points(X, self.dim)
         if self.dim != 2:

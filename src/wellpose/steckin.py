@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
-from .seminorms import LineQuotient, Scale, SeminormExpr, SumOf, _linear_rows
+from .seminorms import Euclidean, LineQuotient, Scale, SeminormExpr, SumOf, _linear_rows
 from .spaces import _pairwise, prefix_diameters, sublevel_diameters
 
 __all__ = [
@@ -379,9 +379,13 @@ def _running_diameters(pts: np.ndarray, nu: SeminormExpr) -> np.ndarray:
         # nu(x - y) = max_j |L_j.x - L_j.y|: spread of each projection
         return prefix_diameters(pts @ rows.T)
 
-    def block(i, j):
-        diffs = pts[i][:, None, :] - pts[j][None, :, :]
-        return nu.eval_many(diffs.reshape(-1, pts.shape[1])).reshape(len(i), len(j))
+    if isinstance(nu, Euclidean):
+        def block(i, j):
+            return _pairwise(pts[i][:, None], pts[j][None], "euclidean")
+    else:
+        def block(i, j):
+            diffs = pts[i][:, None, :] - pts[j][None, :, :]
+            return nu.eval_many(diffs.reshape(-1, pts.shape[1])).reshape(len(i), len(j))
 
     return prefix_diameters(block, np.arange(pts.shape[0]))
 
@@ -398,7 +402,10 @@ def set_diameter(points: np.ndarray, nu: SeminormExpr) -> float:
     For a polyhedral tree (max, sum and scale of absolute linear leaves),
     nu(x - y) = max_j |L_j.x - L_j.y|, so the projections pts @ L.T go to
     the spread path of :func:`~wellpose.spaces.prefix_diameters` (O(m j));
-    every other tree goes to its block path, pairwise by row chunk.  The
+    every other tree goes to its block path, pairwise by row chunk.  A
+    euclidean nu fills those blocks with the distance kernel
+    :func:`~wellpose.spaces._pairwise`, bit for bit its eval_many of the
+    differences; any other tree evaluates the difference rows.  The
     spread path rounds each L_j.x once, where eval_many rounds
     L_j.(x - y) (and a sum adds its terms' roundings), so the two can
     differ in the last bits.  A tree that flattens to more rows than

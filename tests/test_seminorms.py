@@ -327,6 +327,111 @@ def test_kappa_search_runs_only_without_a_closed_form(monkeypatch):
     assert len(calls) > 1
 
 
+@pytest.mark.parametrize("power", [-997, 997])
+def test_quotient_of_a_tiny_or_huge_direction(power, rng):
+    """perp is scaled to unit size by a power of two, so a direction of
+    about 1e-300 or 1e+300 gives the quotient of the unscaled direction,
+    bit for bit."""
+    X = rng.normal(size=(200, 2)) * 3
+    bases = [linf_norm(2), l1_norm(2)] + [random_polyhedral_seminorm(rng, 2) for _ in range(10)]
+    checked = 0
+    for base in bases:
+        for v in (np.array([1.0, 0.0]), np.array([0.6, -0.8]), rng.normal(size=2)):
+            if not base(v) > 1e-6 * np.linalg.norm(v):
+                continue
+            q = LineQuotient(base, np.ldexp(v, power))
+            assert np.array_equal(q.eval_many(X), LineQuotient(base, v).eval_many(X))
+            checked += 1
+    assert checked > 20
+    q = LineQuotient(linf_norm(2), [1e-300, 0.0])
+    assert q([17.0, 2.0]) == pytest.approx(2.0, rel=1e-15)
+
+
+def _renorm_tree(make_base, directions, eps=0.1):
+    """base plus eps * (base + its quotient) per direction, the shape of a
+    renorming ledger.  make_base() gives the base at each of its 2s + 1
+    places: one node for a shared tree, a new one for an unshared tree."""
+    nu = make_base()
+    for d in directions:
+        nu = SumOf((nu, Scale(eps, make_base()), Scale(eps, LineQuotient(make_base(), d))))
+    return nu
+
+
+def _shared_tree(rng, dim):
+    """Random combinations that reuse earlier nodes: polyhedral and
+    euclidean leaves, sums, maxima, scales and quotients of leaves."""
+    leaves = [random_polyhedral_seminorm(rng, dim) for _ in range(3)]
+    leaves += [Euclidean(dim), MaxOf((Euclidean(dim), random_polyhedral_seminorm(rng, dim)))]
+    nodes = list(leaves)
+    for _ in range(8):
+        a, b = (nodes[i] for i in rng.integers(len(nodes), size=2))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            nodes.append(SumOf((a, b, a)))
+        elif kind == 1:
+            nodes.append(MaxOf((a, b)))
+        elif kind == 2:
+            nodes.append(Scale(float(rng.uniform(0.1, 2.0)), a))
+        else:
+            leaf = leaves[int(rng.integers(len(leaves)))]
+            try:
+                nodes.append(LineQuotient(leaf, rng.normal(size=dim)))
+            except ValueError:  # a leaf that vanishes on the direction
+                pass
+    return SumOf(tuple(nodes[-4:]) + (nodes[-1], leaves[0]))
+
+
+class TestSharedNodes:
+    """A shared node is evaluated once per top-level eval_many call.  A
+    JSON round trip rebuilds a tree with no shared node, on which the
+    memo never hits: the memo-free reference."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_shared_trees_match_their_unshared_rebuild(self, dim, rng):
+        for _ in range(12):
+            tree = _shared_tree(rng, dim)
+            rebuilt = seminorm_from_json(seminorm_to_json(tree))
+            X = rng.normal(size=(60, dim)) * 3
+            assert np.array_equal(tree.eval_many(X), rebuilt.eval_many(X))
+
+    def test_a_shared_spy_runs_once_per_call(self, rng):
+        directions = ([0.8, -0.6], [1.0, 2.0], [0.0, 1.0])
+        spy = _CountingBase(linf_norm(2))
+        base = MaxOf((spy,))  # the shared built-in node
+        nu = _renorm_tree(lambda: base, directions)
+        spy.rows.clear()
+        X = rng.normal(size=(300, 2))
+        got = nu.eval_many(X)
+        assert spy.rows == [300]
+        nu.eval_many(X)
+        assert spy.rows == [300, 300]
+        unshared = _renorm_tree(lambda: MaxOf((_CountingBase(linf_norm(2)),)), directions)
+        assert np.array_equal(got, unshared.eval_many(X))
+
+    def test_memo_does_not_outlive_the_call(self, rng):
+        base = l1_norm(2)
+        nu = _renorm_tree(lambda: base, ([0.8, -0.6], [1.0, 2.0]))
+        X = rng.normal(size=(100, 2))
+        first = nu.eval_many(X)
+        X *= 3.0
+        X[0] = [5.0, -1.0]
+        assert seminorms._call.top is None and seminorms._call.memo is None
+        fresh = seminorm_from_json(seminorm_to_json(nu))
+        again = nu.eval_many(X)
+        assert np.array_equal(again, fresh.eval_many(X.copy()))
+        assert not np.array_equal(again, first)
+
+    def test_a_raising_call_leaves_no_memo(self, rng):
+        base = linf_norm(2)
+        nu = _renorm_tree(lambda: base, ([0.8, -0.6],))
+        with pytest.raises(ValueError):
+            nu.eval_many(np.zeros((4, 3)))
+        assert seminorms._call.top is None and seminorms._call.memo is None
+        X = rng.normal(size=(20, 2))
+        assert np.array_equal(nu.eval_many(X),
+                              seminorm_from_json(seminorm_to_json(nu)).eval_many(X))
+
+
 class TestLinearRows:
     def test_rows_reproduce_the_tree(self, rng):
         trees = [linf_norm(3), l1_norm(3), Scale(2.5, l1_norm(2)),

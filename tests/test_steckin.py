@@ -9,6 +9,7 @@ from wellpose.instances import (
     necessity_witness_points,
     random_norm,
     segment_instance,
+    steckin_instance_from_json,
 )
 from wellpose.seminorms import (
     AbsLinear,
@@ -20,9 +21,13 @@ from wellpose.seminorms import (
     euclidean_norm,
     l1_norm,
     linf_norm,
+    seminorm_from_json,
+    seminorm_to_json,
 )
+from wellpose.spaces import prefix_diameters
 from wellpose.steckin import (
     ConvexBody,
+    _running_diameters,
     a_nu,
     baire_renorm,
     c_of_p,
@@ -290,6 +295,44 @@ class TestSetDiameter:
             set_diameter(np.zeros((3, 5)), nu)
 
 
+def _awkward_rows(rng, d):
+    """Rows with zeros, ties, subnormal and large coordinates; the large
+    ones enter last, so the early running diameters see the small ones."""
+    tiny = np.finfo(np.float64).tiny
+    X = rng.normal(size=(40, d))
+    X[0] = 0.0
+    X[1] = X[2] = X[3]
+    X[4] = 0.0
+    X[4, 0] = 5e-324
+    X[5] = tiny * rng.uniform(-1.0, 1.0, size=d)
+    X[6] = 1e-160 * rng.normal(size=d)
+    X[7] = (-1.0) ** np.arange(d)
+    X[8] = -X[7]
+    X[-4:] = 1e150 * rng.normal(size=(4, d))
+    X[-1] = X[-2]
+    return X
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+class TestEuclideanKernel:
+    """A euclidean value is the distance kernel's column loop, bit for bit
+    numpy's norm (and the difference-array block it replaced) for d <= 7."""
+
+    def test_eval_many_is_the_numpy_norm(self, d, rng):
+        X = _awkward_rows(rng, d)
+        assert np.array_equal(Euclidean(d).eval_many(X), np.linalg.norm(X, axis=1))
+
+    def test_running_diameters_match_the_difference_block(self, d, rng):
+        X = _awkward_rows(rng, d)
+        for pts in [X] + [X[rng.permutation(len(X))] for _ in range(3)]:
+            def block(i, j):
+                diffs = pts[i][:, None, :] - pts[j][None, :, :]
+                return np.linalg.norm(diffs.reshape(-1, d), axis=1).reshape(len(i), len(j))
+
+            expected = prefix_diameters(block, np.arange(len(pts)))
+            assert np.array_equal(_running_diameters(pts, Euclidean(d)), expected)
+
+
 class TestMetricProjection:
     def test_degenerate_projection_in_sup_norm(self, segment_inst):
         inst = segment_inst
@@ -506,6 +549,25 @@ class TestBaireRenorm:
         with pytest.raises(ValueError):
             baire_renorm(inst.nu0, inst.body, inst.witness_points,
                          eps_total=0.3, n_target=0, setting=inst.setting)
+
+    @pytest.mark.parametrize("desc", [
+        {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "base": "linf",
+         "witness_points": [[0.0, 2.0], [0.5, 2.0], [-0.5, 2.0]]},
+        {"kind": "polytope", "vertices": [[-1.0, -0.5], [1.0, -0.6], [0.8, 0.7], [-0.6, 0.9]],
+         "base": "l1", "witness_points": [[0.0, 2.0], [2.2, 0.4], [0.1, 0.1], [-1.5, -1.8]]},
+        {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "base": "euclidean",
+         "witness_points": [[0.0, 2.0], [1.5, -1.0], [0.25, 0.0], [-0.5, 0.8]]},
+    ], ids=["linf", "l1", "euclidean"])
+    def test_final_seminorm_matches_its_unshared_rebuild(self, desc):
+        """nu_final holds its base 2s + 1 times; a JSON round trip shares
+        nothing, so the per-call memo never hits there."""
+        inst = steckin_instance_from_json(dict(desc, n_samples=401, mesh=5e-3))
+        rep = baire_renorm(inst.nu0, inst.body, inst.witness_points,
+                           eps_total=0.3, n_target=5, setting=inst.setting)
+        assert len(rep.ledger.steps) >= 2
+        rebuilt = seminorm_from_json(seminorm_to_json(rep.nu_final))
+        for pts in (inst.setting.sphere, inst.body.sample, inst.body.sample - inst.p):
+            assert np.array_equal(rep.nu_final.eval_many(pts), rebuilt.eval_many(pts))
 
 
 class TestInstanceHelpers:
