@@ -314,14 +314,16 @@ def check_5r_lemma(fam: ParametricFamily, p: int, eps: float, r: float, delta_gr
             f"hypothesis fails: diam(argmin_set(f_p, eps)) = {base_diam} >= r = {r}"
         )
     prow = fam.params.space.row(p)
-    # one curve q -> diam(argmin_set(f_q, delta)) over the whole grid
-    curves = {int(q): sublevel_diameters(fam.values[q], grid, fam.domain.prefix_diameters)
-              for q in np.flatnonzero(prow <= grid[0])}
-    for j, delta in enumerate(grid):
-        q_diams = {q: float(c[j]) for q, c in curves.items() if prow[q] <= delta}
-        if all(d < 5.0 * r for d in q_diams.values()):
-            return FiveRReport(p=p, eps=eps, r=r, delta=delta, q_diams=q_diams)
-    return FiveRReport(p=p, eps=eps, r=r, delta=None, q_diams={})
+    qs = np.flatnonzero(prow <= grid[0])
+    # one sweep over the neighbour rows: diams[i, j] = diam(argmin_set(f_qs[i], grid[j]))
+    diams = sublevel_diameters(fam.values[qs], grid, fam.domain.prefix_diameters)
+    near = prow[qs][:, None] <= np.asarray(grid)
+    works = np.flatnonzero(np.all(~near | (diams < 5.0 * r), axis=0))
+    if not works.size:
+        return FiveRReport(p=p, eps=eps, r=r, delta=None, q_diams={})
+    j = int(works[0])
+    q_diams = {q: d for q, d, inside in zip(qs.tolist(), diams[:, j].tolist(), near[:, j]) if inside}
+    return FiveRReport(p=p, eps=eps, r=r, delta=grid[j], q_diams=q_diams)
 
 
 @dataclass(frozen=True, eq=False)

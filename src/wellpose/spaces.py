@@ -31,6 +31,8 @@ __all__ = [
 
 # cells per row chunk when a distance block is filled piecewise
 _CHUNK_CELLS = 1 << 15
+# cells per chunk of sweep rows when their coordinates are gathered
+_GATHER_CELLS = 1 << 20
 
 _METRICS = ("euclidean", "linf", "l1")
 
@@ -268,13 +270,24 @@ class FiniteMetricSpace:
     def prefix_diameters(self, order) -> np.ndarray:
         """Running diameter of the points in ``order`` as each one enters.
 
-        linf spaces, every 1-D space among them, pass their coordinates
-        in entry order to :func:`prefix_diameters`'s spread path, O(m d)
-        and exact; every other space passes its distance block, O(m^2).
+        ``order`` is one (m,) index sequence, giving (m,) diameters, or a
+        (k, m) block of them, giving (k, m), one running diameter per row.
+        linf spaces, every 1-D space among them, pass their coordinates to
+        :func:`prefix_diameters`'s spread path, O(m d) per row and exact;
+        every other space passes its distance block, O(m^2) per row.  A
+        block goes a chunk of rows at a time, so that each gathered
+        (rows, m) coordinate column stays under _GATHER_CELLS cells (one
+        row at least).
         """
-        if self._spread:
-            return prefix_diameters(self._coords[order])
-        return prefix_diameters(self.block, order)
+        order = np.asarray(order)
+        dist = self._coords if self._spread else self.block
+        if order.ndim == 1:
+            return prefix_diameters(dist, order)
+        out = np.empty(order.shape)
+        step = max(1, _GATHER_CELLS // max(order.shape[1], 1))
+        for lo in range(0, len(order), step):
+            out[lo:lo + step] = prefix_diameters(dist, order[lo:lo + step])
+        return out
 
     def diameter(self) -> float:
         """Max pairwise distance of the whole space (its scale).
@@ -415,25 +428,40 @@ def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
 def prefix_diameters(dist, order=None) -> np.ndarray:
     """Running diameter of a sequence of points as each one enters.
 
-    Entry j is the max distance among the first j + 1 points.  There are
-    two ways in:
+    Entry j is the max distance among the first j + 1 points.  ``order``
+    holds the point indices in entry order: one (m,) sequence, giving
+    (m,) diameters, or a (k, m) block of sequences, giving (k, m), row i
+    the running diameter of order[i].  There are two ways in:
 
-    - ``dist`` is a block function and ``order`` the point indices in
-      entry order; dist(rows, cols) gives the distances between two index
-      arrays.  One row chunk is filled at a time, so memory stays
-      O(chunk * len(order)) and the work is O(m^2).
-    - ``dist`` is an (m, k) spread array of per-point projections in
-      entry order, for a distance d(x, y) = max_k |s_k(x) - s_k(y)|, and
-      ``order`` is not given.  The running diameter is then the largest
-      running range of a column, max_k (cummax s_k - cummin s_k), in
-      O(m k).  For finite projections it equals the pairwise maximum bit
-      for bit: rounded subtraction is monotone, so fl(max - min) = max
-      over pairs of fl(|s_i - s_j|).
+    - ``dist`` is a block function; dist(rows, cols) gives the distances
+      between two index arrays.  Each row of ``order`` is swept on its
+      own, one row chunk of the distances at a time, so memory stays
+      O(chunk * m) and the work is O(m^2) per row.
+    - ``dist`` is an (n, c) spread array of per-point projections, for a
+      distance d(x, y) = max_k |s_k(x) - s_k(y)|; without ``order`` its
+      rows are the points in entry order.  The running diameter is then
+      the largest running range of a column, max_k (cummax s_k - cummin
+      s_k), in O(m c).  For finite projections it equals the pairwise
+      maximum bit for bit: rounded subtraction is monotone, so fl(max -
+      min) = max over pairs of fl(|s_i - s_j|).  The columns are gathered
+      and folded one at a time: numpy reduces a short last axis slowly.
+
+    Entry j depends on the set of the first j + 1 points only, not on
+    their order: a max is exact in any order, and the distances computed
+    here are symmetric bit for bit (fl(|a - b|) = fl(|b - a|), and a
+    stored matrix is checked to be symmetric).
     """
     if not callable(dist):
-        spread = np.asarray(dist)
-        return (np.maximum.accumulate(spread) - np.minimum.accumulate(spread)).max(axis=1)
+        out = None
+        for col in np.asarray(dist).T:
+            col = col if order is None else col[order]
+            run = np.maximum.accumulate(col, axis=-1)
+            run -= np.minimum.accumulate(col, axis=-1)
+            out = run if out is None else np.maximum(out, run, out=out)
+        return out
     order = np.asarray(order)
+    if order.ndim == 2:
+        return np.array([prefix_diameters(dist, row) for row in order]).reshape(order.shape)
     step = max(1, _CHUNK_CELLS // max(order.size, 1))
     row_max = np.zeros(order.size)
     for lo in range(0, order.size, step):
@@ -446,17 +474,39 @@ def prefix_diameters(dist, order=None) -> np.ndarray:
 def sublevel_diameters(values, grid, prefix) -> np.ndarray:
     """Diameters of {v <= min v + t} for every t in grid, from one sort.
 
-    prefix(order) is the running diameter of the points in order.  Each
-    cut uses the float sum and the <= of argmin_set, so each set is
-    exactly argmin_set(f, t) and each diameter exactly its diam.
+    ``values`` is one (n,) row, giving (G,) diameters for a grid of G
+    thresholds, or a (k, n) block of rows, giving (k, G): row i's curve
+    is the one-row sweep of values[i].  prefix(order) is the running
+    diameter of the points in order, for one (m,) order or, given a
+    block, for a (k, m) block of orders, as
+    FiniteMetricSpace.prefix_diameters takes them.  Each cut uses the
+    float sum and the <= of argmin_set, so each set is exactly
+    argmin_set(f, t) and each diameter exactly its diam.
+
+    The sort need not be stable.  A diameter is read only at a cut, and
+    there the sorted prefix is exactly the set {v <= min v + t}: tied
+    values fall on the same side of every cut, and the running diameter
+    at a cut depends on that set only (see prefix_diameters), so the
+    order among tied values is never read.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if not np.all(grid >= 0.0):
         raise ValueError("eps must be nonnegative")
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    cuts = np.searchsorted(ranked, ranked[0] + grid, side="right")
-    return prefix(order[:cuts.max(initial=1)])[cuts - 1]
+    values = np.asarray(values)
+    if values.ndim == 1:
+        order = np.argsort(values)
+        ranked = values[order]
+        cuts = np.searchsorted(ranked, ranked[0] + grid, side="right")
+        return prefix(order[:cuts.max(initial=1)])[cuts - 1]
+    if values.ndim != 2:
+        raise ValueError(f"values must be one (n,) row or a (k, n) block, got shape {values.shape}")
+    order = np.argsort(values, axis=1)
+    cuts = np.empty((len(values), grid.size), dtype=np.intp)
+    for i, row in enumerate(order):
+        ranked = values[i, row]
+        cuts[i] = np.searchsorted(ranked, ranked[0] + grid, side="right")
+    running = prefix(order[:, :cuts.max(initial=1)])
+    return np.take_along_axis(running, cuts - 1, axis=1)
 
 
 def diam(subset: PointSubset) -> float:

@@ -521,6 +521,8 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
         strategies = [("interior", None)]
     else:
         vals0 = nu.eval_many(p[None, :] - body.sample)
+        # stable, unlike the sublevel sweeps: order[0] must be the lowest-index
+        # nearest sample, since the perturbation direction is built from it
         order = np.argsort(vals0, kind="stable")
         strategies = [("perturbed", p - body.sample[order[0]])]
         for k in range(1, order.size):

@@ -316,6 +316,110 @@ class TestProjectionCurves:
 
 
 # ----------------------------------------------------------------------
+# the rows-batched sweep: a (k, n) block of value rows, one curve per row
+
+
+def _batch_spaces(rng):
+    pts = rng.uniform(-5.0, 5.0, size=(60, 2))
+    return {
+        "linf_d1": FiniteMetricSpace.pointcloud(_tied_coords(rng, 70, 1), metric="linf"),
+        "linf_d2": FiniteMetricSpace.pointcloud(_tied_coords(rng, 70, 2), metric="linf"),
+        "linf_d3": FiniteMetricSpace.pointcloud(_tied_coords(rng, 70, 3), metric="linf"),
+        "l1_d2": FiniteMetricSpace.pointcloud(pts, metric="l1"),
+        "euclidean_d2": FiniteMetricSpace.pointcloud(pts, metric="euclidean"),
+        "matrix": FiniteMetricSpace.from_matrix(
+            FiniteMetricSpace.pointcloud(pts, metric="l1").block(np.arange(60))),
+    }
+
+
+BATCH_KINDS = ["linf_d1", "linf_d2", "linf_d3", "l1_d2", "euclidean_d2", "matrix"]
+BATCH_GRID = (0.0, 0.25, 0.3, 1.0, 2.5, 10.0)
+
+
+def _value_rows(rng, k, n):
+    return np.array([_tied_values(rng, n) for _ in range(k)]).reshape(k, n)
+
+
+def _stable_sweep(space, values, grid):
+    """The one-row sweep on a stable sort: tied values enter in index order."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    cuts = np.searchsorted(ranked, ranked[0] + np.asarray(grid), side="right")
+    return space.prefix_diameters(order[:cuts.max()])[cuts - 1]
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_rows_equal_the_one_row_sweep_and_enumeration(self, kind, k, rng):
+        space = _batch_spaces(rng)[kind]
+        rows = _value_rows(rng, k, space.n)
+        curves = _space_curve(space, rows, BATCH_GRID)
+        assert curves.shape == (k, len(BATCH_GRID))
+        for values, curve in zip(rows, curves):
+            assert _bits(curve) == _bits(_space_curve(space, values, BATCH_GRID))
+            f = ObjectiveFunction(space, values)
+            assert curve.tolist() == [_pair_max(space, argmin_set(f, t).members) for t in BATCH_GRID]
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_a_block_of_orders_equals_one_order_at_a_time(self, kind, rng):
+        space = _batch_spaces(rng)[kind]
+        orders = np.array([rng.permutation(space.n)[:40] for _ in range(6)])
+        running = space.prefix_diameters(orders)
+        assert running.shape == orders.shape
+        for order, row in zip(orders, running):
+            assert _bits(row) == _bits(space.prefix_diameters(order))
+            assert row.tolist() == [_pair_max(space, order[:j + 1]) for j in range(order.size)]
+        assert space.prefix_diameters(orders[:0]).shape == (0, 40)
+
+    @pytest.mark.parametrize("kind", ["linf_d1", "linf_d3"])
+    def test_row_chunks_do_not_change_a_bit(self, kind, monkeypatch, rng):
+        import wellpose.spaces as spaces_mod
+
+        space = _batch_spaces(rng)[kind]
+        rows = _value_rows(rng, 7, space.n)
+        whole = _space_curve(space, rows, BATCH_GRID)
+        # one row per chunk, then chunks of at least three rows with a short last one
+        for budget in (1, 3 * space.n):
+            monkeypatch.setattr(spaces_mod, "_GATHER_CELLS", budget)
+            assert _bits(_space_curve(space, rows, BATCH_GRID)) == _bits(whole)
+
+    def test_values_of_another_rank_raise(self):
+        space = FiniteMetricSpace.grid1d(0.0, 1.0, 4)
+        for bad in (np.float64(0.5), np.zeros((2, 3, 5))):
+            with pytest.raises(ValueError, match=r"values must be one \(n,\) row or a \(k, n\) block"):
+                _space_curve(space, bad, (0.1,))
+
+
+QUARTER_OR_INF = st.one_of(st.integers(0, 12).map(lambda k: k / 4.0), st.just(np.inf))
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 24),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    metric=st.sampled_from([("linf", 1), ("linf", 2), ("linf", 3), ("l1", 2), ("euclidean", 2)]),
+)
+def test_tie_order_is_never_read(data, n, k, seed, metric):
+    rows = np.array(data.draw(st.lists(st.lists(QUARTER_OR_INF, min_size=n, max_size=n),
+                                       min_size=k, max_size=k)))
+    rows[np.arange(k), 0] = 1.0  # every row proper
+    rng = np.random.default_rng(seed)
+    coords = _tied_coords(rng, n, metric[1])
+    space = FiniteMetricSpace.pointcloud(coords, metric=metric[0])
+    # quarter values and quarter thresholds: every min v + t is exact, and
+    # every cut falls on a group of tied values when the row has one
+    grid = tuple(j / 4.0 for j in range(13))
+    curves = _space_curve(space, rows, grid)
+    perm = rng.permutation(n)
+    shuffled = FiniteMetricSpace.pointcloud(coords[perm], metric=metric[0])
+    assert _bits(_space_curve(shuffled, rows[:, perm], grid)) == _bits(curves)
+    for values, curve in zip(rows, curves):
+        assert _bits(curve) == _bits(_stable_sweep(space, values, grid))
+
+
+# ----------------------------------------------------------------------
 # argmin_usc and check_5r_lemma against the per-threshold loops they replaced
 
 
@@ -394,6 +498,27 @@ class TestParametricSweeps:
         assert outcomes == {True, False}
 
 
+    def test_check_5r_lemma_sweeps_once(self, monkeypatch):
+        import wellpose.parametric as parametric_mod
+
+        calls = []
+        real = parametric_mod.sublevel_diameters
+
+        def counting(values, grid, prefix):
+            calls.append(np.shape(values))
+            return real(values, grid, prefix)
+
+        monkeypatch.setattr(parametric_mod, "sublevel_diameters", counting)
+        for fam in _families():
+            grid = default_delta_grid(fam, 0.3, octaves=6)
+            for p in range(0, fam.params.space.n, 5):
+                base = diam(argmin_set(fam.objective(p), 0.3))
+                calls.clear()
+                check_5r_lemma(fam, p, 0.3, 1.5 * base + 0.05, grid)
+                neighbours = np.count_nonzero(fam.params.space.row(p) <= grid[0])
+                assert calls == [(neighbours, fam.domain.n)]
+
+
 # ----------------------------------------------------------------------
 # memory on a large lazily computed space
 
@@ -426,3 +551,24 @@ def test_lazy_space_memory_stays_bounded():
         assert d == space.dist(inside[0], inside[-1])
     gap, used = peak(lambda: set_distance(a, b))
     assert gap == space.dist(n // 2 - 1, n // 2) and used < limit
+
+
+def test_batched_sweep_memory_stays_bounded():
+    n, k = 20_000, 200
+    rng = np.random.default_rng(5)
+    space = FiniteMetricSpace.pointcloud(rng.uniform(-1.0, 1.0, size=(n, 2)), metric="linf")
+    assert space._matrix is None
+    rows = rng.uniform(0.0, 1.0, size=(k, n))
+    grid = tuple(j / 100.0 for j in range(1, 101))  # the last cut takes in every point
+    tracemalloc.start()
+    try:
+        curves = sublevel_diameters(rows, grid, space.prefix_diameters)
+        used = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (k, n) sort order and running diameters, plus a few temporaries
+    # of one chunk of rows, whose gathered column holds at most 2^20 cells
+    limit = 2 * k * n * 8 + 6 * 8 * (1 << 20)
+    assert used < limit
+    for i in (0, k - 1):
+        assert _bits(curves[i]) == _bits(sublevel_diameters(rows[i], grid, space.prefix_diameters))
