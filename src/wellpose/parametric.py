@@ -9,9 +9,11 @@ epi-continuity condition holds:
       with f_q(x_q) <= f_p(x) + eps;
   condition 2: every q near p satisfies f_q >= (f_p)_eps - eps pointwise.
 
-Certificates carry replayable witnesses.  All "largest delta" searches
-rely on the checks being downward closed in delta: shrinking delta only
-shrinks both the parameter ball and the sublevel sets.
+Certificates carry replayable witnesses.  Every "largest delta" search
+but check_sum_epi's is one _largest_delta call over the neighbours within
+the largest grid radius.  The searches rely on the checks being downward
+closed in delta: shrinking delta only shrinks both the parameter ball
+and the sublevel sets.
 """
 
 from __future__ import annotations
@@ -51,15 +53,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ParameterGrid:
-    """Finite parameter space plus an optional witness index set."""
+    """The finite parameter space of a family.
+
+    It holds nothing but the space; the wrapper stays because families
+    and their callers reach the parameter space as ``fam.params.space``.
+    """
 
     space: FiniteMetricSpace
-    witness: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for i in self.witness:
-            if not (0 <= i < self.space.n):
-                raise ValueError(f"witness index {i} out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,18 +116,37 @@ def _check_grid(delta_grid) -> tuple[float, ...]:
     if not grid:
         raise ValueError("delta grid must be non-empty")
     arr = np.asarray(grid)
-    if np.any(arr <= 0.0) or np.any(np.diff(arr) >= 0.0):
+    if not np.all(arr > 0.0) or np.any(np.diff(arr) >= 0.0):  # NaN is not > 0
         raise ValueError("delta grid must be positive and strictly decreasing")
     return grid
 
 
-def _largest_delta(delta_grid: tuple[float, ...], min_bad_dist: float) -> float | None:
-    # works(delta) iff the closed ball B_delta(p) contains no bad q,
-    # i.e. delta < min distance to a bad parameter
-    for d in delta_grid:
-        if d < min_bad_dist:
-            return d
-    return None
+def _neighbours(fam: ParametricFamily, p: int, eps: float, delta_grid):
+    """Checked inputs of a search at p: the grid, qs, the parameters within
+    the largest grid radius in ascending order, and their distances mu(p, qs)."""
+    grid = _check_grid(delta_grid)
+    if not (eps > 0.0):
+        raise ValueError("eps must be positive")
+    if not (0 <= p < fam.params.space.n):
+        raise ValueError(f"parameter index {p} out of range")
+    prow = fam.params.space.row(p)
+    qs = np.flatnonzero(prow <= grid[0])
+    return grid, qs, prow[qs]
+
+
+def _largest_delta(grid: tuple[float, ...], dist: np.ndarray, good: np.ndarray) -> int | None:
+    """Index of the largest grid radius whose closed ball holds no bad
+    neighbour, or None.
+
+    dist is the (k,) parameter distance of each neighbour.  good is (k,),
+    one verdict per neighbour at every radius, or (k, G), column j the
+    verdicts at grid[j].  Radius j works iff all(good | (dist > grid[j])),
+    that is iff grid[j] lies below the distance of the nearest bad
+    neighbour (of column j).
+    """
+    bad_dist = np.where(good, np.inf, dist[:, None] if good.ndim == 2 else dist)
+    works = np.flatnonzero(np.asarray(grid) < bad_dist.min(axis=0, initial=np.inf))
+    return int(works[0]) if works.size else None
 
 
 def value_function(fam: ParametricFamily) -> np.ndarray:
@@ -165,48 +184,42 @@ def check_cond1(fam: ParametricFamily, p: int, x: int, eps: float, delta_grid) -
     A +inf anchor value makes the condition vacuous; this is reported
     (vacuous=True) with the full grid radius.
     """
-    grid = _check_grid(delta_grid)
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
+    if not (0 <= x < fam.domain.n):
+        raise ValueError(f"anchor index {x} out of range")
     fp_x = float(fam.values[p, x])
     if fp_x == np.inf:
         return EpiCertificate(1, p, eps, grid[0], anchor_x=x, witnesses={}, vacuous=True)
     ball_x = np.flatnonzero(fam.domain.row(x) <= eps)
-    prow = fam.params.space.row(p)
-    qs = np.flatnonzero(prow <= grid[0])
     sub = fam.values[np.ix_(qs, ball_x)]
     best = np.argmin(sub, axis=1)  # first minimum = lowest index
-    bad = sub[np.arange(qs.size), best] > fp_x + eps
-    delta = _largest_delta(grid, prow[qs[bad]].min(initial=np.inf))
-    if delta is None:
+    j = _largest_delta(grid, dist, sub[np.arange(qs.size), best] <= fp_x + eps)
+    if j is None:
         return EpiCertificate(1, p, eps, None, anchor_x=x, witnesses=None)
-    # every q within delta is good, since delta is below the nearest bad q
-    near = prow[qs] <= delta
+    # every q within grid[j] is good, so its best x_q is a witness
+    near = dist <= grid[j]
     keep = dict(zip(qs[near].tolist(), ball_x[best[near]].tolist()))
-    return EpiCertificate(1, p, eps, delta, anchor_x=x, witnesses=keep)
+    return EpiCertificate(1, p, eps, grid[j], anchor_x=x, witnesses=keep)
 
 
 def check_cond2(fam: ParametricFamily, p: int, eps: float, delta_grid) -> EpiCertificate:
     """Largest grid delta such that f_q >= (f_p)_eps - eps holds pointwise
     for every q in B_delta(p)."""
-    grid = _check_grid(delta_grid)
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    prow = fam.params.space.row(p)
-    qs = np.flatnonzero(prow <= grid[0])
-    return _cond2(fam, p, eps, grid, prow, qs, regularize(fam.objective(p), eps).values)
+    grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
+    return _cond2(fam, p, eps, grid, qs, dist, regularize(fam.objective(p), eps).values)
 
 
-def _cond2(fam, p, eps, grid, prow, qs, reg_p) -> EpiCertificate:
-    """Condition 2 over the neighbours qs of p, given reg_p = (f_p)_eps."""
+def _cond2(fam, p, eps, grid, qs, dist, reg_p) -> EpiCertificate:
+    """Condition 2 over the neighbours qs of p at distances dist, given
+    reg_p = (f_p)_eps."""
     viol = fam.values[qs] < reg_p - eps
-    bad_dist = np.where(viol.any(axis=1), prow[qs], np.inf)
-    delta = _largest_delta(grid, bad_dist.min(initial=np.inf))
-    if delta is not None:
-        return EpiCertificate(2, p, eps, delta)
+    bad = viol.any(axis=1)
+    j = _largest_delta(grid, dist, ~bad)
+    if j is not None:
+        return EpiCertificate(2, p, eps, grid[j])
     # the nearest bad q, lowest index on ties, at its first violating x
-    j = int(np.argmin(bad_dist))
-    return EpiCertificate(2, p, eps, None, violation=(int(qs[j]), int(np.argmax(viol[j]))))
+    i = int(np.argmin(np.where(bad, dist, np.inf)))
+    return EpiCertificate(2, p, eps, None, violation=(int(qs[i]), int(np.argmax(viol[i]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,18 +249,13 @@ def certify_uniform_epi(fam: ParametricFamily, p: int, eps: float, delta_grid) -
     minimum, so the uniform variant is equivalent to quantifying the
     anchor before delta.
     """
-    grid = _check_grid(delta_grid)
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    prow = fam.params.space.row(p)
-    qs = np.flatnonzero(prow <= grid[0])
+    grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
     reg = ball_min(fam.domain, fam.values[qs], eps)
     # (f_q)_eps <= f_p + eps everywhere == condition 1 at every anchor
-    good = np.all(reg <= fam.values[p] + eps, axis=1)
-    cond1_delta = _largest_delta(grid, prow[qs[~good]].min(initial=np.inf))
+    j = _largest_delta(grid, dist, np.all(reg <= fam.values[p] + eps, axis=1))
     # mu(p, p) = 0, so p is among its own neighbours and its row is (f_p)_eps
-    cond2 = _cond2(fam, p, eps, grid, prow, qs, reg[np.searchsorted(qs, p)])
-    return UniformEpiReport(p=p, eps=eps, cond1_delta=cond1_delta, cond2=cond2)
+    cond2 = _cond2(fam, p, eps, grid, qs, dist, reg[np.searchsorted(qs, p)])
+    return UniformEpiReport(p=p, eps=eps, cond1_delta=None if j is None else grid[j], cond2=cond2)
 
 
 def recheck_certificate(fam: ParametricFamily, cert: EpiCertificate) -> bool:
@@ -305,24 +313,21 @@ def check_5r_lemma(fam: ParametricFamily, p: int, eps: float, r: float, delta_gr
     certified epi-continuous the search must succeed; a FAIL is a bug
     indicator, not a counterexample.
     """
-    grid = _check_grid(delta_grid)
-    if not (eps > 0.0 and r > 0.0):
-        raise ValueError("eps and r must be positive")
+    grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
+    if not (r > 0.0):
+        raise ValueError("r must be positive")
     base_diam = diam(argmin_set(fam.objective(p), eps))
     if not (base_diam < r):
         raise PreconditionError(
             f"hypothesis fails: diam(argmin_set(f_p, eps)) = {base_diam} >= r = {r}"
         )
-    prow = fam.params.space.row(p)
-    qs = np.flatnonzero(prow <= grid[0])
     # one sweep over the neighbour rows: diams[i, j] = diam(argmin_set(f_qs[i], grid[j]))
     diams = sublevel_diameters(fam.values[qs], grid, fam.domain.prefix_diameters)
-    near = prow[qs][:, None] <= np.asarray(grid)
-    works = np.flatnonzero(np.all(~near | (diams < 5.0 * r), axis=0))
-    if not works.size:
+    j = _largest_delta(grid, dist, diams < 5.0 * r)
+    if j is None:
         return FiveRReport(p=p, eps=eps, r=r, delta=None, q_diams={})
-    j = int(works[0])
-    q_diams = {q: d for q, d, inside in zip(qs.tolist(), diams[:, j].tolist(), near[:, j]) if inside}
+    near = dist <= grid[j]
+    q_diams = dict(zip(qs[near].tolist(), diams[near, j].tolist()))
     return FiveRReport(p=p, eps=eps, r=r, delta=grid[j], q_diams=q_diams)
 
 
@@ -346,23 +351,16 @@ def argmin_usc(fam: ParametricFamily, p: int, eps: float, delta_grid) -> UscRepo
 
     A non-unique exact argmin violates the hypothesis and raises.
     """
-    grid = _check_grid(delta_grid)
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
     exact = argmin_set(fam.objective(p), 0.0)
     if len(exact) != 1:
         raise PreconditionError("argmin_usc needs a unique exact minimizer")
     x_p = int(next(iter(exact)))
-    prow = fam.params.space.row(p)
-    qs = np.flatnonzero(prow <= grid[0])
     vals = fam.values[qs]
     # argmin_set(f_q, delta) ⊆ B_eps(x_p) iff f_q > inf f_q + delta off the ball
     outside = vals[:, fam.domain.row(x_p) > eps].min(axis=1, initial=np.inf)
-    for delta in grid:
-        near = prow[qs] <= delta
-        if np.all(outside[near] > vals[near].min(axis=1) + delta):
-            return UscReport(p=p, eps=eps, x_p=x_p, delta=delta)
-    return UscReport(p=p, eps=eps, x_p=x_p, delta=None)
+    j = _largest_delta(grid, dist, outside[:, None] > vals.min(axis=1)[:, None] + np.asarray(grid))
+    return UscReport(p=p, eps=eps, x_p=x_p, delta=None if j is None else grid[j])
 
 
 # ----------------------------------------------------------------------
@@ -468,14 +466,11 @@ def check_sum_epi(fam: ParametricFamily, g_fam, p: int, eps: float, delta_grid) 
     not raised: it is an outcome of the check, and the summed-family
     certification is then skipped.
     """
-    grid = _check_grid(delta_grid)
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
     gp = g_fam.values[p]
-    prow = fam.params.space.row(p)
     gcont_delta = None
     for delta in grid:
-        gq = g_fam.values[prow <= delta]
+        gq = g_fam.values[qs[dist <= delta]]
         # max_{y in B_delta(x)} |g_q(y) - g_p(x)| is the larger of
         # (ball max of g_q) - g_p(x) and g_p(x) - (ball min of g_q): rounded
         # subtraction is monotone, so this is exact
@@ -509,8 +504,7 @@ def family_from_json(desc: dict) -> ParametricFamily:
     if kind == "table":
         domain = space_from_json(params["domain"])
         pspace = space_from_json(params["param_space"])
-        witness = tuple(int(i) for i in params.get("witness", ()))
-        return ParametricFamily(ParameterGrid(pspace, witness), domain, params["values"],
+        return ParametricFamily(ParameterGrid(pspace), domain, params["values"],
                                 meta={"kind": "table"})
     if kind == "lipschitz_expr":
         domain = space_from_json(params["domain"])

@@ -65,14 +65,13 @@ class PerturbationFamily:
 
     values is the finite (n_params, n_points) table, row p holding g_p.
     rho_fn(a, b) must be a pseudometric on families over the same spaces;
-    the default is the worst-case sup norm across parameters.  descriptor
-    is an optional serializable note on how the family was built.
+    the default is the worst-case sup norm across parameters; zero_like,
+    sums and scalings keep the left operand's rho_fn.
     """
 
     params: FiniteMetricSpace
     domain: FiniteMetricSpace
     values: np.ndarray
-    descriptor: dict | None = None
     rho_fn: object = None
 
     def __post_init__(self):
@@ -90,26 +89,17 @@ class PerturbationFamily:
         return sup_norm(self.values)
 
     def zero_like(self) -> "PerturbationFamily":
-        return PerturbationFamily(self.params, self.domain, np.zeros_like(self.values),
-                                  descriptor={"kind": "zero"}, rho_fn=self.rho_fn)
+        return PerturbationFamily(self.params, self.domain, np.zeros_like(self.values), self.rho_fn)
 
     def __add__(self, other):
         if not isinstance(other, PerturbationFamily):
             return NotImplemented
         if other.params is not self.params or other.domain is not self.domain:
             raise ValueError("families live on different spaces")
-        desc = None
-        if self.descriptor is not None and other.descriptor is not None:
-            desc = {"kind": "sum", "terms": [self.descriptor, other.descriptor]}
-        return PerturbationFamily(self.params, self.domain, self.values + other.values,
-                                  descriptor=desc, rho_fn=self.rho_fn)
+        return PerturbationFamily(self.params, self.domain, self.values + other.values, self.rho_fn)
 
     def scale(self, c: float) -> "PerturbationFamily":
-        desc = None
-        if self.descriptor is not None:
-            desc = {"kind": "scale", "factor": float(c), "term": self.descriptor}
-        return PerturbationFamily(self.params, self.domain, float(c) * self.values,
-                                  descriptor=desc, rho_fn=self.rho_fn)
+        return PerturbationFamily(self.params, self.domain, float(c) * self.values, self.rho_fn)
 
 
 def cone_perturbation(space: FiniteMetricSpace, a: int, beta: float, gamma: float) -> PerturbationFunction:

@@ -70,11 +70,11 @@ def _check_bounds(start: float, stop: float) -> None:
 class FiniteMetricSpace:
     """Indexed point set with a symmetric distance oracle.
 
-    Points are addressed by index 0..n-1; ``labels`` carries an opaque
-    per-point label (grid coordinates for generated grids).  A matrix
-    space keeps its matrix; a coordinate space keeps its coordinates and
-    metric only and computes each distance row or block on demand, so it
-    never holds an n x n array.  Given both, the matrix is used.
+    Points are addressed by index 0..n-1.  The constructor takes exactly
+    one of a distance matrix or point coordinates.  A matrix space keeps
+    its matrix; a coordinate space keeps its coordinates and metric only
+    and computes each distance row or block on demand, so it never holds
+    an n x n array.
     """
 
     def __init__(
@@ -83,10 +83,9 @@ class FiniteMetricSpace:
         matrix: np.ndarray | None = None,
         coords: np.ndarray | None = None,
         metric: str = "euclidean",
-        labels: tuple | None = None,
     ):
-        if matrix is None and coords is None:
-            raise ValueError("need a distance matrix or point coordinates")
+        if (matrix is None) == (coords is None):
+            raise ValueError("need exactly one of a distance matrix or point coordinates")
         self._metric = metric
         self._coords = None
         self._matrix = None
@@ -101,27 +100,9 @@ class FiniteMetricSpace:
             if coords.shape[1] == 1:
                 # on a line every metric is |x - y|, which linf computes exactly
                 self._metric = metric = "linf"
+            coords.setflags(write=False)
             self._coords = coords
             self.n = coords.shape[0]
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
-                raise ValueError("distance matrix must be square and non-empty")
-            if self._coords is None:
-                self.n = matrix.shape[0]
-            elif matrix.shape[0] != self.n:
-                raise ValueError("matrix size does not match coords")
-            if np.any(np.diagonal(matrix) != 0.0):
-                raise ValueError("nonzero diagonal in distance matrix")
-            if np.any(matrix < 0.0) or np.any(~np.isfinite(matrix)):
-                raise ValueError("distances must be finite and nonnegative")
-            if not np.array_equal(matrix, matrix.T):
-                raise ValueError("distance matrix must be exactly symmetric")
-            matrix.setflags(write=False)
-            self._matrix = matrix
-        if self._coords is not None:
-            self._coords.setflags(write=False)
-        if self._matrix is None:
             # rounding is monotone, so no pairwise distance exceeds the
             # distance across the per-column span, and where that is finite
             # no block can overflow; the bound is the diameter for linf but
@@ -130,24 +111,29 @@ class FiniteMetricSpace:
                 span = _pairwise(coords.max(axis=0)[None], coords.min(axis=0)[None], metric)
             if not np.isfinite(span[0]):
                 raise ValueError("coordinate distances may overflow: the point spread is too wide")
+        else:
+            matrix = np.asarray(matrix, dtype=np.float64)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
+                raise ValueError("distance matrix must be square and non-empty")
+            self.n = matrix.shape[0]
+            if np.any(np.diagonal(matrix) != 0.0):
+                raise ValueError("nonzero diagonal in distance matrix")
+            if np.any(matrix < 0.0) or np.any(~np.isfinite(matrix)):
+                raise ValueError("distances must be finite and nonnegative")
+            if not np.array_equal(matrix, matrix.T):
+                raise ValueError("distance matrix must be exactly symmetric")
+            matrix.setflags(write=False)
+            self._matrix = matrix
         # a linf distance is max_k |c_k(x) - c_k(y)| with _pairwise's own
         # roundings, so the coordinates are a spread array for prefix_diameters
         self._spread = self._matrix is None and metric == "linf"
-        if labels is None:
-            if self._coords is not None:
-                labels = tuple(map(tuple, self._coords.tolist()))
-            else:
-                labels = tuple(range(self.n))
-        if len(labels) != self.n:
-            raise ValueError("labels length does not match point count")
-        self.labels = tuple(labels)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def from_matrix(cls, matrix, labels: tuple | None = None) -> "FiniteMetricSpace":
-        return cls(matrix=matrix, labels=labels)
+    def from_matrix(cls, matrix) -> "FiniteMetricSpace":
+        return cls(matrix=matrix)
 
     @classmethod
     def grid1d(cls, start: float = 0.0, stop: float = 1.0, steps: int = 1) -> "FiniteMetricSpace":
@@ -164,9 +150,7 @@ class FiniteMetricSpace:
             xs = frac
         else:
             xs = start + frac * (stop - start)
-        coords = xs[:, None]
-        labels = tuple(float(v) for v in xs.tolist())
-        return cls(coords=coords, metric="linf", labels=labels)
+        return cls(coords=xs[:, None], metric="linf")
 
     @classmethod
     def grid2d(
@@ -551,8 +535,7 @@ def space_from_json(desc: dict) -> FiniteMetricSpace:
         mat = params.get("matrix")
         if mat is None:
             raise ValueError("metric 'matrix' needs params.matrix")
-        space = FiniteMetricSpace.from_matrix(np.asarray(mat, dtype=np.float64),
-                                              labels=tuple(params["labels"]) if "labels" in params else None)
+        space = FiniteMetricSpace.from_matrix(np.asarray(mat, dtype=np.float64))
         space.validate()
         return space
     if kind == "grid1d":

@@ -35,7 +35,6 @@ __all__ = [
     "make_setting",
     "MeshEstimate",
     "ANuEstimate",
-    "RhoEstimate",
     "k_nu",
     "a_nu",
     "rho",
@@ -175,12 +174,6 @@ class ANuEstimate:
     equivalent: bool
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
-    value: float
-    error_bound: float
-
-
 def _sup_factor(setting: NormedSetting) -> float:
     if not (setting.mesh < 1.0):
         raise ValueError("sphere mesh must be < 1 for sup estimates")
@@ -211,7 +204,7 @@ def a_nu(nu: SeminormExpr, setting: NormedSetting) -> ANuEstimate:
     return ANuEstimate(value=m, error_bound=err, equivalent=bool(m - err > 0.0))
 
 
-def rho(nu1: SeminormExpr, nu2: SeminormExpr, setting: NormedSetting) -> RhoEstimate:
+def rho(nu1: SeminormExpr, nu2: SeminormExpr, setting: NormedSetting) -> MeshEstimate:
     """Sup of |nu1 - nu2| over the base unit ball.
 
     The difference is absolutely homogeneous, so the ball sup equals the
@@ -224,7 +217,7 @@ def rho(nu1: SeminormExpr, nu2: SeminormExpr, setting: NormedSetting) -> RhoEsti
     value = float(np.abs(v1 - v2).max())
     factor = _sup_factor(setting)
     err = (float(v1.max()) + float(v2.max())) * factor * setting.mesh
-    return RhoEstimate(value=value, error_bound=err)
+    return MeshEstimate(value=value, error_bound=err)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +231,7 @@ class N0OpenReport:
 
     a_nu_base: ANuEstimate
     a_nu_prime: ANuEstimate
-    rho: RhoEstimate
+    rho: MeshEstimate
     margin: float
     holds: bool
 
@@ -607,7 +600,7 @@ class RenormReport:
     nu_final: SeminormExpr
     ledger: BudgetLedger
     per_point: tuple[dict, ...]
-    rho_total: RhoEstimate | None
+    rho_total: MeshEstimate | None
     a_final: ANuEstimate | None
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
 from wellpose.objectives import argmin_set, regularize
 from wellpose.parametric import (
     ParameterGrid,
     ParametricFamily,
+    _largest_delta,
     analytic_epi_delta,
     argmin_usc,
     certify_uniform_epi,
@@ -57,11 +60,6 @@ class TestFamilyConstruction:
                                values=np.full((10, 10), 0.5))
         summed = fam.add_perturbation(g)
         assert np.array_equal(summed.objective(3).values, fam.objective(3).values + 0.5)
-
-    def test_parameter_grid_witness_must_index_the_space(self):
-        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            ParameterGrid(sp, witness=(7,))
 
 
 class TestVimeFamily:
@@ -169,6 +167,81 @@ class TestEpiConditions:
         for q in np.flatnonzero(prow <= rep.cond1_delta):
             reg = regularize(fam.objective(int(q)), eps).values
             assert np.all(reg <= f_p + eps)
+
+
+class TestParameterIndex:
+    @pytest.mark.parametrize("p", [-1, 10])
+    def test_every_check_rejects_an_index_outside_the_parameters(self, p):
+        fam = vime_family(9, 9)
+        g = PerturbationFamily(fam.params.space, fam.domain, np.zeros((10, 10)))
+        grid = default_delta_grid(fam, 0.3)
+        checks = [
+            lambda: check_cond1(fam, p, 0, 0.3, grid),
+            lambda: check_cond2(fam, p, 0.3, grid),
+            lambda: certify_uniform_epi(fam, p, 0.3, grid),
+            lambda: check_5r_lemma(fam, p, 0.3, 1.0, grid),
+            lambda: argmin_usc(fam, p, 0.3, grid),
+            lambda: check_sum_epi(fam, g, p, 0.3, grid),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="parameter index"):
+                check()
+
+    @pytest.mark.parametrize("grid", [(np.nan,), (0.5, np.nan), (np.nan, 0.5)])
+    def test_a_nan_radius_is_rejected(self, grid):
+        # with no neighbour inside a NaN radius, the search would certify it
+        fam = vime_family(9, 9)
+        with pytest.raises(ValueError, match="delta grid"):
+            check_cond2(fam, 0, 0.3, grid)
+
+    @pytest.mark.parametrize("x", [-1, 10])
+    def test_cond1_rejects_an_anchor_outside_the_domain(self, x):
+        fam = vime_family(9, 9)
+        with pytest.raises(ValueError, match="anchor index"):
+            check_cond1(fam, 0, x, 0.3, default_delta_grid(fam, 0.3))
+
+
+def _radius_loop(grid, dist, good):
+    """The largest-radius search written out: the first grid radius whose
+    closed ball holds no bad neighbour."""
+    for j, radius in enumerate(grid):
+        verdicts = good[:, j] if good.ndim == 2 else good
+        if all(ok or d > radius for ok, d in zip(verdicts.tolist(), dist.tolist())):
+            return j
+    return None
+
+
+@pytest.mark.parametrize("dist, good, expected", [
+    ([], [], 0),  # no neighbour: the largest radius works
+    ([0.0, 1.0], [True, True], 0),
+    ([0.0, 1.0], [False, True], None),
+    ([0.0, 0.5], [True, False], 2),  # a neighbour at exactly 0.5 is inside B_0.5
+    ([0.0, 0.5], [[True] * 3, [False, True, False]], 1),
+    ([0.5, 1.0], [[False, True, True], [True] * 3], 1),
+    ([0.0, 0.25], [[False] * 3, [True] * 3], None),
+])
+def test_largest_delta_cases(dist, good, expected):
+    grid = (1.0, 0.5, 0.25)
+    assert _largest_delta(grid, np.array(dist, dtype=float), np.array(good, dtype=bool)) == expected
+
+
+@settings(max_examples=300)
+@given(
+    k=st.integers(0, 6),
+    ticks=st.sets(st.integers(1, 16), min_size=1, max_size=5),
+    per_radius=st.booleans(),
+    fill=st.sampled_from(["mixed", "all good", "all bad"]),
+    data=st.data(),
+)
+def test_largest_delta_against_a_radius_loop(k, ticks, per_radius, fill, data):
+    # radii and distances are both eighths, so distances often equal a radius
+    grid = tuple(sorted((t / 8.0 for t in ticks), reverse=True))
+    dist = np.array(data.draw(st.lists(st.integers(0, 16), min_size=k, max_size=k))) / 8.0
+    size = k * len(grid) if per_radius else k
+    cells = st.booleans() if fill == "mixed" else st.just(fill == "all good")
+    good = np.array(data.draw(st.lists(cells, min_size=size, max_size=size)), dtype=bool)
+    good = good.reshape((k, len(grid)) if per_radius else (k,))
+    assert _largest_delta(grid, dist, good) == _radius_loop(grid, dist, good)
 
 
 class TestAnalyticDelta:
@@ -301,11 +374,9 @@ class TestFamilyFromJson:
                 "domain": {"kind": "grid1d", "params": {"steps": 2}},
                 "param_space": {"kind": "grid1d", "params": {"steps": 1}},
                 "values": [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]],
-                "witness": [0],
             },
         }
         fam = family_from_json(desc)
-        assert fam.params.witness == (0,)
         assert fam.objective(1).values[0] == 2.0
 
     def test_table_kind_shape_error(self):

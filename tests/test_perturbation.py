@@ -84,25 +84,22 @@ class TestPerturbationFamily:
         )
         assert a2.rho(b) == 0.5
 
-    def test_zero_like_and_sum_descriptor(self):
+    def test_zero_like_and_sum(self):
         dom = _line(2)
         params = _line(2)
-        a = PerturbationFamily(params=params, domain=dom, values=np.ones((2, 2)),
-                               descriptor={"kind": "ones"})
+        a = PerturbationFamily(params=params, domain=dom, values=np.ones((2, 2)))
         z = a.zero_like()
         assert z.sup_norm() == 0.0
-        assert z.descriptor == {"kind": "zero"}
         s = a + z
-        assert s.descriptor == {"kind": "sum", "terms": [{"kind": "ones"}, {"kind": "zero"}]}
         assert np.array_equal(s.values[0], [1.0, 1.0])
 
-    def test_scale_descriptor(self):
+    def test_scale_keeps_rho_fn(self):
         a = self._fam([[2.0, 2.0], [2.0, 2.0]])
         a = PerturbationFamily(params=a.params, domain=a.domain, values=a.values,
-                               descriptor={"kind": "c"})
+                               rho_fn=lambda x, y: 7.0)
         half = a.scale(0.5)
         assert half.values[1][0] == 1.0
-        assert half.descriptor == {"kind": "scale", "factor": 0.5, "term": {"kind": "c"}}
+        assert half.rho_fn is a.rho_fn and (half + a.zero_like()).rho(a) == 7.0
 
     def test_family_shape_errors(self):
         dom = _line(2)

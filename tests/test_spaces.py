@@ -24,7 +24,7 @@ class TestConstruction:
         expected = np.arange(11) / 10
         assert np.array_equal(sp.row(0), expected)
         assert sp.dist(0, 10) == 1.0
-        assert sp.labels[3] == expected[3]
+        assert np.array_equal(sp._coords[:, 0], expected)
 
     def test_grid2d_is_x_major(self):
         sp = FiniteMetricSpace.grid2d((0.0, 1.0, 2), (0.0, 1.0, 1), metric="linf")
@@ -149,12 +149,12 @@ class TestCoordinateDistances:
         assert sp.n == n and sp.dist(0, n - 1) == 1.0
         assert peak < 1_000_000  # one n x n float64 matrix is 128 MB
 
-    def test_given_a_matrix_and_coordinates_the_matrix_is_stored(self):
+    def test_exactly_one_of_a_matrix_or_coordinates(self):
         coords = np.array([[0.0], [1.0], [3.0]])
         m = np.array([[0.0, 2.0, 5.0], [2.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
-        sp = FiniteMetricSpace(matrix=m, coords=coords, metric="l1")
-        assert np.array_equal(sp._matrix, m)
-        assert sp.dist(0, 2) == 5.0 and np.array_equal(sp.row(1), m[1])
+        for both_or_neither in ({"matrix": m, "coords": coords}, {}):
+            with pytest.raises(ValueError, match="exactly one"):
+                FiniteMetricSpace(**both_or_neither, metric="l1")
 
 
 class _NoDraws:
