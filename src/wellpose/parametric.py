@@ -85,13 +85,16 @@ class ParametricFamily:
     def objective(self, p: int) -> ObjectiveFunction:
         return ObjectiveFunction(self.domain, self.values[p])
 
-    def add_perturbation(self, g_fam) -> "ParametricFamily":
-        """Pointwise sum family (f_p + g_p); g_fam is a PerturbationFamily
-        over the same parameter space (a bare space, not a grid)."""
+    def _check_perturbation(self, g_fam) -> None:
         if g_fam.params is not self.params.space:
             raise ValueError("perturbation family uses a different parameter space")
         if g_fam.domain is not self.domain:
             raise ValueError("perturbation family uses a different domain")
+
+    def add_perturbation(self, g_fam) -> "ParametricFamily":
+        """Pointwise sum family (f_p + g_p); g_fam is a PerturbationFamily
+        over the same parameter space (a bare space, not a grid)."""
+        self._check_perturbation(g_fam)
         # +inf + finite = +inf, so perturbing never leaves the domain
         return ParametricFamily(self.params, self.domain, self.values + g_fam.values,
                                 meta={"kind": "sum"})
@@ -464,9 +467,11 @@ def check_sum_epi(fam: ParametricFamily, g_fam, p: int, eps: float, delta_grid) 
     with |g_q(y) - g_p(x)| < eps whenever mu(q, p) <= delta and
     d(y, x) <= delta.  A failed precheck is reported (gcont_delta=None),
     not raised: it is an outcome of the check, and the summed-family
-    certification is then skipped.
+    certification is then skipped.  A g_fam on other spaces than fam's
+    raises ValueError before the precheck, whatever its values.
     """
     grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
+    fam._check_perturbation(g_fam)
     gp = g_fam.values[p]
     gcont_delta = None
     for delta in grid:

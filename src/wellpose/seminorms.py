@@ -14,17 +14,28 @@ resolved by golden section at every point.  Either way reported values
 never exceed base(x).
 
 Trees share nodes: a renorming step adds base twice, once scaled and
-once inside its quotient, beside the nu that already holds it.  Within
-one top-level eval_many call each built-in node is evaluated once on the
-call's points.  The outermost call keeps a memo of node results for its
-own points array, and a node looks itself up only when it is handed
-that same array object; any other array (the golden-section trial
-points of a quotient outside R^2) is always computed, and so is a node
-whose class overrides eval_many without the memo.  The memo is dropped
-when the outermost call returns or raises, so a hit is a value the same
-node computed on the same, unchanged points during the same call:
-results equal those of an unshared tree bit for bit.  Until then it
-holds one value per point for every node evaluated.
+once inside its quotient, beside the nu that already holds it.  One
+evaluation scope (:func:`eval_nodes`) evaluates several nodes on one
+points array under one memo, so each built-in node runs once per scope
+on the scope's points; a top-level eval_many call is the scope of one
+node.  A node looks itself up only when it is handed that same array
+object; any other array (the golden-section trial points of a quotient
+outside R^2) is always computed, and so is a node whose class overrides
+eval_many without the memo.  A scope on a read-only array may be seeded
+with values some of its nodes already computed on that array, so a
+caller that keeps base's values never pays for base again.  The memo is
+dropped when the scope returns or raises, so a hit is a value the same
+node computed on the same, unchanged points: results equal those of an
+unshared tree bit for bit.  Until then it holds one value per point for
+every node evaluated.
+
+Maxima and sums fold their children one at a time, left to right, into
+one running array (np.maximum and + in place), never a (k, N) stack.
+For two or more points that is the order of numpy's axis-0 reduction,
+so values are those of np.max / np.sum over the stacked children bit
+for bit (a single point is reduced pairwise by numpy once a node has
+eight or more children, and may differ from the fold in the last bit).
+A fold never returns a child's own array, which may be a memo entry.
 
 Every node also carries a magnitude majorant (an upper bound on the
 absolute values flowing through its evaluation) used to scale rounding
@@ -42,6 +53,7 @@ from .spaces import _pairwise
 
 __all__ = [
     "SeminormExpr",
+    "eval_nodes",
     "AbsLinear",
     "MaxOf",
     "SumOf",
@@ -70,37 +82,75 @@ def _as_points(X, dim: int) -> np.ndarray:
     return pts
 
 
-# the outermost eval_many call's points and node memo, per thread
+# the open scope's points and node memo, per thread
 _call = threading.local()
 
 
-def _once_per_call(eval_many):
-    """Decorate a node's eval_many so a shared node runs once per top-level call.
+def eval_nodes(nodes, X, seed=()) -> list:
+    """Values of each node on the points X, under one memo.
 
-    The outermost call opens the memo (keyed by id(node), holding the node
-    so its id cannot be reused) and clears it in ``finally``.  Nested
-    calls on the outermost points look the node up; every other call
-    computes.
+    A node shared by several of the nodes, or by their trees, is
+    evaluated once.  seed holds (node, values) pairs: values the same
+    node already computed on this X, served instead of computing it.
+    Seeding needs a read-only X, so the values cannot go stale, and an
+    outermost scope.  Inside an open scope (a node's own eval_many
+    calling this) the nodes are evaluated as nested calls are: from that
+    scope's memo on its own points, computed on any other array.  The
+    returned arrays may be memo entries or seed values: read them, do
+    not write to them.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if getattr(_call, "memo", None) is not None:
+        if seed:
+            raise ValueError("a seeded scope must be the outermost")
+        return [node.eval_many(X) for node in nodes]
+    memo = {}
+    for node, values in seed:
+        values = np.asarray(values)
+        if X.flags.writeable or values.shape != X.shape[:1]:
+            raise ValueError("seed values need a read-only points array and one value per point")
+        memo[id(node)] = (node, values)
+    _call.top, _call.memo = X, memo
+    try:
+        return [node.eval_many(X) for node in nodes]
+    finally:
+        _call.top = _call.memo = None
+
+
+def _once_per_call(eval_many):
+    """Decorate a node's eval_many so a shared node runs once per scope.
+
+    Outside a scope the call opens one for its own node.  Inside, a call
+    on the scope's points looks the node up in the memo (keyed by
+    id(node), holding the node so its id cannot be reused) and stores
+    what it computes; every other call computes.
     """
 
     @functools.wraps(eval_many)
     def memoized(self, X):
-        top = getattr(_call, "top", None)
-        if top is None:
-            X = np.asarray(X, dtype=np.float64)
-            _call.top, _call.memo = X, {}
-            try:
-                return eval_many(self, X)
-            finally:
-                _call.top = _call.memo = None
-        if X is not top:
+        memo = getattr(_call, "memo", None)
+        if memo is None:
+            return eval_nodes((self,), X)[0]
+        if X is not _call.top:
             return eval_many(self, X)
-        hit = _call.memo.get(id(self))
+        hit = memo.get(id(self))
         if hit is None:
-            hit = _call.memo[id(self)] = (self, eval_many(self, X))
+            hit = memo[id(self)] = (self, eval_many(self, X))
         return hit[1]
 
     return memoized
+
+
+def _fold(ufunc, values):
+    """ufunc applied left to right over an iterable of arrays, in place
+    on a running result that is never one of the inputs."""
+    values = iter(values)
+    acc = next(values)
+    owned = False
+    for v in values:
+        acc = ufunc(acc, v, out=acc if owned else None)
+        owned = True
+    return acc if owned else acc.copy()
 
 
 class SeminormExpr:
@@ -182,7 +232,7 @@ class MaxOf(SeminormExpr):
 
     @_once_per_call
     def eval_many(self, X):
-        return np.max([c.eval_many(X) for c in self.children], axis=0)
+        return _fold(np.maximum, (c.eval_many(X) for c in self.children))
 
     def magnitude_many(self, X):
         return np.max([c.magnitude_many(X) for c in self.children], axis=0)
@@ -196,7 +246,7 @@ class SumOf(SeminormExpr):
 
     @_once_per_call
     def eval_many(self, X):
-        return np.sum([c.eval_many(X) for c in self.children], axis=0)
+        return _fold(np.add, (c.eval_many(X) for c in self.children))
 
     def magnitude_many(self, X):
         return np.sum([c.magnitude_many(X) for c in self.children], axis=0)

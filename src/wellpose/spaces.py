@@ -450,8 +450,11 @@ def prefix_diameters(dist, order=None) -> np.ndarray:
     row_max = np.zeros(order.size)
     for lo in range(0, order.size, step):
         d = dist(order[lo:lo + step], order[:lo + step])
-        # row lo + i meets the points entered up to and including itself
-        row_max[lo:lo + step] = np.tril(d, lo).max(axis=1)
+        # row lo + i meets the points entered up to and including itself:
+        # every column before the chunk, then its own square's lower
+        # triangle (a masked zero never wins: the diagonal is 0 already)
+        own = np.tril(d[:, lo:]).max(axis=1)
+        row_max[lo:lo + step] = own if lo == 0 else np.maximum(d[:, :lo].max(axis=1), own)
     return np.maximum.accumulate(row_max)
 
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
-from .seminorms import Euclidean, LineQuotient, Scale, SeminormExpr, SumOf, _linear_rows
+from .seminorms import (Euclidean, LineQuotient, Scale, SeminormExpr, SumOf, _fold,
+                        _linear_rows, eval_nodes)
 from .spaces import _pairwise, prefix_diameters, sublevel_diameters
 
 __all__ = [
@@ -180,13 +181,31 @@ def _sup_factor(setting: NormedSetting) -> float:
     return 1.0 / (1.0 - setting.mesh)
 
 
+def _sup_estimate(vals: np.ndarray, setting: NormedSetting) -> MeshEstimate:
+    M = float(vals.max())
+    factor = _sup_factor(setting)
+    return MeshEstimate(value=M, error_bound=M * setting.mesh * factor)
+
+
+def _inf_estimate(vals: np.ndarray, setting: NormedSetting) -> ANuEstimate:
+    m = float(vals.min())
+    M = float(vals.max())
+    err = M * _sup_factor(setting) * setting.mesh
+    return ANuEstimate(value=m, error_bound=err, equivalent=bool(m - err > 0.0))
+
+
+def _rho_estimate(v1: np.ndarray, v2: np.ndarray, setting: NormedSetting) -> MeshEstimate:
+    value = float(np.abs(v1 - v2).max())
+    factor = _sup_factor(setting)
+    err = (float(v1.max()) + float(v2.max())) * factor * setting.mesh
+    return MeshEstimate(value=value, error_bound=err)
+
+
 def k_nu(nu: SeminormExpr, setting: NormedSetting) -> MeshEstimate:
     """Sample sup of nu on the base sphere; true sup <= value + error."""
     if nu.dim != setting.dim:
         raise ValueError("dimension mismatch")
-    M = float(nu.eval_many(setting.sphere).max())
-    factor = _sup_factor(setting)
-    return MeshEstimate(value=M, error_bound=M * setting.mesh * factor)
+    return _sup_estimate(nu.eval_many(setting.sphere), setting)
 
 
 def a_nu(nu: SeminormExpr, setting: NormedSetting) -> ANuEstimate:
@@ -197,11 +216,7 @@ def a_nu(nu: SeminormExpr, setting: NormedSetting) -> ANuEstimate:
     """
     if nu.dim != setting.dim:
         raise ValueError("dimension mismatch")
-    vals = nu.eval_many(setting.sphere)
-    m = float(vals.min())
-    M = float(vals.max())
-    err = M * _sup_factor(setting) * setting.mesh
-    return ANuEstimate(value=m, error_bound=err, equivalent=bool(m - err > 0.0))
+    return _inf_estimate(nu.eval_many(setting.sphere), setting)
 
 
 def rho(nu1: SeminormExpr, nu2: SeminormExpr, setting: NormedSetting) -> MeshEstimate:
@@ -212,12 +227,8 @@ def rho(nu1: SeminormExpr, nu2: SeminormExpr, setting: NormedSetting) -> MeshEst
     """
     if nu1.dim != setting.dim or nu2.dim != setting.dim:
         raise ValueError("dimension mismatch")
-    v1 = nu1.eval_many(setting.sphere)
-    v2 = nu2.eval_many(setting.sphere)
-    value = float(np.abs(v1 - v2).max())
-    factor = _sup_factor(setting)
-    err = (float(v1.max()) + float(v2.max())) * factor * setting.mesh
-    return MeshEstimate(value=value, error_bound=err)
+    v1, v2 = eval_nodes((nu1, nu2), setting.sphere)
+    return _rho_estimate(v1, v2, setting)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,23 +516,71 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
         raise ValueError(f"point must be finite, got {p.tolist()}")
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
+    grid = _step_grid(delta_grid, eps)
+    offsets = _offsets(body, p)
+    base_off, vals0 = eval_nodes((setting.base, nu), offsets)
+    base_sphere = setting.base.eval_many(setting.sphere)
+    return _localize(nu, vals0, base_off, offsets, base_sphere, body, p, eps, setting, grid)[0]
+
+
+def _step_grid(delta_grid, eps: float) -> tuple[float, ...]:
     if delta_grid is None:
         delta_grid = tuple(eps / 2.0**k for k in range(33))
-    grid = _ascending_grid(delta_grid)
+    return _ascending_grid(delta_grid)
 
+
+def _offsets(body: ConvexBody, p: np.ndarray) -> np.ndarray:
+    """p - x for every sample point x, read-only so scopes can be seeded on it."""
+    offsets = p[None, :] - body.sample
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _nearest_two(vals: np.ndarray, sample: np.ndarray) -> tuple[int, int | None]:
+    """The first two distinct points of a stable argsort of vals.
+
+    The lowest-index nearest sample, and the lowest-index nearest among
+    the samples at another point (None if every sample is the same
+    point): the perturbation directions are built from them.
+    """
+    first = int(np.argmin(vals))
+    # column by column: numpy reduces a short last axis slowly
+    other = sample[:, 0] != sample[first, 0]
+    for k in range(1, sample.shape[1]):
+        other |= sample[:, k] != sample[first, k]
+    differ = np.flatnonzero(other)
+    if differ.size == 0:
+        return first, None
+    return first, int(differ[np.argmin(vals[differ])])
+
+
+def _add_terms(carried: np.ndarray, terms, pts: np.ndarray, base: SeminormExpr,
+               base_vals: np.ndarray) -> np.ndarray:
+    """SumOf((nu,) + terms) on pts, from nu's values (carried) and base's
+    values there: the terms are evaluated with base seeded, then added
+    left to right as the sum node adds them, so the result is that
+    node's eval_many bit for bit."""
+    return _fold(np.add, [carried, *eval_nodes(terms, pts, seed=((base, base_vals),))])
+
+
+def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets: np.ndarray,
+              base_sphere: np.ndarray, body: ConvexBody, p: np.ndarray, eps: float,
+              setting: NormedSetting, grid) -> tuple:
+    """The step body of :func:`wellpose_point` and :func:`baire_renorm`.
+
+    vals0 and base_off are nu's and base's values on offsets = p - sample,
+    base_sphere base's on the sphere; only the added terms are evaluated.
+    Returns the report, nu_prime's values on the offsets and the added
+    terms' values on the sphere.
+    """
     # (status, quotient direction or None for the plain base term)
     if body.contains(p):
         strategies = [("interior", None)]
     else:
-        vals0 = nu.eval_many(p[None, :] - body.sample)
-        # stable, unlike the sublevel sweeps: order[0] must be the lowest-index
-        # nearest sample, since the perturbation direction is built from it
-        order = np.argsort(vals0, kind="stable")
-        strategies = [("perturbed", p - body.sample[order[0]])]
-        for k in range(1, order.size):
-            if not np.array_equal(body.sample[order[k]], body.sample[order[0]]):
-                strategies.append(("perturbed_alt", p - body.sample[order[k]]))
-                break
+        first, alt = _nearest_two(vals0, body.sample)
+        strategies = [("perturbed", offsets[first])]
+        if alt is not None:
+            strategies.append(("perturbed_alt", offsets[alt]))
         strategies.append(("fallback", None))
 
     for status, x in strategies:
@@ -531,20 +590,20 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
             terms, x_star = (Scale(eps, setting.base),), None
         else:
             terms, x_star = _quotient_terms(setting, x, eps), tuple(float(v) for v in x)
-        nu2 = SumOf((nu,) + terms)
-        values = nu2.eval_many(p[None, :] - body.sample)
+        values = _add_terms(vals0, terms, offsets, setting.base, base_off)
         curve = _sublevel_curve(values, body.sample, grid, setting.base)
         # the largest tolerance whose near-minimizers have diameter < eps
         delta, dm = max(((t, d) for t, d in zip(grid, curve.diam_values) if d < eps),
                         default=(None, None))
         if delta is not None:
             break
-    dist = float(values.min())
-    # nu2 - nu is exactly the sum of the added terms, a seminorm
-    moved = k_nu(SumOf(terms), setting).value
-    return WellposeReport(nu_prime=nu2, status=status, delta=delta,
-                          achieved_diam=dm, moved=moved, dist=dist,
-                          curve=curve, x_star=x_star, added_exprs=terms)
+    # nu_prime - nu is exactly the sum of the added terms, a seminorm
+    on_sphere = eval_nodes(terms, setting.sphere, seed=((setting.base, base_sphere),))
+    moved = float(_fold(np.add, on_sphere).max())
+    report = WellposeReport(nu_prime=SumOf((nu,) + terms), status=status, delta=delta,
+                            achieved_diam=dm, moved=moved, dist=float(values.min()),
+                            curve=curve, x_star=x_star, added_exprs=terms)
+    return report, values, on_sphere
 
 
 def _quotient_terms(setting: NormedSetting, x_star: np.ndarray, eps: float):
@@ -614,6 +673,16 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     replayed at every witness at tolerance delta_i/3; replay failures
     raise ReplayError because the ledger arithmetic guarantees them.
 
+    Each step only adds terms to the seminorm before it, so the growing
+    tree is never evaluated again.  base and nu0 are evaluated once on
+    the sphere and once on each witness's offsets p - sample; the loop
+    carries the current nu's values on each of these point sets, and a
+    step evaluates only its own terms, seeded with base's values, and
+    adds them to every carried array in the tree's left-to-right order.
+    Every carried array therefore equals the current tree's eval_many
+    bit for bit, and the strategy pick, moved, c_p, the final replay,
+    rho_total and a_final all read them.
+
     Precondition: eps_total must stay below the certified equivalence
     margin of nu0, or the budget could destroy definiteness.
     """
@@ -626,14 +695,23 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         raise ValueError("need at least one witness point")
     if not all(np.all(np.isfinite(p)) for p in points):
         raise ValueError("witness points must be finite")
-    a0 = a_nu(nu0, setting)
+    if nu0.dim != setting.dim:
+        raise ValueError("dimension mismatch")
+    base = setting.base
+    base_sphere, nu0_sphere = eval_nodes((base, nu0), setting.sphere)
+    a0 = _inf_estimate(nu0_sphere, setting)
     if not (eps_total < a0.value - a0.error_bound):
         raise PreconditionError(
             "budget reaches the equivalence margin: "
             f"eps_total={eps_total} vs certified inf {a0.value - a0.error_bound}"
         )
+    if setting.dim != body.dim or any(p.size != body.dim for p in points):
+        raise ValueError("dimension mismatch")
 
+    offsets = [_offsets(body, p) for p in points]
+    base_off, nu_off = map(list, zip(*(eval_nodes((base, nu0), x) for x in offsets)))
     nu = nu0
+    nu_sphere = nu0_sphere
     remaining = eps_total
     protect: list[float] = []
     steps: list[LedgerStep] = []
@@ -652,10 +730,11 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         eps_i = 0.5 * allowance
         if not (eps_i > floor):
             return _fail("budget_exhausted")
-        wp = wellpose_point(nu, body, p, eps_i, setting, delta_grid)
+        wp, values, on_sphere = _localize(nu, nu_off[i], base_off[i], offsets[i], base_sphere,
+                                          body, p, eps_i, setting, _step_grid(delta_grid, eps_i))
         if wp.delta is None:
             return _fail("step_failed")
-        cp = c_of_p(body, p, setting)
+        cp = float(base_off[i].max())
         radius = wp.delta / (3.0 * cp)
         protect = [t - eps_i for t in protect]
         protect.append(radius)
@@ -666,15 +745,17 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
             added_exprs=wp.added_exprs,
         ))
         nu = wp.nu_prime
+        nu_sphere = _fold(np.add, [nu_sphere, *on_sphere])
+        nu_off = [values if j == i else _add_terms(v, wp.added_exprs, offsets[j], base, base_off[j])
+                  for j, v in enumerate(nu_off)]
         remaining -= eps_i
         spent += eps_i
 
     per_point = []
-    for step, p in zip(steps, points):
-        values = nu.eval_many(p[None, :] - body.sample)
+    for step, values in zip(steps, nu_off):
         tol = step.delta / 3.0
         grid = tuple(sorted({float(d) for d in (tol, 2.0 * tol, 3.0 * tol)}))
-        curve = _sublevel_curve(values, body.sample, grid, setting.base)
+        curve = _sublevel_curve(values, body.sample, grid, base)
         dm = curve.diam_values[0]  # the claim: diameter at tolerance delta/3
         if not (dm < step.eps_step):
             raise ReplayError(
@@ -691,12 +772,12 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
             "curve": curve,
         })
 
-    rho_total = rho(nu, nu0, setting)
+    rho_total = _rho_estimate(nu_sphere, nu0_sphere, setting)
     if rho_total.value > eps_total * (1.0 + 1e-12) + 1e-15:
         raise ReplayError(
             f"total move {rho_total.value} exceeds the budget {eps_total}"
         )
-    a_final = a_nu(nu, setting)
+    a_final = _inf_estimate(nu_sphere, setting)
     if not (a_final.value - a_final.error_bound > 0.0):
         raise ReplayError("final seminorm lost certified equivalence")
     ledger = BudgetLedger(eps_total=eps_total, spent=spent, steps=tuple(steps))

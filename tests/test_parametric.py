@@ -360,6 +360,22 @@ class TestSumEpi:
         assert rep.gcont_delta is None
         assert rep.epi is None
 
+    @pytest.mark.parametrize("rough", [True, False], ids=["rough", "zero"])
+    def test_a_perturbation_on_other_spaces_raises_before_the_precheck(self, rough):
+        """The spaces are checked first, so the outcome of the precheck
+        (a rough g fails it, a zero g passes) cannot decide whether a
+        mismatch raises."""
+        fam = vime_family(9, 9)
+        values = np.vstack([np.zeros((1, 10)), np.full((9, 10), 5.0 if rough else 0.0)])
+        other_params = PerturbationFamily(FiniteMetricSpace.grid1d(0.0, 1.0, 9), fam.domain,
+                                          values)
+        other_domain = PerturbationFamily(fam.params.space, FiniteMetricSpace.grid1d(0.0, 1.0, 9),
+                                          values)
+        with pytest.raises(ValueError, match="different parameter space"):
+            check_sum_epi(fam, other_params, p=0, eps=0.3, delta_grid=(0.3, 0.15))
+        with pytest.raises(ValueError, match="different domain"):
+            check_sum_epi(fam, other_domain, p=0, eps=0.3, delta_grid=(0.3, 0.15))
+
 
 class TestFamilyFromJson:
     def test_vime_kind(self):

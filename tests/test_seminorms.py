@@ -17,6 +17,7 @@ from wellpose.seminorms import (
     _linear_rows,
     _perp_quotient,
     euclidean_norm,
+    eval_nodes,
     l1_norm,
     linf_norm,
     seminorm_from_json,
@@ -430,6 +431,126 @@ class TestSharedNodes:
         X = rng.normal(size=(20, 2))
         assert np.array_equal(nu.eval_many(X),
                               seminorm_from_json(seminorm_to_json(nu)).eval_many(X))
+
+
+class _Probe(SeminormExpr):
+    """Evaluates base on its own points and on a copy of them."""
+
+    def __init__(self, base, fail=False):
+        self.base, self.dim, self.fail = base, base.dim, fail
+
+    def eval_many(self, X):
+        self.on_points = self.base.eval_many(X)
+        self.on_copy = self.base.eval_many(np.array(X))
+        if self.fail:
+            raise RuntimeError("probe failure")
+        return self.on_points
+
+
+def _read_only(X):
+    X = np.array(X, dtype=np.float64)
+    X.flags.writeable = False
+    return X
+
+
+def _no_memo() -> bool:
+    return seminorms._call.top is None and seminorms._call.memo is None
+
+
+class TestEvalScope:
+    """eval_nodes: several nodes under one memo, optionally seeded."""
+
+    def test_shared_nodes_run_once_across_the_nodes(self, rng):
+        spy = _CountingBase(linf_norm(2))
+        base = MaxOf((spy,))
+        nodes = (base, Scale(0.5, base), _renorm_tree(lambda: base, ([0.8, -0.6],)))
+        X = rng.normal(size=(50, 2))
+        spy.rows.clear()  # the quotient evaluated base at construction
+        got = eval_nodes(nodes, X)
+        assert spy.rows == [50]
+        assert all(np.array_equal(g, n.eval_many(X)) for g, n in zip(got, nodes))
+        assert _no_memo()
+
+    def test_a_seed_is_served_on_its_own_array_only(self, rng):
+        base = linf_norm(2)
+        X = _read_only(rng.normal(size=(40, 2)))
+        bogus = np.full(40, 7.0)
+        probe = _Probe(base)
+        got, scaled = eval_nodes((probe, Scale(2.0, base)), X, seed=((base, bogus),))
+        # served on X itself, computed on an equal array of its own
+        assert got is bogus and np.array_equal(scaled, 2.0 * bogus)
+        assert np.array_equal(probe.on_copy, np.abs(X).max(axis=1))
+        assert _no_memo()
+        # the next scope on the same array computes again
+        assert np.array_equal(base.eval_many(X), np.abs(X).max(axis=1))
+
+    def test_a_seeded_quotient_searches_on_its_trial_points(self, rng):
+        base = SumOf((linf_norm(3), Scale(0.5, euclidean_norm(3))))
+        q = LineQuotient(base, [1.0, -2.0, 0.5])
+        X = _read_only(rng.normal(size=(30, 3)) * 3)
+        [seeded] = eval_nodes((q,), X, seed=((base, base.eval_many(X)),))
+        assert np.array_equal(seeded, q.eval_many(X))
+
+    def test_seeds_need_a_read_only_array_and_one_value_per_point(self, rng):
+        base = linf_norm(2)
+        X = rng.normal(size=(10, 2))
+        with pytest.raises(ValueError):
+            eval_nodes((base,), X, seed=((base, np.zeros(10)),))
+        with pytest.raises(ValueError):
+            eval_nodes((base,), _read_only(X), seed=((base, np.zeros(9)),))
+        assert _no_memo()
+
+    def test_a_raising_scope_leaves_no_memo(self, rng):
+        base = linf_norm(2)
+        X = _read_only(rng.normal(size=(10, 2)))
+        with pytest.raises(RuntimeError):
+            eval_nodes((_Probe(base, fail=True),), X, seed=((base, np.zeros(10)),))
+        assert _no_memo()
+        assert np.array_equal(base.eval_many(X), np.abs(X).max(axis=1))
+
+    def test_a_seeded_scope_must_be_the_outermost(self, rng):
+        base = linf_norm(2)
+
+        class Nested(_Probe):
+            def eval_many(self, X):
+                return eval_nodes((self.base,), _read_only(X), seed=((self.base, X[:, 0]),))[0]
+
+        with pytest.raises(ValueError):
+            MaxOf((Nested(base),)).eval_many(rng.normal(size=(5, 2)))
+        assert _no_memo()
+
+
+class TestFolds:
+    """MaxOf and SumOf fold their children into one running array."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    def test_folds_equal_the_stacked_reductions(self, n, rng):
+        for k in range(1, 21):
+            if n == 1 and k >= 8:
+                continue  # numpy sums one point's column pairwise from eight terms on
+            kids = tuple(Scale(float(10.0 ** rng.integers(-6, 7)), AbsLinear(rng.normal(size=2)))
+                         for _ in range(k))
+            X = rng.normal(size=(n, 2))
+            stack = np.stack([c.eval_many(X) for c in kids])
+            assert _bits(SumOf(kids).eval_many(X)) == _bits(np.sum(stack, axis=0))
+            assert _bits(MaxOf(kids).eval_many(X)) == _bits(np.max(stack, axis=0))
+
+    @pytest.mark.parametrize("combine", [MaxOf, SumOf])
+    def test_a_fold_never_returns_a_child_array(self, combine, rng):
+        X = _read_only(rng.normal(size=(20, 2)))
+        leaf = AbsLinear([1.0, -2.0])
+        seed = leaf.eval_many(X)
+        for kids in ((leaf,), (leaf, leaf), (Scale(0.0, leaf), leaf, leaf)):
+            expected = (np.max if combine is MaxOf else np.sum)(
+                np.stack([k.eval_many(X) for k in kids]), axis=0)
+            got, child = eval_nodes((combine(kids), leaf), X, seed=((leaf, seed),))
+            assert child is seed and not np.shares_memory(got, seed)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(seed, leaf.eval_many(X))  # the seed was not written
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 class TestLinearRows:

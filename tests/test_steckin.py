@@ -24,10 +24,14 @@ from wellpose.seminorms import (
     seminorm_from_json,
     seminorm_to_json,
 )
+from wellpose import seminorms
+from wellpose.errors import ReplayError
 from wellpose.spaces import prefix_diameters
 from wellpose.steckin import (
     ConvexBody,
+    _nearest_two,
     _running_diameters,
+    _sublevel_curve,
     a_nu,
     baire_renorm,
     c_of_p,
@@ -549,6 +553,10 @@ class TestBaireRenorm:
         with pytest.raises(ValueError):
             baire_renorm(inst.nu0, inst.body, inst.witness_points,
                          eps_total=0.3, n_target=0, setting=inst.setting)
+        # a one-coordinate witness would broadcast against the sample
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            baire_renorm(inst.nu0, inst.body, ((0.0, 2.0), (1.0,)), eps_total=0.3,
+                         n_target=5, setting=inst.setting)
 
     @pytest.mark.parametrize("desc", [
         {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "base": "linf",
@@ -568,6 +576,233 @@ class TestBaireRenorm:
         rebuilt = seminorm_from_json(seminorm_to_json(rep.nu_final))
         for pts in (inst.setting.sphere, inst.body.sample, inst.body.sample - inst.p):
             assert np.array_equal(rep.nu_final.eval_many(pts), rebuilt.eval_many(pts))
+
+
+def _reference_renorm(nu0, body, witness_points, eps_total, n_target, setting,
+                      delta_grid=None, tried=None):
+    """baire_renorm as a loop that re-evaluates the whole growing tree:
+    twice per step on p - sample, the added terms on the sphere through
+    k_nu, base through c_of_p, the final tree once per witness, and
+    rho / a_nu on the sphere.  The strategy pick is a stable argsort.
+    Every quotient direction tried is appended to ``tried``."""
+    tried = [] if tried is None else tried
+    points = [np.asarray(p, dtype=np.float64) for p in witness_points]
+    a0 = a_nu(nu0, setting)
+    assert eps_total < a0.value - a0.error_bound
+    nu, remaining, protect, steps, spent = nu0, eps_total, [], [], 0.0
+    base = setting.base
+
+    def result(success, reason, per_point=(), rho_total=None, a_final=None):
+        return dict(success=success, reason=reason, nu_final=nu, steps=steps, spent=spent,
+                    per_point=per_point, rho_total=rho_total, a_final=a_final)
+
+    for i, p in enumerate(points):
+        eps_i = 0.5 * min([remaining, 1.0 / n_target] + protect)
+        if not (eps_i > eps_total * 2.0**-40):
+            return result(False, "budget_exhausted")
+        grid = tuple(sorted({float(d) for d in (
+            delta_grid if delta_grid is not None else [eps_i / 2.0**k for k in range(33)])}))
+        offsets = p[None, :] - body.sample
+        if body.contains(p):
+            strategies = [("interior", None)]
+        else:
+            order = np.argsort(nu.eval_many(offsets), kind="stable")
+            strategies = [("perturbed", p - body.sample[order[0]])]
+            for k in order[1:]:
+                if not np.array_equal(body.sample[k], body.sample[order[0]]):
+                    strategies.append(("perturbed_alt", p - body.sample[k]))
+                    break
+            strategies.append(("fallback", None))
+        for status, x in strategies:
+            if x is None:
+                terms = (Scale(eps_i, base),)
+            else:
+                tried.append(tuple(x))
+                terms = (Scale(eps_i / 2.0, base), Scale(eps_i / 2.0, LineQuotient(base, x)))
+            values = SumOf((nu,) + terms).eval_many(offsets)
+            curve = _sublevel_curve(values, body.sample, grid, base)
+            delta, dm = max(((t, d) for t, d in zip(grid, curve.diam_values) if d < eps_i),
+                            default=(None, None))
+            if delta is not None:
+                break
+        if delta is None:
+            return result(False, "step_failed")
+        cp = c_of_p(body, p, setting)
+        protect = [t - eps_i for t in protect] + [delta / (3.0 * cp)]
+        steps.append(dict(
+            index=i, point=tuple(float(v) for v in p), eps_step=eps_i, status=status,
+            delta=delta, achieved_diam=dm, c_p=cp, radius=delta / (3.0 * cp),
+            moved=k_nu(SumOf(terms), setting).value,
+            x_star=None if x is None else tuple(float(v) for v in x), added_exprs=terms))
+        nu = SumOf((nu,) + terms)
+        remaining -= eps_i
+        spent += eps_i
+    per_point = []
+    for step, p in zip(steps, points):
+        tol = step["delta"] / 3.0
+        grid = tuple(sorted({tol, 2.0 * tol, 3.0 * tol}))
+        curve = _sublevel_curve(nu.eval_many(p[None, :] - body.sample), body.sample, grid, base)
+        per_point.append({"index": step["index"], "point": step["point"], "delta_over_3": tol,
+                          "diam": curve.diam_values[0], "eps_step": step["eps_step"],
+                          "bound": 1.0 / n_target, "curve": curve})
+    return result(True, None, tuple(per_point), rho(nu, nu0, setting), a_nu(nu, setting))
+
+
+def _as_plain(value):
+    """Seminorm trees as their JSON, curves as their two tuples."""
+    if isinstance(value, seminorms.SeminormExpr):
+        return seminorms.seminorm_to_json(value)
+    if hasattr(value, "diam_values"):
+        return (value.eps_grid, value.diam_values)
+    if isinstance(value, (tuple, list)):
+        return [_as_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_plain(v) for k, v in value.items()}
+    return value
+
+
+def _assert_same_bits(a, b):
+    """Equal structure, and every float equal bit for bit (float.hex)."""
+    def hexed(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, list):
+            return [hexed(x) for x in v]
+        if isinstance(v, dict):
+            return {k: hexed(x) for k, x in v.items()}
+        return v
+    assert hexed(_as_plain(a)) == hexed(_as_plain(b))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _renorm_cases():
+    """(name, nu0, body, witnesses, setting, delta_grid): linf, l1,
+    euclidean and random_norm bases; interior, step_failed and
+    budget_exhausted runs among them."""
+    rng = np.random.default_rng(14)
+    seg = segment_instance(n_samples=201, mesh=5e-3)
+    poly = steckin_instance_from_json(
+        {"kind": "polytope", "vertices": [[-1.0, -0.5], [1.0, -0.6], [0.8, 0.7], [-0.6, 0.9]],
+         "base": "l1", "n_samples": 301, "mesh": 5e-3})
+    euc = steckin_instance_from_json(
+        {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "base": "euclidean",
+         "n_samples": 201, "mesh": 5e-3})
+    cases = [
+        ("linf", seg.nu0, seg.body, acceptance_witness_points() + ((0.2, 0.0),), seg.setting,
+         None),
+        ("linf-failed", seg.nu0, seg.body, ((0.0, 2.0), (0.5, 1.0)), seg.setting, (1000.0,)),
+        ("linf-exhausted", seg.nu0, seg.body, tuple((0.1 * k, 2.0) for k in range(-6, 7)),
+         seg.setting, None),
+        ("l1", poly.nu0, poly.body, ((0.0, 2.0), (2.2, 0.4), (0.1, 0.1), (-1.5, -1.8)),
+         poly.setting, None),
+        ("euclidean", euc.nu0, euc.body, ((0.0, 2.0), (1.5, -1.0), (0.25, 0.0), (-0.5, 0.8)),
+         euc.setting, None),
+    ]
+    for k in range(4):
+        base = random_norm(rng, 2)
+        setting = make_setting(2, base, 1e-2)
+        nu0 = base if k % 2 else SumOf((base, Scale(0.5, random_norm(rng, 2))))
+        witnesses = tuple(tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(3 + k))
+        body = poly.body if k < 2 else seg.body
+        cases.append((f"random{k}", nu0, body, witnesses, setting, None))
+    return cases
+
+
+class TestCarriedValues:
+    """baire_renorm carries nu's values instead of re-evaluating the tree;
+    the tree-re-evaluating loop above is its oracle."""
+
+    @pytest.mark.parametrize("case", _renorm_cases(), ids=lambda c: c[0])
+    def test_equals_the_tree_re_evaluating_loop(self, case, monkeypatch):
+        import wellpose.steckin as steckin_mod
+
+        _, nu0, body, witnesses, setting, grid = case
+        built, tried = [], []
+
+        class Recording(LineQuotient):
+            def __init__(self, base, direction):
+                built.append(tuple(direction))
+                super().__init__(base, direction)
+
+        monkeypatch.setattr(steckin_mod, "LineQuotient", Recording)
+        rep = baire_renorm(nu0, body, witnesses, 0.3, 5, setting, delta_grid=grid)
+        ref = _reference_renorm(nu0, body, witnesses, 0.3, 5, setting, delta_grid=grid,
+                                tried=tried)
+        # the same quotient directions, failed strategies included
+        _assert_same_bits(built, tried)
+        got = dict(success=rep.success, reason=rep.reason, nu_final=rep.nu_final,
+                   steps=[{f: getattr(s, f) for f in ref["steps"][0]} for s in rep.ledger.steps]
+                   if ref["steps"] else [], spent=rep.ledger.spent, per_point=rep.per_point,
+                   rho_total=rep.rho_total, a_final=rep.a_final)
+        assert len(rep.ledger.steps) == len(ref["steps"])
+        _assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("case", [c for c in _renorm_cases() if "-" not in c[0]],
+                             ids=lambda c: c[0])
+    def test_carried_arrays_equal_the_final_tree(self, case, monkeypatch):
+        """The arrays the final replay and a_final read are nu_final's
+        eval_many on each witness's offsets and on the sphere, bit for
+        bit: no rounding of the carried sums is hidden by a curve."""
+        import wellpose.steckin as steckin_mod
+
+        _, nu0, body, witnesses, setting, grid = case
+        seen = {"curve": [], "inf": []}
+        for name, key in (("_sublevel_curve", "curve"), ("_inf_estimate", "inf")):
+            def record(values, *args, _real=getattr(steckin_mod, name), _key=key):
+                seen[_key].append(values)
+                return _real(values, *args)
+            monkeypatch.setattr(steckin_mod, name, record)
+        rep = baire_renorm(nu0, body, witnesses, 0.3, 5, setting, delta_grid=grid)
+        assert rep.success
+        replayed = seen["curve"][-len(witnesses):]
+        for w, values in zip(witnesses, replayed):
+            offsets = np.asarray(w, dtype=np.float64) - body.sample
+            assert _bits(values) == _bits(rep.nu_final.eval_many(offsets))
+        assert _bits(seen["inf"][-1]) == _bits(rep.nu_final.eval_many(setting.sphere))
+
+    def test_the_cases_reach_every_outcome(self):
+        outcomes = set()
+        for _, nu0, body, witnesses, setting, grid in _renorm_cases():
+            rep = baire_renorm(nu0, body, witnesses, 0.3, 5, setting, delta_grid=grid)
+            outcomes.add(rep.reason)
+            outcomes.update(s.status for s in rep.ledger.steps)
+        assert outcomes >= {None, "step_failed", "budget_exhausted", "interior", "perturbed"}
+
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_base_is_computed_once_per_point_set(self, count, monkeypatch):
+        """Every leaf of the linf base computes at most once on the sphere
+        and once on each witness's offsets, however many steps follow."""
+        inst = segment_instance(n_samples=201, mesh=5e-3)
+        witnesses = tuple((0.3 * k - 1.0, 2.0 + 0.1 * k) for k in range(count))
+        computed = []
+        raw = AbsLinear.eval_many.__wrapped__
+
+        def spy(self, X):
+            computed.append((self, X))
+            return raw(self, X)
+
+        monkeypatch.setattr(AbsLinear, "eval_many", seminorms._once_per_call(spy))
+        rep = baire_renorm(inst.nu0, inst.body, witnesses, 0.3, 5, inst.setting)
+        assert len(rep.ledger.steps) >= 2
+        point_sets = [inst.setting.sphere] + [np.asarray(w) - inst.body.sample for w in witnesses]
+        for pts in point_sets:
+            on_pts = [leaf for leaf, X in computed
+                      if X.shape == pts.shape and np.array_equal(X, pts)]
+            assert len(on_pts) == len(set(map(id, on_pts))) == 2  # each leaf once
+
+    def test_argmin_pick_equals_the_stable_sort_pick(self, rng):
+        """Repeated sample rows and tied values: the first two distinct
+        points of a stable argsort."""
+        for _ in range(200):
+            rows = rng.integers(0, 4, size=(int(rng.integers(1, 12)), 2)).astype(float)
+            vals = rng.integers(0, 3, size=rows.shape[0]).astype(float)
+            order = np.argsort(vals, kind="stable")
+            alt = next((int(k) for k in order[1:]
+                        if not np.array_equal(rows[k], rows[order[0]])), None)
+            assert _nearest_two(vals, rows) == (int(order[0]), alt)
 
 
 class TestInstanceHelpers:

@@ -161,6 +161,25 @@ class TestPrefixDiameters:
         monkeypatch.setattr(spaces_mod, "_CHUNK_CELLS", 1)
         assert prefix_diameters(space.block, order).tolist() == whole.tolist()
 
+    @pytest.mark.parametrize("metric", ["euclidean", "l1", "linf"])
+    @pytest.mark.parametrize("cells", [1, 100, 185, 333])
+    def test_chunk_boundaries_mid_order(self, metric, cells, monkeypatch, rng):
+        """A chunk of cells // 37 rows meets every column before it unmasked
+        and only its own square through the triangle mask.  These budgets
+        give chunks of 1, 2, 5 and 9 rows, so the boundaries fall mid-order
+        and the last chunk is short."""
+        import wellpose.spaces as spaces_mod
+
+        space = FiniteMetricSpace.pointcloud(rng.normal(size=(60, 2)), metric=metric)
+        order = rng.permutation(space.n)[:37]
+        D = space.block(order, order)
+        expected = [D[:j + 1, :j + 1].max() for j in range(order.size)]
+        monkeypatch.setattr(spaces_mod, "_CHUNK_CELLS", cells)
+        assert prefix_diameters(space.block, order).tolist() == expected
+        block = prefix_diameters(space.block, np.stack([order, order[::-1]]))
+        assert block[0].tolist() == expected
+        assert block[1, -1] == expected[-1]
+
     def test_set_distance_against_enumeration(self, rng):
         space = FiniteMetricSpace.pointcloud(rng.normal(size=(90, 2)), metric="l1")
         a = PointSubset.of(space, range(0, 90, 3))
