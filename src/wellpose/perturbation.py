@@ -105,6 +105,8 @@ class PerturbationFamily:
 def cone_perturbation(space: FiniteMetricSpace, a: int, beta: float, gamma: float) -> PerturbationFunction:
     """Truncated cone u with u(a) = 0, linear ramp of slope beta/gamma on
     B_gamma(a), and the ceiling value beta outside."""
+    if not (0 <= a < space.n):
+        raise ValueError(f"cone apex index {a} out of range")
     if not (beta > 0.0 and gamma > 0.0):
         raise ValueError("beta and gamma must be positive")
     row = space.row(a)

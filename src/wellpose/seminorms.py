@@ -11,23 +11,9 @@ kappa computed once per quotient: exactly for a euclidean or polyhedral
 (max/sum/scale of absolute linear) base, by golden section for any other
 tree.  Elsewhere the minimum, convex in t, is bracketed analytically and
 resolved by golden section at every point.  Either way reported values
-never exceed base(x).
-
-Trees share nodes: a renorming step adds base twice, once scaled and
-once inside its quotient, beside the nu that already holds it.  One
-evaluation scope (:func:`eval_nodes`) evaluates several nodes on one
-points array under one memo, so each built-in node runs once per scope
-on the scope's points; a top-level eval_many call is the scope of one
-node.  A node looks itself up only when it is handed that same array
-object; any other array (the golden-section trial points of a quotient
-outside R^2) is always computed, and so is a node whose class overrides
-eval_many without the memo.  A scope on a read-only array may be seeded
-with values some of its nodes already computed on that array, so a
-caller that keeps base's values never pays for base again.  The memo is
-dropped when the scope returns or raises, so a hit is a value the same
-node computed on the same, unchanged points: results equal those of an
-unshared tree bit for bit.  Until then it holds one value per point for
-every node evaluated.
+never exceed base(x).  A quotient also evaluates from base's values on
+the same points (LineQuotient.from_base), so a caller that keeps them
+does not pay for base again.
 
 Maxima and sums fold their children one at a time, left to right, into
 one running array (np.maximum and + in place), never a (k, N) stack.
@@ -35,7 +21,8 @@ For two or more points that is the order of numpy's axis-0 reduction,
 so values are those of np.max / np.sum over the stacked children bit
 for bit (a single point is reduced pairwise by numpy once a node has
 eight or more children, and may differ from the fold in the last bit).
-A fold never returns a child's own array, which may be a memo entry.
+A fold never returns a child's own array: a caller may fold values it
+keeps and reads again (a renorming step's carried arrays).
 
 Every node also carries a magnitude majorant (an upper bound on the
 absolute values flowing through its evaluation) used to scale rounding
@@ -44,16 +31,12 @@ tolerances in exactness tests.
 
 from __future__ import annotations
 
-import functools
-import threading
-
 import numpy as np
 
 from .spaces import _pairwise
 
 __all__ = [
     "SeminormExpr",
-    "eval_nodes",
     "AbsLinear",
     "MaxOf",
     "SumOf",
@@ -80,65 +63,6 @@ def _as_points(X, dim: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"expected points of shape (m, {dim}), got {pts.shape}")
     return pts
-
-
-# the open scope's points and node memo, per thread
-_call = threading.local()
-
-
-def eval_nodes(nodes, X, seed=()) -> list:
-    """Values of each node on the points X, under one memo.
-
-    A node shared by several of the nodes, or by their trees, is
-    evaluated once.  seed holds (node, values) pairs: values the same
-    node already computed on this X, served instead of computing it.
-    Seeding needs a read-only X, so the values cannot go stale, and an
-    outermost scope.  Inside an open scope (a node's own eval_many
-    calling this) the nodes are evaluated as nested calls are: from that
-    scope's memo on its own points, computed on any other array.  The
-    returned arrays may be memo entries or seed values: read them, do
-    not write to them.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if getattr(_call, "memo", None) is not None:
-        if seed:
-            raise ValueError("a seeded scope must be the outermost")
-        return [node.eval_many(X) for node in nodes]
-    memo = {}
-    for node, values in seed:
-        values = np.asarray(values)
-        if X.flags.writeable or values.shape != X.shape[:1]:
-            raise ValueError("seed values need a read-only points array and one value per point")
-        memo[id(node)] = (node, values)
-    _call.top, _call.memo = X, memo
-    try:
-        return [node.eval_many(X) for node in nodes]
-    finally:
-        _call.top = _call.memo = None
-
-
-def _once_per_call(eval_many):
-    """Decorate a node's eval_many so a shared node runs once per scope.
-
-    Outside a scope the call opens one for its own node.  Inside, a call
-    on the scope's points looks the node up in the memo (keyed by
-    id(node), holding the node so its id cannot be reused) and stores
-    what it computes; every other call computes.
-    """
-
-    @functools.wraps(eval_many)
-    def memoized(self, X):
-        memo = getattr(_call, "memo", None)
-        if memo is None:
-            return eval_nodes((self,), X)[0]
-        if X is not _call.top:
-            return eval_many(self, X)
-        hit = memo.get(id(self))
-        if hit is None:
-            hit = memo[id(self)] = (self, eval_many(self, X))
-        return hit[1]
-
-    return memoized
 
 
 def _fold(ufunc, values):
@@ -186,7 +110,6 @@ class AbsLinear(SeminormExpr):
         self.coef = coef
         self.dim = coef.size
 
-    @_once_per_call
     def eval_many(self, X):
         return np.abs(_as_points(X, self.dim) @ self.coef)
 
@@ -202,7 +125,6 @@ class Euclidean(SeminormExpr):
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
 
-    @_once_per_call
     def eval_many(self, X):
         # the distance kernel's column loop, bit for bit numpy's norm for d <= 7
         return _pairwise(_as_points(X, self.dim), np.zeros(self.dim), "euclidean")
@@ -230,7 +152,6 @@ class MaxOf(SeminormExpr):
     def __init__(self, children):
         self.children, self.dim = _combine(children)
 
-    @_once_per_call
     def eval_many(self, X):
         return _fold(np.maximum, (c.eval_many(X) for c in self.children))
 
@@ -244,7 +165,6 @@ class SumOf(SeminormExpr):
     def __init__(self, children):
         self.children, self.dim = _combine(children)
 
-    @_once_per_call
     def eval_many(self, X):
         return _fold(np.add, (c.eval_many(X) for c in self.children))
 
@@ -263,7 +183,6 @@ class Scale(SeminormExpr):
         self.child = child
         self.dim = child.dim
 
-    @_once_per_call
     def eval_many(self, X):
         return self.factor * self.child.eval_many(X)
 
@@ -303,13 +222,12 @@ def _linear_rows(expr: SeminormExpr) -> np.ndarray | None:
 
 
 def _golden_quotient(base: SeminormExpr, pts: np.ndarray, direction: np.ndarray,
-                     dir_value: float) -> np.ndarray:
+                     dir_value: float, at_zero: np.ndarray) -> np.ndarray:
     """min_t base(x - t * direction) for each row x of pts, by golden section.
 
-    Values are minima over sampled t, so they never undershoot the true
-    quotient and never exceed base(x).
+    at_zero holds base's values on pts.  Values are minima over sampled
+    t, so they never undershoot the true quotient and never exceed base(x).
     """
-    at_zero = base.eval_many(pts)
     # base(x - t dir) >= |t| bd - base(x), so |t*| <= 2 base(x) / bd
     T = 2.0 * at_zero / dir_value
     a = -T
@@ -351,12 +269,13 @@ def _perp_quotient(base: SeminormExpr, perp: np.ndarray, direction: np.ndarray,
     evaluated once at every kink inside the bracket |t| <= 2 base(perp) /
     base(direction) that holds the minimum.  Any other tree is searched.
     """
-    at_zero = float(base.eval_many(perp[None, :])[0])
+    on_perp = base.eval_many(perp[None, :])
+    at_zero = float(on_perp[0])
     if isinstance(base, Euclidean):
         return at_zero
     rows = _linear_rows(base)
     if rows is None:
-        return float(_golden_quotient(base, perp[None, :], direction, dir_value)[0])
+        return float(_golden_quotient(base, perp[None, :], direction, dir_value, on_perp)[0])
     a = rows @ perp
     b = rows @ direction
     i, j = np.triu_indices(a.size, 1)
@@ -388,7 +307,9 @@ class LineQuotient(SeminormExpr):
     base (:func:`_perp_quotient`), by golden section otherwise.  Each
     evaluation is then one dot product per point, clamped to base(x) so
     rounding in kappa never lifts a value above base.  Other dimensions
-    run the search at every point.
+    run the search at every point, starting from base(x).  from_base
+    takes base's values on the points from the caller; eval_many is
+    from_base applied to base.eval_many of the same points.
     """
 
     def __init__(self, base: SeminormExpr, direction):
@@ -410,16 +331,23 @@ class LineQuotient(SeminormExpr):
             self._perp = perp
             self._kappa = _perp_quotient(base, perp, direction, bd) / float(perp @ perp)
 
-    @_once_per_call
     def eval_many(self, X):
         pts = _as_points(X, self.dim)
+        return self.from_base(pts, self.base.eval_many(pts))
+
+    def from_base(self, pts, base_vals) -> np.ndarray:
+        """Values on the rows of pts, given base's values there."""
+        pts = _as_points(pts, self.dim)
+        base_vals = np.asarray(base_vals, dtype=np.float64)
+        if base_vals.shape != pts.shape[:1]:
+            raise ValueError("base_vals must hold one value per point")
         if self.dim != 2:
-            return _golden_quotient(self.base, pts, self.direction, self.dir_value)
+            return _golden_quotient(self.base, pts, self.direction, self.dir_value, base_vals)
         # two products and a sum, never a fused multiply-add, so the dot
         # product is exactly 0 at x = direction
         perp = self._perp
         flat = self._kappa * np.abs(pts[:, 0] * perp[0] + pts[:, 1] * perp[1])
-        return np.minimum(flat, self.base.eval_many(pts))
+        return np.minimum(flat, base_vals)
 
     def magnitude_many(self, X):
         pts = _as_points(X, self.dim)

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
-from .seminorms import (Euclidean, LineQuotient, Scale, SeminormExpr, SumOf, _fold,
-                        _linear_rows, eval_nodes)
+from .seminorms import Euclidean, LineQuotient, Scale, SeminormExpr, SumOf, _fold, _linear_rows
 from .spaces import _pairwise, prefix_diameters, sublevel_diameters
 
 __all__ = [
@@ -227,8 +226,7 @@ def rho(nu1: SeminormExpr, nu2: SeminormExpr, setting: NormedSetting) -> MeshEst
     """
     if nu1.dim != setting.dim or nu2.dim != setting.dim:
         raise ValueError("dimension mismatch")
-    v1, v2 = eval_nodes((nu1, nu2), setting.sphere)
-    return _rho_estimate(v1, v2, setting)
+    return _rho_estimate(nu1.eval_many(setting.sphere), nu2.eval_many(setting.sphere), setting)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,10 +431,10 @@ class ProjectionReport:
 
 
 def _ascending_grid(delta_grid) -> tuple[float, ...]:
-    grid = sorted({float(d) for d in delta_grid})
-    if not grid or grid[0] <= 0.0:
+    grid = {float(d) for d in delta_grid}
+    if not grid or not all(d > 0.0 for d in grid):  # NaN is not > 0
         raise ValueError("delta grid must be positive")
-    return tuple(grid)
+    return tuple(sorted(grid))
 
 
 def metric_projection(nu: SeminormExpr, body: ConvexBody, p, delta_grid,
@@ -518,7 +516,8 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
         raise ValueError("eps must be positive")
     grid = _step_grid(delta_grid, eps)
     offsets = _offsets(body, p)
-    base_off, vals0 = eval_nodes((setting.base, nu), offsets)
+    base_off = setting.base.eval_many(offsets)
+    vals0 = base_off if nu is setting.base else nu.eval_many(offsets)
     base_sphere = setting.base.eval_many(setting.sphere)
     return _localize(nu, vals0, base_off, offsets, base_sphere, body, p, eps, setting, grid)[0]
 
@@ -530,7 +529,7 @@ def _step_grid(delta_grid, eps: float) -> tuple[float, ...]:
 
 
 def _offsets(body: ConvexBody, p: np.ndarray) -> np.ndarray:
-    """p - x for every sample point x, read-only so scopes can be seeded on it."""
+    """p - x for every sample point x, read-only: every strategy and step reads it."""
     offsets = p[None, :] - body.sample
     offsets.flags.writeable = False
     return offsets
@@ -554,13 +553,22 @@ def _nearest_two(vals: np.ndarray, sample: np.ndarray) -> tuple[int, int | None]
     return first, int(differ[np.argmin(vals[differ])])
 
 
-def _add_terms(carried: np.ndarray, terms, pts: np.ndarray, base: SeminormExpr,
-               base_vals: np.ndarray) -> np.ndarray:
+def _term_values(terms, pts: np.ndarray, base_vals: np.ndarray) -> list:
+    """Each added term's values on pts from base's values there.
+
+    A term is c base or c LineQuotient(base, x) (:func:`_quotient_terms`),
+    so c times base_vals or the quotient's from_base is its eval_many bit
+    for bit, and base is not evaluated again.
+    """
+    return [t.factor * (t.child.from_base(pts, base_vals) if isinstance(t.child, LineQuotient)
+                        else base_vals) for t in terms]
+
+
+def _add_terms(carried: np.ndarray, terms, pts: np.ndarray, base_vals: np.ndarray) -> np.ndarray:
     """SumOf((nu,) + terms) on pts, from nu's values (carried) and base's
-    values there: the terms are evaluated with base seeded, then added
-    left to right as the sum node adds them, so the result is that
-    node's eval_many bit for bit."""
-    return _fold(np.add, [carried, *eval_nodes(terms, pts, seed=((base, base_vals),))])
+    values there: the terms are added left to right as the sum node adds
+    them, so the result is that node's eval_many bit for bit."""
+    return _fold(np.add, [carried, *_term_values(terms, pts, base_vals)])
 
 
 def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets: np.ndarray,
@@ -590,7 +598,7 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets
             terms, x_star = (Scale(eps, setting.base),), None
         else:
             terms, x_star = _quotient_terms(setting, x, eps), tuple(float(v) for v in x)
-        values = _add_terms(vals0, terms, offsets, setting.base, base_off)
+        values = _add_terms(vals0, terms, offsets, base_off)
         curve = _sublevel_curve(values, body.sample, grid, setting.base)
         # the largest tolerance whose near-minimizers have diameter < eps
         delta, dm = max(((t, d) for t, d in zip(grid, curve.diam_values) if d < eps),
@@ -598,7 +606,7 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets
         if delta is not None:
             break
     # nu_prime - nu is exactly the sum of the added terms, a seminorm
-    on_sphere = eval_nodes(terms, setting.sphere, seed=((setting.base, base_sphere),))
+    on_sphere = _term_values(terms, setting.sphere, base_sphere)
     moved = float(_fold(np.add, on_sphere).max())
     report = WellposeReport(nu_prime=SumOf((nu,) + terms), status=status, delta=delta,
                             achieved_diam=dm, moved=moved, dist=float(values.min()),
@@ -677,8 +685,9 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     tree is never evaluated again.  base and nu0 are evaluated once on
     the sphere and once on each witness's offsets p - sample; the loop
     carries the current nu's values on each of these point sets, and a
-    step evaluates only its own terms, seeded with base's values, and
-    adds them to every carried array in the tree's left-to-right order.
+    step computes only its own terms, from base's values on the same
+    points, and adds them to every carried array in the tree's
+    left-to-right order.
     Every carried array therefore equals the current tree's eval_many
     bit for bit, and the strategy pick, moved, c_p, the final replay,
     rho_total and a_final all read them.
@@ -698,7 +707,8 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     if nu0.dim != setting.dim:
         raise ValueError("dimension mismatch")
     base = setting.base
-    base_sphere, nu0_sphere = eval_nodes((base, nu0), setting.sphere)
+    base_sphere = base.eval_many(setting.sphere)
+    nu0_sphere = base_sphere if nu0 is base else nu0.eval_many(setting.sphere)
     a0 = _inf_estimate(nu0_sphere, setting)
     if not (eps_total < a0.value - a0.error_bound):
         raise PreconditionError(
@@ -709,7 +719,8 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         raise ValueError("dimension mismatch")
 
     offsets = [_offsets(body, p) for p in points]
-    base_off, nu_off = map(list, zip(*(eval_nodes((base, nu0), x) for x in offsets)))
+    base_off = [base.eval_many(x) for x in offsets]
+    nu_off = list(base_off) if nu0 is base else [nu0.eval_many(x) for x in offsets]
     nu = nu0
     nu_sphere = nu0_sphere
     remaining = eps_total
@@ -746,7 +757,7 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         ))
         nu = wp.nu_prime
         nu_sphere = _fold(np.add, [nu_sphere, *on_sphere])
-        nu_off = [values if j == i else _add_terms(v, wp.added_exprs, offsets[j], base, base_off[j])
+        nu_off = [values if j == i else _add_terms(v, wp.added_exprs, offsets[j], base_off[j])
                   for j, v in enumerate(nu_off)]
         remaining -= eps_i
         spent += eps_i

@@ -132,6 +132,13 @@ class TestConePerturbation:
         with pytest.raises(ValueError):
             cone_perturbation(sp, 0, beta=0.1, gamma=0.0)
 
+    def test_apex_must_be_a_point_of_the_space(self):
+        sp = _line(4)
+        for a in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                cone_perturbation(sp, a, beta=1.0, gamma=0.5)
+        assert cone_perturbation(sp, 3, beta=1.0, gamma=0.5).values[3] == 0.0
+
 
 class TestDensityStep:
     def test_two_point_frozen_oracle(self):

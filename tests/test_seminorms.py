@@ -17,7 +17,6 @@ from wellpose.seminorms import (
     _linear_rows,
     _perp_quotient,
     euclidean_norm,
-    eval_nodes,
     l1_norm,
     linf_norm,
     seminorm_from_json,
@@ -164,7 +163,8 @@ def _search(base, direction, X):
     """Brute-force reference: golden section at every point."""
     d = np.asarray(direction, dtype=np.float64)
     bd = float(base.eval_many(d[None, :])[0])
-    return _golden_quotient(base, np.asarray(X, dtype=np.float64), d, bd)
+    pts = np.asarray(X, dtype=np.float64)
+    return _golden_quotient(base, pts, d, bd, base.eval_many(pts))
 
 
 @pytest.mark.parametrize("dname", list(_DIRECTIONS_2D))
@@ -285,7 +285,8 @@ def test_closed_form_kappa_matches_the_search(rng):
             perp = np.array([-d[1], d[0]])
             bd = base(d)
             exact = _perp_quotient(base, perp, d, bd)
-            search = float(_golden_quotient(base, perp[None, :], d, bd)[0])
+            at = perp[None, :]
+            search = float(_golden_quotient(base, at, d, bd, base.eval_many(at))[0])
             # both round at the size of the base's terms along the bracket
             scale = LineQuotient(base, d).magnitude_many(perp[None, :])[0]
             assert abs(exact - search) <= 8 * ulp * scale
@@ -348,16 +349,6 @@ def test_quotient_of_a_tiny_or_huge_direction(power, rng):
     assert q([17.0, 2.0]) == pytest.approx(2.0, rel=1e-15)
 
 
-def _renorm_tree(make_base, directions, eps=0.1):
-    """base plus eps * (base + its quotient) per direction, the shape of a
-    renorming ledger.  make_base() gives the base at each of its 2s + 1
-    places: one node for a shared tree, a new one for an unshared tree."""
-    nu = make_base()
-    for d in directions:
-        nu = SumOf((nu, Scale(eps, make_base()), Scale(eps, LineQuotient(make_base(), d))))
-    return nu
-
-
 def _shared_tree(rng, dim):
     """Random combinations that reuse earlier nodes: polyhedral and
     euclidean leaves, sums, maxima, scales and quotients of leaves."""
@@ -383,9 +374,8 @@ def _shared_tree(rng, dim):
 
 
 class TestSharedNodes:
-    """A shared node is evaluated once per top-level eval_many call.  A
-    JSON round trip rebuilds a tree with no shared node, on which the
-    memo never hits: the memo-free reference."""
+    """A shared node is evaluated wherever it appears.  A JSON round trip
+    rebuilds a tree with no shared node: the same values bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_shared_trees_match_their_unshared_rebuild(self, dim, rng):
@@ -395,129 +385,43 @@ class TestSharedNodes:
             X = rng.normal(size=(60, dim)) * 3
             assert np.array_equal(tree.eval_many(X), rebuilt.eval_many(X))
 
-    def test_a_shared_spy_runs_once_per_call(self, rng):
-        directions = ([0.8, -0.6], [1.0, 2.0], [0.0, 1.0])
-        spy = _CountingBase(linf_norm(2))
-        base = MaxOf((spy,))  # the shared built-in node
-        nu = _renorm_tree(lambda: base, directions)
-        spy.rows.clear()
-        X = rng.normal(size=(300, 2))
-        got = nu.eval_many(X)
-        assert spy.rows == [300]
-        nu.eval_many(X)
-        assert spy.rows == [300, 300]
-        unshared = _renorm_tree(lambda: MaxOf((_CountingBase(linf_norm(2)),)), directions)
-        assert np.array_equal(got, unshared.eval_many(X))
 
-    def test_memo_does_not_outlive_the_call(self, rng):
-        base = l1_norm(2)
-        nu = _renorm_tree(lambda: base, ([0.8, -0.6], [1.0, 2.0]))
-        X = rng.normal(size=(100, 2))
-        first = nu.eval_many(X)
-        X *= 3.0
-        X[0] = [5.0, -1.0]
-        assert seminorms._call.top is None and seminorms._call.memo is None
-        fresh = seminorm_from_json(seminorm_to_json(nu))
-        again = nu.eval_many(X)
-        assert np.array_equal(again, fresh.eval_many(X.copy()))
-        assert not np.array_equal(again, first)
+class TestQuotientFromBase:
+    """from_base takes base's values from the caller: eval_many bit for bit."""
 
-    def test_a_raising_call_leaves_no_memo(self, rng):
-        base = linf_norm(2)
-        nu = _renorm_tree(lambda: base, ([0.8, -0.6],))
-        with pytest.raises(ValueError):
-            nu.eval_many(np.zeros((4, 3)))
-        assert seminorms._call.top is None and seminorms._call.memo is None
-        X = rng.normal(size=(20, 2))
-        assert np.array_equal(nu.eval_many(X),
-                              seminorm_from_json(seminorm_to_json(nu)).eval_many(X))
+    def test_planar_quotients(self, rng):
+        X = rng.normal(size=(300, 2)) * 3
+        bases = [linf_norm(2), l1_norm(2), Euclidean(2)]
+        bases += [random_polyhedral_seminorm(rng, 2) for _ in range(10)]
+        checked = 0
+        for base in bases:
+            for d in ([1.0, 0.0], [0.6, -0.8], rng.normal(size=2)):
+                try:
+                    q = LineQuotient(base, d)
+                except ValueError:  # a base that vanishes on the direction
+                    continue
+                got = q.from_base(X, base.eval_many(X))
+                assert _bits(got) == _bits(q.eval_many(X))
+                rebuilt = seminorm_from_json(seminorm_to_json(q))
+                assert _bits(got) == _bits(rebuilt.eval_many(X))
+                checked += 1
+        assert checked >= 30
 
-
-class _Probe(SeminormExpr):
-    """Evaluates base on its own points and on a copy of them."""
-
-    def __init__(self, base, fail=False):
-        self.base, self.dim, self.fail = base, base.dim, fail
-
-    def eval_many(self, X):
-        self.on_points = self.base.eval_many(X)
-        self.on_copy = self.base.eval_many(np.array(X))
-        if self.fail:
-            raise RuntimeError("probe failure")
-        return self.on_points
-
-
-def _read_only(X):
-    X = np.array(X, dtype=np.float64)
-    X.flags.writeable = False
-    return X
-
-
-def _no_memo() -> bool:
-    return seminorms._call.top is None and seminorms._call.memo is None
-
-
-class TestEvalScope:
-    """eval_nodes: several nodes under one memo, optionally seeded."""
-
-    def test_shared_nodes_run_once_across_the_nodes(self, rng):
-        spy = _CountingBase(linf_norm(2))
-        base = MaxOf((spy,))
-        nodes = (base, Scale(0.5, base), _renorm_tree(lambda: base, ([0.8, -0.6],)))
-        X = rng.normal(size=(50, 2))
-        spy.rows.clear()  # the quotient evaluated base at construction
-        got = eval_nodes(nodes, X)
-        assert spy.rows == [50]
-        assert all(np.array_equal(g, n.eval_many(X)) for g, n in zip(got, nodes))
-        assert _no_memo()
-
-    def test_a_seed_is_served_on_its_own_array_only(self, rng):
-        base = linf_norm(2)
-        X = _read_only(rng.normal(size=(40, 2)))
-        bogus = np.full(40, 7.0)
-        probe = _Probe(base)
-        got, scaled = eval_nodes((probe, Scale(2.0, base)), X, seed=((base, bogus),))
-        # served on X itself, computed on an equal array of its own
-        assert got is bogus and np.array_equal(scaled, 2.0 * bogus)
-        assert np.array_equal(probe.on_copy, np.abs(X).max(axis=1))
-        assert _no_memo()
-        # the next scope on the same array computes again
-        assert np.array_equal(base.eval_many(X), np.abs(X).max(axis=1))
-
-    def test_a_seeded_quotient_searches_on_its_trial_points(self, rng):
+    def test_the_golden_path(self, rng):
         base = SumOf((linf_norm(3), Scale(0.5, euclidean_norm(3))))
         q = LineQuotient(base, [1.0, -2.0, 0.5])
-        X = _read_only(rng.normal(size=(30, 3)) * 3)
-        [seeded] = eval_nodes((q,), X, seed=((base, base.eval_many(X)),))
-        assert np.array_equal(seeded, q.eval_many(X))
+        X = rng.normal(size=(40, 3)) * 3
+        got = q.from_base(X, base.eval_many(X))
+        assert _bits(got) == _bits(q.eval_many(X))
+        assert _bits(got) == _bits(_search(base, q.direction, X))
 
-    def test_seeds_need_a_read_only_array_and_one_value_per_point(self, rng):
-        base = linf_norm(2)
-        X = rng.normal(size=(10, 2))
+    def test_one_base_value_per_point(self, rng):
+        q = LineQuotient(linf_norm(2), [1.0, 2.0])
+        X = rng.normal(size=(5, 2))
         with pytest.raises(ValueError):
-            eval_nodes((base,), X, seed=((base, np.zeros(10)),))
+            q.from_base(X, np.ones(4))
         with pytest.raises(ValueError):
-            eval_nodes((base,), _read_only(X), seed=((base, np.zeros(9)),))
-        assert _no_memo()
-
-    def test_a_raising_scope_leaves_no_memo(self, rng):
-        base = linf_norm(2)
-        X = _read_only(rng.normal(size=(10, 2)))
-        with pytest.raises(RuntimeError):
-            eval_nodes((_Probe(base, fail=True),), X, seed=((base, np.zeros(10)),))
-        assert _no_memo()
-        assert np.array_equal(base.eval_many(X), np.abs(X).max(axis=1))
-
-    def test_a_seeded_scope_must_be_the_outermost(self, rng):
-        base = linf_norm(2)
-
-        class Nested(_Probe):
-            def eval_many(self, X):
-                return eval_nodes((self.base,), _read_only(X), seed=((self.base, X[:, 0]),))[0]
-
-        with pytest.raises(ValueError):
-            MaxOf((Nested(base),)).eval_many(rng.normal(size=(5, 2)))
-        assert _no_memo()
+            q.from_base(X[:, :1], np.ones(5))
 
 
 class TestFolds:
@@ -537,16 +441,27 @@ class TestFolds:
 
     @pytest.mark.parametrize("combine", [MaxOf, SumOf])
     def test_a_fold_never_returns_a_child_array(self, combine, rng):
-        X = _read_only(rng.normal(size=(20, 2)))
+        X = rng.normal(size=(20, 2))
         leaf = AbsLinear([1.0, -2.0])
-        seed = leaf.eval_many(X)
-        for kids in ((leaf,), (leaf, leaf), (Scale(0.0, leaf), leaf, leaf)):
+        kept = _Kept(leaf.eval_many(X))
+        for kids in ((kept,), (kept, kept), (Scale(0.0, leaf), kept, kept)):
             expected = (np.max if combine is MaxOf else np.sum)(
                 np.stack([k.eval_many(X) for k in kids]), axis=0)
-            got, child = eval_nodes((combine(kids), leaf), X, seed=((leaf, seed),))
-            assert child is seed and not np.shares_memory(got, seed)
+            got = combine(kids).eval_many(X)
+            assert not np.shares_memory(got, kept.values)
             assert np.array_equal(got, expected)
-            assert np.array_equal(seed, leaf.eval_many(X))  # the seed was not written
+            assert np.array_equal(kept.values, leaf.eval_many(X))  # not written
+
+
+class _Kept(SeminormExpr):
+    """Returns the one array it holds, as a caller's carried values are
+    folded and then read again."""
+
+    def __init__(self, values):
+        self.values, self.dim = values, 2
+
+    def eval_many(self, X):
+        return self.values
 
 
 def _bits(values) -> bytes:

@@ -30,8 +30,10 @@ from wellpose.spaces import prefix_diameters
 from wellpose.steckin import (
     ConvexBody,
     _nearest_two,
+    _quotient_terms,
     _running_diameters,
     _sublevel_curve,
+    _term_values,
     a_nu,
     baire_renorm,
     c_of_p,
@@ -363,6 +365,20 @@ class TestMetricProjection:
             metric_projection(inst.nu0, inst.body, [0.0, 0.0, 0.0], (0.1,), inst.setting)
         with pytest.raises(ValueError):
             metric_projection(inst.nu0, inst.body, inst.p, (0.0,), inst.setting)
+
+    @pytest.mark.parametrize("grid", [(np.nan,), (np.nan, 0.1), (0.1, np.nan)])
+    def test_a_nan_tolerance_is_rejected_by_every_caller(self, grid, coarse_inst):
+        inst = coarse_inst
+        calls = (
+            lambda: metric_projection(inst.nu0, inst.body, inst.p, grid, inst.setting),
+            lambda: wellpose_point(inst.nu0, inst.body, inst.p, 0.2, inst.setting,
+                                   delta_grid=grid),
+            lambda: baire_renorm(inst.nu0, inst.body, (inst.p,), 0.3, 5, inst.setting,
+                                 delta_grid=grid),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="delta grid must be positive"):
+                call()
 
 
 class TestStechPerturb:
@@ -778,13 +794,13 @@ class TestCarriedValues:
         inst = segment_instance(n_samples=201, mesh=5e-3)
         witnesses = tuple((0.3 * k - 1.0, 2.0 + 0.1 * k) for k in range(count))
         computed = []
-        raw = AbsLinear.eval_many.__wrapped__
+        raw = AbsLinear.eval_many
 
         def spy(self, X):
             computed.append((self, X))
             return raw(self, X)
 
-        monkeypatch.setattr(AbsLinear, "eval_many", seminorms._once_per_call(spy))
+        monkeypatch.setattr(AbsLinear, "eval_many", spy)
         rep = baire_renorm(inst.nu0, inst.body, witnesses, 0.3, 5, inst.setting)
         assert len(rep.ledger.steps) >= 2
         point_sets = [inst.setting.sphere] + [np.asarray(w) - inst.body.sample for w in witnesses]
@@ -792,6 +808,21 @@ class TestCarriedValues:
             on_pts = [leaf for leaf, X in computed
                       if X.shape == pts.shape and np.array_equal(X, pts)]
             assert len(on_pts) == len(set(map(id, on_pts))) == 2  # each leaf once
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_step_terms_from_base_values(self, dim, rng):
+        """Each added term's values, computed from base's values, equal
+        that term's eval_many bit for bit: c base, c quotient of base."""
+        for base in (linf_norm(dim), l1_norm(dim), euclidean_norm(dim)):
+            setting = make_setting(dim, base, 0.5)
+            pts = rng.normal(size=(50, dim)) * 2
+            base_vals = base.eval_many(pts)
+            for x in (rng.normal(size=dim), np.eye(dim)[0]):
+                for terms in (_quotient_terms(setting, x, 0.1), (Scale(0.1, base),)):
+                    got = _term_values(terms, pts, base_vals)
+                    assert len(got) == len(terms)
+                    for values, term in zip(got, terms):
+                        assert _bits(values) == _bits(term.eval_many(pts))
 
     def test_argmin_pick_equals_the_stable_sort_pick(self, rng):
         """Repeated sample rows and tied values: the first two distinct
