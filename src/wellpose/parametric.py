@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import ObjectiveFunction, argmin_set, ball_min, proper_table, regularize
+from .objectives import ObjectiveFunction, argmin_set, ball_min, proper_table
 from .spaces import FiniteMetricSpace, diam, sublevel_diameters
 
 __all__ = [
@@ -207,15 +207,36 @@ def check_cond1(fam: ParametricFamily, p: int, x: int, eps: float, delta_grid) -
 
 def check_cond2(fam: ParametricFamily, p: int, eps: float, delta_grid) -> EpiCertificate:
     """Largest grid delta such that f_q >= (f_p)_eps - eps holds pointwise
-    for every q in B_delta(p)."""
+    for every q in B_delta(p).
+
+    This is analytic_epi_delta's centre argument cell by cell: a cell
+    with f_q(x) >= f_p(x) - eps satisfies the condition (see
+    _cond2_violations), so the ball infimum of f_p is computed only when
+    some cell falls below f_p - eps.
+    """
     grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
-    return _cond2(fam, p, eps, grid, qs, dist, regularize(fam.objective(p), eps).values)
+    return _cond2(p, eps, grid, qs, dist, _cond2_violations(fam, p, eps, fam.values[qs]))
 
 
-def _cond2(fam, p, eps, grid, qs, dist, reg_p) -> EpiCertificate:
+def _cond2_violations(fam, p, eps, vals) -> np.ndarray:
+    """The cells of the rows vals with vals < (f_p)_eps - eps.
+
+    Every ball contains its centre (d(x, x) = 0 <= eps) and min is exact,
+    so (f_p)_eps <= f_p bit for bit, and rounded subtraction is monotone:
+    a cell can violate only where vals < f_p - eps.  Where no cell does,
+    these open cells are the (empty) answer and no ball infimum is taken.
+    eps = 0 reads (f_p)_0 as f_p itself, as regularize does, so the open
+    cells are then the answer too.
+    """
+    viol = vals < fam.values[p] - eps
+    if eps > 0.0 and viol.any():
+        viol = vals < ball_min(fam.domain, fam.values[p][None, :], eps)[0] - eps
+    return viol
+
+
+def _cond2(p, eps, grid, qs, dist, viol) -> EpiCertificate:
     """Condition 2 over the neighbours qs of p at distances dist, given
-    reg_p = (f_p)_eps."""
-    viol = fam.values[qs] < reg_p - eps
+    viol[i, x] = f_qs[i](x) < (f_p)_eps(x) - eps."""
     bad = viol.any(axis=1)
     j = _largest_delta(grid, dist, ~bad)
     if j is not None:
@@ -251,18 +272,41 @@ def certify_uniform_epi(fam: ParametricFamily, p: int, eps: float, delta_grid) -
     On finite domains the per-anchor condition-1 radii have a positive
     minimum, so the uniform variant is equivalent to quantifying the
     anchor before delta.
+
+    Ball infima are taken only where the plain values leave a condition
+    open, the cell-wise form of analytic_epi_delta's centre argument:
+    (f)_eps <= f bit for bit, so a cell with f_q(x) <= f_p(x) + eps
+    satisfies condition 1 and one with f_q(x) >= f_p(x) - eps condition
+    2.  One ball_min call covers the neighbour rows with an open
+    condition-1 cell, plus row p if some condition-2 cell is open; with
+    no open cell there is no call.
     """
     grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
-    reg = ball_min(fam.domain, fam.values[qs], eps)
-    # (f_q)_eps <= f_p + eps everywhere == condition 1 at every anchor
-    j = _largest_delta(grid, dist, np.all(reg <= fam.values[p] + eps, axis=1))
-    # mu(p, p) = 0, so p is among its own neighbours and its row is (f_p)_eps
-    cond2 = _cond2(fam, p, eps, grid, qs, dist, reg[np.searchsorted(qs, p)])
+    vals = fam.values[qs]
+    cap = fam.values[p] + eps
+    open1 = (vals > cap).any(axis=1)  # the rows with an open condition-1 cell
+    viol = vals < fam.values[p] - eps  # the open condition-2 cells
+    open2 = bool(viol.any())
+    good = ~open1
+    rows = np.append(qs[open1], p) if open2 else qs[open1]
+    if rows.size:
+        reg = ball_min(fam.domain, fam.values[rows], eps)
+        # (f_q)_eps <= f_p + eps everywhere == condition 1 at every anchor
+        good[open1] = np.all(reg[:np.count_nonzero(open1)] <= cap, axis=1)
+        if open2:
+            viol = vals < reg[-1] - eps
+    j = _largest_delta(grid, dist, good)
+    cond2 = _cond2(p, eps, grid, qs, dist, viol)
     return UniformEpiReport(p=p, eps=eps, cond1_delta=None if j is None else grid[j], cond2=cond2)
 
 
 def recheck_certificate(fam: ParametricFamily, cert: EpiCertificate) -> bool:
-    """Replay a successful certificate from its recorded witnesses."""
+    """Replay a successful certificate from its recorded witnesses.
+
+    A condition-2 replay uses analytic_epi_delta's centre argument cell
+    by cell (see _cond2_violations): it accepts at once when every
+    f_q >= f_p - eps, and takes the ball infimum of f_p otherwise.
+    """
     if cert.delta is None:
         raise ValueError("cannot replay a failed certificate")
     prow = fam.params.space.row(cert.p)
@@ -276,8 +320,9 @@ def recheck_certificate(fam: ParametricFamily, cert: EpiCertificate) -> bool:
         xq = np.array([cert.witnesses[int(q)] for q in qs], dtype=np.intp)
         return bool(np.all(fam.domain.row(cert.anchor_x)[xq] <= cert.eps)
                     and np.all(fam.values[qs, xq] <= fp_x + cert.eps))
-    floor = regularize(fam.objective(cert.p), cert.eps).values - cert.eps
-    return bool(np.all(fam.values[qs] >= floor))
+    if not (cert.eps >= 0.0):
+        raise ValueError("eps must be nonnegative")
+    return not _cond2_violations(fam, cert.p, cert.eps, fam.values[qs]).any()
 
 
 def analytic_epi_delta(fam: ParametricFamily, eps: float) -> float | None:

@@ -488,10 +488,11 @@ def sublevel_diameters(values, grid, prefix) -> np.ndarray:
     if values.ndim != 2:
         raise ValueError(f"values must be one (n,) row or a (k, n) block, got shape {values.shape}")
     order = np.argsort(values, axis=1)
+    # a cut is the count of members, so it needs no sorted copy of the rows
+    low = values.min(axis=1)
     cuts = np.empty((len(values), grid.size), dtype=np.intp)
-    for i, row in enumerate(order):
-        ranked = values[i, row]
-        cuts[i] = np.searchsorted(ranked, ranked[0] + grid, side="right")
+    for j, t in enumerate(grid):
+        cuts[:, j] = np.count_nonzero(values <= (low + t)[:, None], axis=1)
     running = prefix(order[:, :cuts.max(initial=1)])
     return np.take_along_axis(running, cuts - 1, axis=1)
 

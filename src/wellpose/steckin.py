@@ -720,6 +720,10 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
 
     offsets = [_offsets(body, p) for p in points]
     base_off = [base.eval_many(x) for x in offsets]
+    for p, v in zip(points, base_off):
+        if not (v.max() > 0.0):  # c_p = 0 leaves no protection radius delta / (3 c_p)
+            raise ValueError(f"witness point {p.tolist()} is at distance 0 from every "
+                             "body sample: c_p = 0")
     nu_off = list(base_off) if nu0 is base else [nu0.eval_many(x) for x in offsets]
     nu = nu0
     nu_sphere = nu0_sphere

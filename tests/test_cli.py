@@ -165,6 +165,31 @@ def test_steckin_unusable_witness_points(witnesses, message, tmp_path, capsys):
     assert "bad instance" in err and message in err
 
 
+def test_steckin_witness_at_distance_0_from_the_body(tmp_path, capsys):
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps({"kind": "segment", "a": [0.5, 0.5], "b": [0.5, 0.5],
+                                     "p": [0.5, 0.5], "n_samples": 11, "mesh": 0.05}))
+    code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "is at distance 0" in capsys.readouterr().err
+
+
+def test_steckin_fractional_sample_count(tmp_path, capsys):
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps(dict(COARSE_INSTANCE, n_samples=2.5)))
+    code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "n_samples must be an integer" in capsys.readouterr().err
+
+
+def test_out_under_a_regular_file_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    code = cli.main(["perturb", "--out", str(tmp_path / "afile" / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "afile" in err
+
+
 def test_steckin_non_finite_p(tmp_path, capsys):
     inst = dict(COARSE_INSTANCE, p=[float("nan"), 2.0])
     inst_file = tmp_path / "instance.json"

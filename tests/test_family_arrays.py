@@ -174,6 +174,32 @@ def _random_table_family(seed):
     return ParametricFamily(ParameterGrid(pspace), domain, values)
 
 
+def _dyadic_family(seed, kind):
+    """Dyadic rows f_q = f_0 + k/4 on a line, so every f_0 +- eps is exact.
+
+    With eps = 1/4 or 1/2 some cells sit exactly on f_q = f_0 +- eps.
+    kind names the conditions with open cells at p = 0: "cond1" has
+    offsets k >= 0, +inf cells in the f_q and +inf in every row where
+    f_0 is +inf; "cond2" has k <= 0 and +inf cells of f_0 over finite
+    f_q; "both" has either sign and both kinds of +inf cell.
+    """
+    rng = np.random.default_rng(100 + seed)
+    pspace = FiniteMetricSpace.grid1d(0.0, 2.0, 4)
+    domain = FiniteMetricSpace.grid1d(0.0, 1.0, 15)
+    lo, hi = {"both": (-3, 3), "cond1": (0, 3), "cond2": (-3, 0)}[kind]
+    base = rng.integers(-4, 5, size=domain.n) * 0.25
+    values = base + rng.integers(lo, hi + 1, size=(pspace.n, domain.n)) * 0.25
+    values[0] = base
+    hole = rng.uniform(size=domain.n) < 0.2
+    hole[0] = False  # every row keeps a finite value at x = 0
+    values[0, hole] = np.inf
+    if kind == "cond1":
+        values[:, hole] = np.inf
+    if kind != "cond2":
+        values[1:, 1:][rng.uniform(size=(pspace.n - 1, domain.n - 1)) < 0.1] = np.inf
+    return ParametricFamily(ParameterGrid(pspace), domain, values, meta={"kind": f"dyadic_{kind}"})
+
+
 def _families():
     yield vime_family(99, 99)
     for seed in range(3):
@@ -403,29 +429,73 @@ class TestAgainstTheLoops:
                     outcomes.add((rep.cond1_delta is None, cert.delta is None))
         assert outcomes == {(False, False), (True, True), (False, True), (True, False)}
 
-    def test_certify_reuses_its_ball_min_block_for_cond2(self, monkeypatch):
-        from wellpose import objectives, parametric
+    def test_ball_infima_only_for_open_rows(self, monkeypatch):
+        from wellpose import parametric
 
         calls = []
 
         def counting(space, rows, eps):
-            calls.append(rows.shape[0])
+            calls.append(np.asarray(rows).tolist())
             return ball_min(space, rows, eps)
 
-        fams = [vime_family(99, 99)] + [
-            random_lipschitz_family(np.random.default_rng(seed), max_params=25, max_points=30)
-            for seed in range(3)]
+        def open_rows(fam, p, eps, radius):
+            """Neighbours with a cell f_q > f_p + eps, then p if some f_q < f_p - eps."""
+            qs = np.flatnonzero(fam.params.space.row(p) <= radius)
+            fp = fam.values[p]
+            rows = [int(q) for q in qs if np.any(fam.values[q] > fp + eps)]
+            return rows + [p] * bool(np.any(fam.values[qs] < fp - eps))
+
+        def blocks(fam, rows):
+            return [fam.values[rows].tolist()] if rows else []
+
+        monkeypatch.setattr(parametric, "ball_min", counting)
+        fams = [vime_family(99, 99), *_families(),
+                *(_dyadic_family(seed, kind) for seed in range(3) for kind in ("cond1", "cond2"))]
+        called = 0
         for fam in fams:
-            for eps in (0.1, 0.3, 1.0):
+            for eps in (0.1, 0.25, 0.3, 1.0):
                 grid = default_delta_grid(fam, eps)
                 for p in _params(fam):
-                    with monkeypatch.context() as m:
-                        m.setattr(parametric, "ball_min", counting)
-                        m.setattr(objectives, "ball_min", counting)
+                    want = open_rows(fam, p, eps, grid[0])
+                    assert not (want and fam.meta.get("kind") == "vime")
+                    calls.clear()
+                    rep = certify_uniform_epi(fam, p, eps, grid)
+                    assert calls == blocks(fam, want)
+                    called += bool(want)
+                    calls.clear()
+                    cert = check_cond2(fam, p, eps, grid)
+                    assert calls == blocks(fam, [p] if p in want else [])
+                    assert vars(rep.cond2) == vars(cert)
+                    if cert.ok:
                         calls.clear()
+                        assert recheck_certificate(fam, cert)
+                        replayed = open_rows(fam, p, eps, cert.delta)
+                        assert calls == blocks(fam, [p] if p in replayed else [])
+        assert called > 0
+
+    def test_open_cell_rule_on_dyadic_boundaries(self):
+        deltas, replays = set(), set()
+        grid = (2.0, 1.0, 0.5, 0.25)
+        for seed in range(4):
+            for kind in ("both", "cond1", "cond2"):
+                fam = _dyadic_family(seed, kind)
+                fp, rest = fam.values[0], fam.values[1:]
+                for eps in (0.25, 0.5):
+                    assert np.any(rest > fp + eps) == (kind != "cond2")
+                    assert np.any(rest < fp - eps) == (kind != "cond1")
+                    assert np.any(rest == fp + eps) or np.any(rest == fp - eps)
+                    for p in range(fam.params.space.n):
                         rep = certify_uniform_epi(fam, p, eps, grid)
-                        assert len(calls) == 1
-                    assert vars(rep.cond2) == vars(check_cond2(fam, p, eps, grid))
+                        cert = check_cond2(fam, p, eps, grid)
+                        assert rep.cond1_delta == _ref_cond1_uniform(fam, p, eps, grid)
+                        assert (cert.delta, cert.violation) == _ref_cond2(fam, p, eps, grid)
+                        assert vars(rep.cond2) == vars(cert)
+                        deltas.update((rep.cond1_delta, cert.delta))
+                        for delta in (cert.delta, 2.0):  # the real one and a stretched one
+                            c = EpiCertificate(2, p, eps, delta)
+                            replays.add(recheck_certificate(fam, c))
+                            assert recheck_certificate(fam, c) == _ref_recheck(fam, c)
+        assert {2.0, 0.25} <= deltas and replays == {True, False}
 
     def test_violation_tie_break_is_lowest_q_then_lowest_x(self):
         fam = _tie_table_family()

@@ -268,6 +268,28 @@ def test_non_finite_points_are_rejected_before_any_step():
         wellpose_point(inst.nu0, inst.body, [np.inf, 2.0], 0.1, inst.setting)
 
 
+
+def test_a_witness_at_distance_0_from_the_body_is_rejected():
+    # a point body has c_p = 0 at its own point, so no protection radius
+    inst = steckin_instance_from_json({"kind": "segment", "a": [0.5, 0.5], "b": [0.5, 0.5],
+                                       "p": [0.5, 0.5], "n_samples": 11, "mesh": 0.05})
+    with pytest.raises(ValueError, match=r"witness point \[0.5, 0.5\] is at distance 0"):
+        baire_renorm(inst.nu0, inst.body, inst.witness_points, 0.3, 5, inst.setting)
+
+
+@pytest.mark.parametrize("field", [{"n_samples": 2.5}, {"seed": 0.5}, {"n_samples": float("nan")},
+                                   {"n_samples": float("inf")}])
+def test_fractional_counts_are_rejected(field):
+    desc = {"kind": "polytope", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            "witness_points": [[2.0, 2.0]], "mesh": 0.05}
+    with pytest.raises(ValueError, match=f"{next(iter(field))} must be an integer"):
+        steckin_instance_from_json(dict(desc, **field))
+    # an integral float is still a count
+    whole = steckin_instance_from_json(dict(desc, n_samples=40.0, seed=3.0))
+    assert np.array_equal(whole.body.sample,
+                          steckin_instance_from_json(dict(desc, n_samples=40, seed=3)).body.sample)
+
+
 class TestSetDiameter:
     @pytest.mark.parametrize("nu", [
         MaxOf((AbsLinear([1.0, 0.0]), AbsLinear([0.0, 1.0]), Scale(0.5, AbsLinear([1.0, 1.0])))),
