@@ -119,7 +119,10 @@ def _check_grid(delta_grid) -> tuple[float, ...]:
     if not grid:
         raise ValueError("delta grid must be non-empty")
     arr = np.asarray(grid)
-    if not np.all(arr > 0.0) or np.any(np.diff(arr) >= 0.0):  # NaN is not > 0
+    if not np.all(np.isfinite(arr)):
+        # an infinite radius leaves _largest_delta no bad distance above it
+        raise ValueError(f"delta grid must be finite, got {list(grid)}")
+    if not np.all(arr > 0.0) or np.any(np.diff(arr) >= 0.0):
         raise ValueError("delta grid must be positive and strictly decreasing")
     return grid
 

@@ -164,8 +164,8 @@ def mn_membership(f: ObjectiveFunction, g: PerturbationFunction, n: int,
                   t_grid=None) -> tuple[bool, float | None]:
     """Smallest grid t with diam(argmin_set(f + g, t)) < 1/n, if any.
 
-    One sweep gives the diameter at every grid t; diam is non-decreasing
-    in t, so the first success in ascending order is the smallest witness.
+    diam is non-decreasing in t, so if any grid t succeeds the smallest
+    one does: the sweep reads the one cut at the smallest t.
     Default grid: geometric from the space diameter down 16 octaves.
     """
     if n < 1:
@@ -175,13 +175,13 @@ def mn_membership(f: ObjectiveFunction, g: PerturbationFunction, n: int,
     if t_grid is None:
         top = f.space.diameter() or 1.0
         t_grid = tuple(top / (2.0**k) for k in range(17))
-    grid = sorted(float(t) for t in t_grid)
-    if not grid or grid[0] <= 0.0:
+    grid = [float(t) for t in t_grid]
+    if not grid or not all(t > 0.0 for t in grid):  # NaN is not > 0
         raise ValueError("t grid must be positive")
+    t = min(grid)
     fg = f + g
-    diams = sublevel_diameters(fg.values, grid, f.space.prefix_diameters)
-    hits = np.flatnonzero(diams < 1.0 / n)
-    return (True, grid[hits[0]]) if hits.size else (False, None)
+    d = sublevel_diameters(fg.values, (t,), f.space.prefix_diameters)[0]
+    return (True, t) if d < 1.0 / n else (False, None)
 
 
 def openness_radius(f: ObjectiveFunction, g: PerturbationFunction, eps: float, c_p: float) -> float:

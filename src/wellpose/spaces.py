@@ -409,7 +409,7 @@ def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
     return PointSubset(space, frozenset(np.flatnonzero(row <= eps).tolist()))
 
 
-def prefix_diameters(dist, order=None) -> np.ndarray:
+def prefix_diameters(dist, order=None, stop: float = np.inf) -> np.ndarray:
     """Running diameter of a sequence of points as each one enters.
 
     Entry j is the max distance among the first j + 1 points.  ``order``
@@ -420,7 +420,12 @@ def prefix_diameters(dist, order=None) -> np.ndarray:
     - ``dist`` is a block function; dist(rows, cols) gives the distances
       between two index arrays.  Each row of ``order`` is swept on its
       own, one row chunk of the distances at a time, so memory stays
-      O(chunk * m) and the work is O(m^2) per row.
+      O(chunk * m) and the work is O(m^2) per row.  A one-row sweep
+      returns after the first chunk whose running diameter reaches
+      ``stop``: the result is then a prefix of the running diameter that
+      holds its first entry >= stop, and no later distance is computed.
+      A caller that reads only whether entries lie below ``stop`` loses
+      nothing, since the running diameter never decreases.
     - ``dist`` is an (n, c) spread array of per-point projections, for a
       distance d(x, y) = max_k |s_k(x) - s_k(y)|; without ``order`` its
       rows are the points in entry order.  The running diameter is then
@@ -429,6 +434,7 @@ def prefix_diameters(dist, order=None) -> np.ndarray:
       maximum bit for bit: rounded subtraction is monotone, so fl(max -
       min) = max over pairs of fl(|s_i - s_j|).  The columns are gathered
       and folded one at a time: numpy reduces a short last axis slowly.
+      This path ignores ``stop`` and returns every entry.
 
     Entry j depends on the set of the first j + 1 points only, not on
     their order: a max is exact in any order, and the distances computed
@@ -455,6 +461,8 @@ def prefix_diameters(dist, order=None) -> np.ndarray:
         # triangle (a masked zero never wins: the diagonal is 0 already)
         own = np.tril(d[:, lo:]).max(axis=1)
         row_max[lo:lo + step] = own if lo == 0 else np.maximum(d[:, :lo].max(axis=1), own)
+        if row_max[lo:lo + step].max() >= stop:
+            return np.maximum.accumulate(row_max[:lo + step])
     return np.maximum.accumulate(row_max)
 
 
@@ -475,16 +483,25 @@ def sublevel_diameters(values, grid, prefix) -> np.ndarray:
     values fall on the same side of every cut, and the running diameter
     at a cut depends on that set only (see prefix_diameters), so the
     order among tied values is never read.
+
+    One row sorts only its candidates, the values <= min v + max(grid):
+    rounded addition is monotone, so every other value lies above every
+    cut, and each cut counts the same members as in a sort of the whole
+    row.  Its prefix may return a shortened running diameter (one that
+    stopped at a bound, as prefix_diameters does with ``stop``); a cut
+    past its end reads +inf.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if not np.all(grid >= 0.0):
         raise ValueError("eps must be nonnegative")
     values = np.asarray(values)
     if values.ndim == 1:
-        order = np.argsort(values)
-        ranked = values[order]
-        cuts = np.searchsorted(ranked, ranked[0] + grid, side="right")
-        return prefix(order[:cuts.max(initial=1)])[cuts - 1]
+        low = values.min()
+        cand = np.flatnonzero(values <= low + grid.max(initial=0.0))
+        order = cand[np.argsort(values[cand])]
+        cuts = np.searchsorted(values[order], low + grid, side="right")
+        running = prefix(order)
+        return np.where(cuts <= running.size, running[np.minimum(cuts, running.size) - 1], np.inf)
     if values.ndim != 2:
         raise ValueError(f"values must be one (n,) row or a (k, n) block, got shape {values.shape}")
     order = np.argsort(values, axis=1)

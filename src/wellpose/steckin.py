@@ -20,7 +20,7 @@ through a shrinking-radius ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -344,10 +344,17 @@ def segment_body(a, b, n_samples: int = 2001) -> ConvexBody:
         raise ValueError("endpoints must be vectors of equal length")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("body data must be finite")
+    with np.errstate(over="ignore"):
+        span = b - a
+        length = float(np.linalg.norm(span))
+    if not np.isfinite(length):
+        raise ValueError(f"segment from {a.tolist()} to {b.tolist()} is too long: "
+                         "its length overflows")
     ts = np.linspace(0.0, 1.0, n_samples)
-    sample = a[None, :] + ts[:, None] * (b - a)[None, :]
-    mesh = float(np.linalg.norm(b - a) / (n_samples - 1))
-    return ConvexBody(vertices=np.stack([a, b]), sample=sample, mesh=mesh)
+    sample = a[None, :] + ts[:, None] * span[None, :]
+    return ConvexBody(vertices=np.stack([a, b]), sample=sample, mesh=length / (n_samples - 1))
 
 
 def polytope_body(vertices, n_samples: int = 2048, seed: int = 0) -> ConvexBody:
@@ -374,8 +381,9 @@ def validate_sample(body: ConvexBody, limit: int = 64) -> bool:
     return all(body.contains(body.sample[i]) for i in idx)
 
 
-def _running_diameters(pts: np.ndarray, nu: SeminormExpr) -> np.ndarray:
-    """Running nu-diameter of the rows of pts as each one enters."""
+def _running_diameters(pts: np.ndarray, nu: SeminormExpr, stop: float = np.inf) -> np.ndarray:
+    """Running nu-diameter of the rows of pts as each one enters; the
+    block path may stop once it reaches stop (see prefix_diameters)."""
     rows = _linear_rows(nu)
     if rows is not None:
         # nu(x - y) = max_j |L_j.x - L_j.y|: spread of each projection
@@ -389,7 +397,7 @@ def _running_diameters(pts: np.ndarray, nu: SeminormExpr) -> np.ndarray:
             diffs = pts[i][:, None, :] - pts[j][None, :, :]
             return nu.eval_many(diffs.reshape(-1, pts.shape[1])).reshape(len(i), len(j))
 
-    return prefix_diameters(block, np.arange(pts.shape[0]))
+    return prefix_diameters(block, np.arange(pts.shape[0]), stop)
 
 
 def _sublevel_curve(values: np.ndarray, sample: np.ndarray, grid, base: SeminormExpr):
@@ -478,7 +486,9 @@ class WellposeReport:
 
     delta is the largest grid tolerance whose near-minimizers have base
     diameter below the step budget (None if every strategy failed);
-    added_exprs are the seminorm terms summed onto nu.
+    added_exprs are the seminorm terms summed onto nu.  curve is the
+    winning strategy's whole localization curve; the steps of
+    baire_renorm read no curve and leave it None.
     """
 
     nu_prime: SeminormExpr
@@ -487,7 +497,7 @@ class WellposeReport:
     achieved_diam: float | None
     moved: float
     dist: float
-    curve: ModulusCurve
+    curve: ModulusCurve | None
     x_star: tuple[float, ...] | None
     added_exprs: tuple[SeminormExpr, ...]
 
@@ -519,7 +529,9 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
     base_off = setting.base.eval_many(offsets)
     vals0 = base_off if nu is setting.base else nu.eval_many(offsets)
     base_sphere = setting.base.eval_many(setting.sphere)
-    return _localize(nu, vals0, base_off, offsets, base_sphere, body, p, eps, setting, grid)[0]
+    report, values, _ = _localize(nu, vals0, base_off, offsets, base_sphere, body, p, eps,
+                                  setting, grid)
+    return replace(report, curve=_sublevel_curve(values, body.sample, grid, setting.base))
 
 
 def _step_grid(delta_grid, eps: float) -> tuple[float, ...]:
@@ -571,6 +583,21 @@ def _add_terms(carried: np.ndarray, terms, pts: np.ndarray, base_vals: np.ndarra
     return _fold(np.add, [carried, *_term_values(terms, pts, base_vals)])
 
 
+def _largest_tolerance(values: np.ndarray, sample: np.ndarray, grid, base: SeminormExpr,
+                       eps: float) -> tuple[float, float] | tuple[None, None]:
+    """The largest t in grid whose near-minimizers {values <= min + t}
+    have base diameter below eps, with that diameter; (None, None) if none.
+
+    The sweep stops at eps: the diameters never decrease with t, so the
+    tolerances that pass are a prefix of the grid, and every cut past the
+    first diameter >= eps reads +inf (see sublevel_diameters), which the
+    pick never takes.
+    """
+    diams = sublevel_diameters(values, grid,
+                               lambda order: _running_diameters(sample[order], base, eps))
+    return max(((t, d) for t, d in zip(grid, diams.tolist()) if d < eps), default=(None, None))
+
+
 def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets: np.ndarray,
               base_sphere: np.ndarray, body: ConvexBody, p: np.ndarray, eps: float,
               setting: NormedSetting, grid) -> tuple:
@@ -578,8 +605,8 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets
 
     vals0 and base_off are nu's and base's values on offsets = p - sample,
     base_sphere base's on the sphere; only the added terms are evaluated.
-    Returns the report, nu_prime's values on the offsets and the added
-    terms' values on the sphere.
+    Returns the report (without its curve), nu_prime's values on the
+    offsets and the added terms' values on the sphere.
     """
     # (status, quotient direction or None for the plain base term)
     if body.contains(p):
@@ -599,10 +626,7 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets
         else:
             terms, x_star = _quotient_terms(setting, x, eps), tuple(float(v) for v in x)
         values = _add_terms(vals0, terms, offsets, base_off)
-        curve = _sublevel_curve(values, body.sample, grid, setting.base)
-        # the largest tolerance whose near-minimizers have diameter < eps
-        delta, dm = max(((t, d) for t, d in zip(grid, curve.diam_values) if d < eps),
-                        default=(None, None))
+        delta, dm = _largest_tolerance(values, body.sample, grid, setting.base, eps)
         if delta is not None:
             break
     # nu_prime - nu is exactly the sum of the added terms, a seminorm
@@ -610,7 +634,7 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets
     moved = float(_fold(np.add, on_sphere).max())
     report = WellposeReport(nu_prime=SumOf((nu,) + terms), status=status, delta=delta,
                             achieved_diam=dm, moved=moved, dist=float(values.min()),
-                            curve=curve, x_star=x_star, added_exprs=terms)
+                            curve=None, x_star=x_star, added_exprs=terms)
     return report, values, on_sphere
 
 
@@ -719,11 +743,17 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         raise ValueError("dimension mismatch")
 
     offsets = [_offsets(body, p) for p in points]
-    base_off = [base.eval_many(x) for x in offsets]
+    with np.errstate(over="ignore"):  # an overflowing distance makes c_p inf, rejected below
+        base_off = [base.eval_many(x) for x in offsets]
     for p, v in zip(points, base_off):
-        if not (v.max() > 0.0):  # c_p = 0 leaves no protection radius delta / (3 c_p)
+        # the protection radius delta / (3 c_p) needs 0 < 3 c_p < inf
+        cp = float(v.max())
+        if not (cp > 0.0):
             raise ValueError(f"witness point {p.tolist()} is at distance 0 from every "
                              "body sample: c_p = 0")
+        if not (3.0 * cp < np.inf):
+            raise ValueError(f"witness point {p.tolist()} is too far from the body: "
+                             f"c_p = {cp}, and 3 c_p overflows")
     nu_off = list(base_off) if nu0 is base else [nu0.eval_many(x) for x in offsets]
     nu = nu0
     nu_sphere = nu0_sphere

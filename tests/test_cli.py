@@ -174,6 +174,23 @@ def test_steckin_witness_at_distance_0_from_the_body(tmp_path, capsys):
     assert "is at distance 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inst, message", [
+    # |b - a| overflows: numpy's norm warned, and 3 c_p = inf made every radius 0
+    ({"a": [0.0, 0.0], "b": [1e308, 0.0]}, "is too long: its length overflows"),
+    ({"a": [-1e308, 0.0], "b": [1e308, 0.0]}, "is too long: its length overflows"),
+    ({"a": [0.0, 0.0], "b": [1.0, 0.0], "p": [1e308, 0.0]}, "3 c_p overflows"),
+    ({"a": [0.0, 0.0], "b": [1.0, 0.0], "p": [1e200, 0.0], "base": "euclidean"},
+     "3 c_p overflows"),
+])
+def test_steckin_huge_segment_or_witness(inst, message, tmp_path, capsys):
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps({"kind": "segment", "n_samples": 11, "mesh": 0.05, **inst}))
+    code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_steckin_fractional_sample_count(tmp_path, capsys):
     inst_file = tmp_path / "instance.json"
     inst_file.write_text(json.dumps(dict(COARSE_INSTANCE, n_samples=2.5)))

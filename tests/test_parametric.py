@@ -194,6 +194,15 @@ class TestParameterIndex:
         with pytest.raises(ValueError, match="delta grid"):
             check_cond2(fam, 0, 0.3, grid)
 
+    @pytest.mark.parametrize("grid", [(np.inf,), (np.inf, 0.5), (np.inf, np.inf), (0.5, -np.inf)])
+    def test_an_infinite_radius_is_rejected(self, grid):
+        # no neighbour lies beyond an infinite radius, so the search would
+        # fail everywhere and name p itself as the violation
+        fam = vime_family(9, 9)
+        for check in (check_cond2, certify_uniform_epi):
+            with pytest.raises(ValueError, match="delta grid must be finite"):
+                check(fam, 0, 10.0, grid)
+
     @pytest.mark.parametrize("x", [-1, 10])
     def test_cond1_rejects_an_anchor_outside_the_domain(self, x):
         fam = vime_family(9, 9)

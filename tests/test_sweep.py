@@ -24,7 +24,7 @@ from wellpose.parametric import (
     vime_family,
 )
 from wellpose.perturbation import PerturbationFunction, mn_membership
-from wellpose.seminorms import AbsLinear, MaxOf, Scale, euclidean_norm, linf_norm
+from wellpose.seminorms import AbsLinear, MaxOf, Scale, SumOf, euclidean_norm, l1_norm, linf_norm
 from wellpose.spaces import (
     FiniteMetricSpace,
     PointSubset,
@@ -34,7 +34,16 @@ from wellpose.spaces import (
     set_distance,
     sublevel_diameters,
 )
-from wellpose.steckin import make_setting, metric_projection, polytope_body, set_diameter
+from wellpose.steckin import (
+    _largest_tolerance,
+    _running_diameters,
+    _sublevel_curve,
+    make_setting,
+    metric_projection,
+    polytope_body,
+    set_diameter,
+    wellpose_point,
+)
 
 
 def _pair_max(space: FiniteMetricSpace, members) -> float:
@@ -359,12 +368,13 @@ def _value_rows(rng, k, n):
     return np.array([_tied_values(rng, n) for _ in range(k)]).reshape(k, n)
 
 
-def _stable_sweep(space, values, grid):
-    """The one-row sweep on a stable sort: tied values enter in index order."""
+def _stable_sweep(prefix, values, grid):
+    """The one-row sweep on a stable sort of the whole row: tied values
+    enter in index order, and values above every cut are sorted too."""
     order = np.argsort(values, kind="stable")
     ranked = values[order]
     cuts = np.searchsorted(ranked, ranked[0] + np.asarray(grid), side="right")
-    return space.prefix_diameters(order[:cuts.max()])[cuts - 1]
+    return prefix(order[:cuts.max()])[cuts - 1]
 
 
 class TestBatchedSweep:
@@ -435,7 +445,7 @@ def test_tie_order_is_never_read(data, n, k, seed, metric):
     shuffled = FiniteMetricSpace.pointcloud(coords[perm], metric=metric[0])
     assert _bits(_space_curve(shuffled, rows[:, perm], grid)) == _bits(curves)
     for values, curve in zip(rows, curves):
-        assert _bits(curve) == _bits(_stable_sweep(space, values, grid))
+        assert _bits(curve) == _bits(_stable_sweep(space.prefix_diameters, values, grid))
 
 
 # ----------------------------------------------------------------------
@@ -591,3 +601,170 @@ def test_batched_sweep_memory_stays_bounded():
     assert used < limit
     for i in (0, k - 1):
         assert _bits(curves[i]) == _bits(sublevel_diameters(rows[i], grid, space.prefix_diameters))
+
+
+# ----------------------------------------------------------------------
+# sweeps that stop once their answer is known: the stop bound of the
+# block path, the renorming step's pick and the candidate sort
+
+
+def _first_at_least(running, stop) -> int | None:
+    hits = np.flatnonzero(running >= stop)
+    return int(hits[0]) if hits.size else None
+
+
+def _stops(rng, running):
+    """Bounds on every entry, between entries, below and above them all."""
+    on = rng.choice(running, size=min(running.size, 6), replace=False)
+    return [0.0, *on, *(np.nextafter(on, np.inf)), running[-1] * 2.0 + 1.0, np.inf]
+
+
+class TestStopBound:
+    @pytest.mark.parametrize("metric", ["euclidean", "l1", "linf"])
+    @pytest.mark.parametrize("cells", [1, 100, 333, 1 << 15])
+    def test_a_prefix_that_holds_the_first_entry_at_stop(self, metric, cells, monkeypatch, rng):
+        import wellpose.spaces as spaces_mod
+
+        space = FiniteMetricSpace.pointcloud(_tied_coords(rng, 60, 2), metric=metric)
+        order = rng.permutation(space.n)[:37]
+        full = prefix_diameters(space.block, order)
+        monkeypatch.setattr(spaces_mod, "_CHUNK_CELLS", cells)
+        step = max(1, cells // order.size)
+        for stop in _stops(rng, full):
+            short = prefix_diameters(space.block, order, stop)
+            assert _bits(short) == _bits(full[:short.size])
+            first = _first_at_least(full, stop)
+            if first is None:
+                assert short.size == full.size
+            else:
+                # it ends with the row chunk that holds the first entry >= stop
+                assert short.size == min(full.size, (first // step + 1) * step)
+
+    @pytest.mark.parametrize("cells", [1, 7 * 40, 1 << 15])
+    def test_no_cell_is_computed_past_the_chunk_that_reaches_stop(self, cells, monkeypatch, rng):
+        import wellpose.spaces as spaces_mod
+
+        space = FiniteMetricSpace.pointcloud(rng.normal(size=(50, 2)), metric="euclidean")
+        order = rng.permutation(space.n)[:40]
+        full = prefix_diameters(space.block, order)
+        monkeypatch.setattr(spaces_mod, "_CHUNK_CELLS", cells)
+        step = max(1, cells // order.size)
+        computed = []
+
+        def counting(rows, cols):
+            computed.append(len(rows) * len(cols))
+            return space.block(rows, cols)
+
+        for stop in _stops(rng, full):
+            computed.clear()
+            prefix_diameters(counting, order, stop)
+            first = _first_at_least(full, stop)
+            rows = order.size if first is None else min(order.size, (first // step + 1) * step)
+            # chunk lo meets every point entered up to its last row
+            expected = sum(min(step, rows - lo) * min(lo + step, rows)
+                           for lo in range(0, rows, step))
+            assert sum(computed) == expected
+
+    def test_a_cut_past_a_shortened_prefix_reads_inf(self, monkeypatch, rng):
+        import wellpose.spaces as spaces_mod
+
+        monkeypatch.setattr(spaces_mod, "_CHUNK_CELLS", 1)  # stop at the very entry
+        space = FiniteMetricSpace.pointcloud(rng.normal(size=(40, 2)), metric="euclidean")
+        grid = tuple(j / 4.0 for j in range(12))
+        values = _tied_values(rng, 40, inf_share=0.0)
+        full = _space_curve(space, values, grid)
+        stop = np.unique(full)[1]  # some larger diameter lies past it
+        short = sublevel_diameters(values, grid,
+                                   lambda order: prefix_diameters(space.block, order, stop))
+        below = full < stop
+        assert _bits(short[below]) == _bits(full[below])
+        assert np.all((short[~below] == full[~below]) | (short[~below] == np.inf))
+        assert short[-1] == np.inf
+
+    def test_the_spread_path_returns_every_entry(self, rng):
+        coords = _tied_coords(rng, 30, 2)
+        full = prefix_diameters(coords)
+        assert _bits(prefix_diameters(coords, None, 0.0)) == _bits(full)
+
+
+STEP_BASES = {
+    "linf": linf_norm(2),
+    "l1": l1_norm(2),
+    "euclidean": euclidean_norm(2),
+    # neither polyhedral nor euclidean: the block path over eval_many
+    "mixed": SumOf((euclidean_norm(2), linf_norm(2))),
+}
+
+
+def _full_pick(values, sample, grid, base, eps):
+    curve = _sublevel_curve(values, sample, grid, base)
+    return max(((t, d) for t, d in zip(grid, curve.diam_values) if d < eps), default=(None, None))
+
+
+class TestStepPick:
+    @pytest.mark.parametrize("cells", [1, 64, 1 << 15])
+    @pytest.mark.parametrize("base_name", sorted(STEP_BASES))
+    def test_pick_equals_the_full_curve(self, base_name, cells, monkeypatch, rng):
+        import wellpose.spaces as spaces_mod
+
+        monkeypatch.setattr(spaces_mod, "_CHUNK_CELLS", cells)
+        base = STEP_BASES[base_name]
+        grid = tuple(j / 8.0 for j in range(1, 33))
+        for _ in range(12):
+            # dyadic coordinates and values: ties, exact cuts and diameters
+            # that land on eps
+            sample = _tied_coords(rng, 50, 2)
+            values = _tied_values(rng, 50)
+            curve = _sublevel_curve(values, sample, grid, base).diam_values
+            for eps in {*rng.choice(curve, size=4), 0.25, 2.0, curve[0], curve[-1]}:
+                assert _largest_tolerance(values, sample, grid, base, eps) == \
+                    _full_pick(values, sample, grid, base, eps)
+
+    @pytest.mark.parametrize("base_name", sorted(STEP_BASES))
+    def test_candidate_sort_equals_the_full_sort(self, base_name, rng):
+        base = STEP_BASES[base_name]
+        sample = _tied_coords(rng, 80, 2)
+
+        def prefix(order):
+            return _running_diameters(sample[order], base)
+
+        for grid in ((0.0,), (0.25, 0.5), (1.0, 0.0, 3.0), (20.0,)):
+            values = _tied_values(rng, 80, inf_share=0.3)
+            swept = sublevel_diameters(values, grid, prefix)
+            assert _bits(swept) == _bits(_stable_sweep(prefix, values, grid))
+
+    def test_wellpose_point_keeps_its_whole_curve(self, segment_inst):
+        inst = segment_inst
+        for eps in (0.2, 0.05):
+            rep = wellpose_point(inst.nu0, inst.body, inst.p, eps, inst.setting)
+            assert len(rep.curve.diam_values) == 33
+            picked = max(((t, d) for t, d in zip(rep.curve.eps_grid, rep.curve.diam_values)
+                          if d < eps), default=(None, None))
+            assert (rep.delta, rep.achieved_diam) == picked
+            assert rep.curve.diam_values[-1] >= eps  # the curve runs past the pick
+
+
+@given(values=st.lists(QUARTER_OR_INF, min_size=1, max_size=40),
+       grid=st.lists(st.integers(0, 16).map(lambda k: k / 8.0), min_size=1, max_size=6),
+       seed=st.integers(0, 2**16),
+       metric=st.sampled_from([("linf", 1), ("linf", 2), ("l1", 2), ("euclidean", 2)]))
+def test_candidate_sort_equals_the_full_sort_on_spaces(values, grid, seed, metric):
+    values = np.asarray(values)
+    values[0] = 1.0  # proper
+    coords = _tied_coords(np.random.default_rng(seed), values.size, metric[1])
+    space = FiniteMetricSpace.pointcloud(coords, metric=metric[0])
+    assert _bits(_space_curve(space, values, grid)) == \
+        _bits(_stable_sweep(space.prefix_diameters, values, grid))
+
+
+@pytest.mark.parametrize("kind", ["eager_grid", "eager_cloud", "matrix", "linf_line", "l1_line"])
+def test_mn_membership_equals_the_full_curve_answer(kind, rng):
+    space = _spaces(rng)[kind]
+    for _ in range(10):
+        f = ObjectiveFunction(space, _tied_values(rng, space.n, inf_share=0.3))
+        g = PerturbationFunction(space, rng.integers(0, 4, size=space.n) / 8.0)
+        grid = tuple(rng.integers(1, 40, size=int(rng.integers(1, 6))) / 8.0)
+        curve = _space_curve(space, (f + g).values, sorted(grid))
+        for n in (1, 2, 5, 50):
+            first = next((t for t, d in zip(sorted(grid), curve) if d < 1.0 / n), None)
+            assert mn_membership(f, g, n, grid) == (first is not None, first)
