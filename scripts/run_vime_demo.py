@@ -27,8 +27,8 @@ def main() -> int:
     for eps in args.eps:
         rep = no_continuous_selection_demo(fam, eps)
         xs = np.arange(args.steps + 1) / args.steps
-        omega0 = sorted(argmin_set(fam.objective(0), eps).members)
-        omega1 = sorted(argmin_set(fam.objective(args.steps), eps).members)
+        omega0 = argmin_set(fam.objective(0), eps).indices
+        omega1 = argmin_set(fam.objective(args.steps), eps).indices
         left_w = xs[omega0[-1]] - xs[omega0[0]]
         right_w = xs[omega1[-1]] - xs[omega1[0]]
         print(f"{eps:>6.2f}  {str(rep.ok):>6}  {left_w:>16.4f}  {right_w:>17.4f}")

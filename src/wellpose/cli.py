@@ -188,6 +188,10 @@ def _cmd_steckin(args) -> int:
     from .steckin import baire_renorm
 
     if args.instance:
+        if args.mesh is not None:
+            print('error: --mesh applies to the built-in segment only; an instance file '
+                  'sets its mesh in its "mesh" field', file=sys.stderr)
+            return 2
         try:
             desc = json.loads(Path(args.instance).read_text())
             inst = steckin_instance_from_json(desc)
@@ -195,7 +199,7 @@ def _cmd_steckin(args) -> int:
             print(f"error: bad instance file: {exc}", file=sys.stderr)
             return 2
     else:
-        inst = segment_instance(mesh=args.mesh)
+        inst = segment_instance(mesh=1e-3 if args.mesh is None else args.mesh)
     delta_grid = args.delta_grid
     report = baire_renorm(inst.nu0, inst.body, inst.witness_points,
                           eps_total=args.eps_total, n_target=args.n_target,
@@ -285,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steckin", help="budgeted renorming on an instance")
     p.add_argument("--instance", default=None, help="instance JSON file")
-    p.add_argument("--mesh", type=float, default=1e-3)
+    p.add_argument("--mesh", type=float, default=None,
+                   help="sphere mesh of the built-in segment (default 1e-3)")
     p.add_argument("--eps-total", type=float, default=0.3)
     p.add_argument("--n-target", type=int, default=5)
     p.add_argument("--delta-grid", type=_float_list, default=None)

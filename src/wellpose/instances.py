@@ -15,7 +15,7 @@ from .objectives import ObjectiveFunction
 from .parametric import ParameterGrid, ParametricFamily
 from .perturbation import PerturbationFunction
 from .seminorms import AbsLinear, MaxOf, Scale, SeminormExpr, SumOf, linf_norm
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _count
 from .steckin import ConvexBody, NormedSetting, make_setting, segment_body
 
 __all__ = [
@@ -66,14 +66,6 @@ def segment_instance(n_samples: int = 2001, mesh: float = 1e-3) -> SteckinInstan
                            witness_points=acceptance_witness_points())
 
 
-def _count(desc: dict, key: str, default: int) -> int:
-    """An integer field of a descriptor; a fraction is an error, not truncated."""
-    val = desc.get(key, default)
-    if isinstance(val, float) and not val.is_integer():
-        raise ValueError(f"{key} must be an integer, got {val}")
-    return int(val)
-
-
 def steckin_instance_from_json(desc: dict) -> SteckinInstance:
     """Instance descriptor: segment or polytope body plus norms and points."""
     from .seminorms import euclidean_norm, l1_norm, seminorm_from_json
@@ -86,12 +78,12 @@ def steckin_instance_from_json(desc: dict) -> SteckinInstance:
     if kind == "segment":
         a = np.asarray(desc["a"], dtype=np.float64)
         b = np.asarray(desc["b"], dtype=np.float64)
-        body = segment_body(a, b, _count(desc, "n_samples", 2001))
+        body = segment_body(a, b, _count(desc.get("n_samples", 2001), "n_samples"))
         dim_hint = a.size
     elif kind == "polytope":
         verts = np.asarray(desc["vertices"], dtype=np.float64)
-        body = polytope_body(verts, _count(desc, "n_samples", 2048),
-                             seed=_count(desc, "seed", 0))
+        body = polytope_body(verts, _count(desc.get("n_samples", 2048), "n_samples"),
+                             seed=_count(desc.get("seed", 0), "seed"))
         dim_hint = verts.shape[1]
     else:
         raise ValueError(f"unknown instance kind {kind!r}")

@@ -14,7 +14,6 @@ the minimum is strong exactly when that modulus tends to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -107,7 +106,7 @@ def argmin_set(f: ObjectiveFunction, eps: float) -> PointSubset:
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
     bound = inf_value(f) + eps
-    return PointSubset(f.space, frozenset(np.flatnonzero(f.values <= bound).tolist()))
+    return PointSubset(f.space, np.flatnonzero(f.values <= bound))
 
 
 @dataclass(frozen=True)
@@ -147,16 +146,14 @@ class StrongMinCertificate:
 
     minimizer: int
     modulus: ModulusCurve
-    thresholds: Mapping[float, float]
 
     @classmethod
     def build(cls, f: ObjectiveFunction, delta_grid) -> "StrongMinCertificate":
         minimizer = int(np.argmin(f.values))
         curve = wellposedness_modulus(f, sorted(float(d) for d in delta_grid))
-        thresholds = dict(zip(curve.eps_grid, curve.diam_values))
         if f.values[minimizer] != inf_value(f):  # pragma: no cover - by construction
             raise ValueError("minimizer must attain the exact minimum")
-        return cls(minimizer, curve, thresholds)
+        return cls(minimizer, curve)
 
 
 def regularize(f: ObjectiveFunction, eps: float) -> ObjectiveFunction:
@@ -270,7 +267,7 @@ def check_cont_eps_lemma(f: ObjectiveFunction, g, eps: float) -> ContEpsReport:
     omega_base = argmin_set(f, eps)
     return ContEpsReport(
         eps=eps,
-        holds=omega_pert.members <= omega_base.members,
+        holds=omega_pert.issubset(omega_base),
         omega_perturbed=omega_pert,
         omega_base=omega_base,
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .objectives import ObjectiveFunction, argmin_set, ball_min, proper_table
-from .spaces import FiniteMetricSpace, diam, sublevel_diameters
+from .spaces import FiniteMetricSpace, _count, diam, sublevel_diameters
 
 __all__ = [
     "ParameterGrid",
@@ -406,7 +406,7 @@ def argmin_usc(fam: ParametricFamily, p: int, eps: float, delta_grid) -> UscRepo
     exact = argmin_set(fam.objective(p), 0.0)
     if len(exact) != 1:
         raise PreconditionError("argmin_usc needs a unique exact minimizer")
-    x_p = int(next(iter(exact)))
+    x_p = int(exact.indices[0])
     vals = fam.values[qs]
     # argmin_set(f_q, delta) ⊆ B_eps(x_p) iff f_q > inf f_q + delta off the ball
     outside = vals[:, fam.domain.row(x_p) > eps].min(axis=1, initial=np.inf)
@@ -553,7 +553,8 @@ def family_from_json(desc: dict) -> ParametricFamily:
     kind = desc.get("kind")
     params = desc.get("params", {})
     if kind == "vime":
-        return vime_family(int(params.get("x_steps", 999)), int(params.get("p_steps", 999)))
+        return vime_family(_count(params.get("x_steps", 999), "x_steps"),
+                           _count(params.get("p_steps", 999), "p_steps"))
     if kind == "table":
         domain = space_from_json(params["domain"])
         pspace = space_from_json(params["param_space"])

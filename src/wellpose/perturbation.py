@@ -141,7 +141,7 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     fg = f + g
-    a = argmin_set(fg, eps / 4.0).sorted_indices()[0]
+    a = argmin_set(fg, eps / 4.0).indices[0]
     cone = cone_perturbation(f.space, int(a), beta=eps, gamma=eps / 2.0)
     g_prime = g + cone
     fg2 = f + g_prime
@@ -268,7 +268,7 @@ def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list)
         f = f_fam.objective(p)
         shifted = ObjectiveFunction(dom, f.values + 7.25)
         for e in eps_list:
-            if argmin_set(f, e).members != argmin_set(shifted, e).members:
+            if not np.array_equal(argmin_set(f, e).indices, argmin_set(shifted, e).indices):
                 translation_ok = False
 
     bounds = {p: sup_norm(f_fam.objective(p).values[np.isfinite(f_fam.objective(p).values)])

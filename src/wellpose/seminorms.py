@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import _pairwise
+from .spaces import _count, _pairwise
 
 __all__ = [
     "SeminormExpr",
@@ -395,7 +395,7 @@ def seminorm_from_json(desc: dict) -> SeminormExpr:
     if kind == "abslinear":
         return AbsLinear(desc["coef"])
     if kind == "euclidean":
-        return Euclidean(int(desc["dim"]))
+        return Euclidean(_count(desc["dim"], "dim"))
     if kind == "max":
         return MaxOf(tuple(seminorm_from_json(c) for c in desc["children"]))
     if kind == "sum":

@@ -5,9 +5,8 @@ lives on a :class:`FiniteMetricSpace`: an indexed point set with a
 symmetric distance oracle.  A space stores what it was given: a distance
 matrix, or point coordinates (grids, point clouds) plus a standard metric,
 from which every distance is computed on demand with the same per-cell
-arithmetic.  Set operations are exact enumeration on indices; ball
-membership and set comparisons use plain float comparisons with zero
-tolerance.
+arithmetic.  A subset is a sorted index array with exact set operations;
+ball membership uses plain float comparisons with zero tolerance.
 """
 
 from __future__ import annotations
@@ -58,6 +57,16 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out
+
+
+def _count(val, name: str) -> int:
+    """A count field of a descriptor: a fraction or a negative number is
+    an error, not truncated or clamped."""
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"{name} must be an integer, got {val}")
+    if int(val) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {val}")
+    return int(val)
 
 
 def _check_bounds(start: float, stop: float) -> None:
@@ -348,52 +357,55 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True, eq=False)
 class PointSubset:
-    """Subset of a space's points, stored as an index set.
+    """Subset of a space's points, stored as a sorted index array.
 
-    Set claims (inclusion, disjointness, equality) are exact operations
-    on these index sets; no float tolerance is ever involved.
+    indices is read-only and strictly increasing.  Set claims look one such
+    array up in the other: exact integer comparisons, no float tolerance.
     """
 
     space: FiniteMetricSpace
-    members: frozenset[int]
+    indices: np.ndarray
 
     def __post_init__(self):
-        if self.members:
-            low, high = min(self.members), max(self.members)
-            if not (0 <= low and high < self.space.n):
-                raise ValueError(f"point index {low if low < 0 else high} out of range")
+        idx = np.asarray(self.indices, dtype=np.intp)
+        if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]):
+            raise ValueError("subset indices must be one strictly increasing array")
+        if idx.size and not (0 <= idx[0] and idx[-1] < self.space.n):
+            raise ValueError(f"point index {idx[0] if idx[0] < 0 else idx[-1]} out of range")
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
 
     @classmethod
     def of(cls, space: FiniteMetricSpace, indices: Iterable[int]) -> "PointSubset":
-        return cls(space, frozenset(int(i) for i in indices))
+        return cls(space, np.unique(np.fromiter(indices, dtype=np.intp)))
 
-    def sorted_indices(self) -> np.ndarray:
-        return np.array(sorted(self.members), dtype=np.int64)
+    def _found_in(self, other: "PointSubset") -> np.ndarray:
+        """Mask over indices: which of them other holds (two insertion points)."""
+        self._same_space(other)
+        lo, hi = (np.searchsorted(other.indices, self.indices, side) for side in ("left", "right"))
+        return hi > lo
 
     def issubset(self, other: "PointSubset") -> bool:
-        self._same_space(other)
-        return self.members <= other.members
+        return bool(self._found_in(other).all())
 
     def isdisjoint(self, other: "PointSubset") -> bool:
-        self._same_space(other)
-        return self.members.isdisjoint(other.members)
+        return not self._found_in(other).any()
 
     def intersection(self, other: "PointSubset") -> "PointSubset":
-        self._same_space(other)
-        return PointSubset(self.space, self.members & other.members)
+        return PointSubset(self.space, self.indices[self._found_in(other)])
 
     def _same_space(self, other: "PointSubset") -> None:
         if self.space is not other.space:
             raise ValueError("subsets live on different spaces")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.indices.size
 
     def __contains__(self, i: int) -> bool:
-        return i in self.members
+        return bool(np.searchsorted(self.indices, i, "right") > np.searchsorted(self.indices, i))
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        return iter(self.indices.tolist())
 
 
 def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
@@ -405,8 +417,7 @@ def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
         raise ValueError(f"center index {center} out of range")
     if not (eps >= 0.0):
         raise ValueError("ball radius must be nonnegative")
-    row = space.row(center)
-    return PointSubset(space, frozenset(np.flatnonzero(row <= eps).tolist()))
+    return PointSubset(space, np.flatnonzero(space.row(center) <= eps))
 
 
 def prefix_diameters(dist, order=None, stop: float = np.inf) -> np.ndarray:
@@ -521,7 +532,7 @@ def diam(subset: PointSubset) -> float:
     """
     if len(subset) == 0:
         raise ValueError("diameter of the empty set is undefined")
-    return float(subset.space.prefix_diameters(subset.sorted_indices())[-1])
+    return float(subset.space.prefix_diameters(subset.indices)[-1])
 
 
 def set_distance(a: PointSubset, b: PointSubset) -> float:
@@ -529,8 +540,7 @@ def set_distance(a: PointSubset, b: PointSubset) -> float:
     a._same_space(b)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("set distance needs non-empty subsets")
-    ia = a.sorted_indices()
-    ib = b.sorted_indices()
+    ia, ib = a.indices, b.indices
     step = max(1, _CHUNK_CELLS // ib.size)
     return float(min(a.space.block(ia[lo:lo + step], ib).min() for lo in range(0, ia.size, step)))
 
@@ -560,11 +570,12 @@ def space_from_json(desc: dict) -> FiniteMetricSpace:
         space.validate()
         return space
     if kind == "grid1d":
-        return FiniteMetricSpace.grid1d(params.get("start", 0.0), params.get("stop", 1.0), int(params["steps"]))
+        return FiniteMetricSpace.grid1d(params.get("start", 0.0), params.get("stop", 1.0),
+                                        _count(params["steps"], "steps"))
     if kind == "grid2d":
         return FiniteMetricSpace.grid2d(
-            (params["x"][0], params["x"][1], int(params["x"][2])),
-            (params["y"][0], params["y"][1], int(params["y"][2])),
+            (params["x"][0], params["x"][1], _count(params["x"][2], "x steps")),
+            (params["y"][0], params["y"][1], _count(params["y"][2], "y steps")),
             metric=metric,
         )
     if kind == "pointcloud":

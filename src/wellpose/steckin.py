@@ -317,9 +317,13 @@ class ConvexBody:
         else:
             # imported here, its one use: scipy.spatial takes about half a
             # second to import, and a segment or a point never needs it
-            from scipy.spatial import ConvexHull
+            from scipy.spatial import ConvexHull, QhullError
 
-            equations = ConvexHull(coords).equations
+            try:
+                equations = ConvexHull(coords).equations
+            except QhullError as exc:  # its message runs to a page; keep the first line
+                reason = str(exc).partition("\n")[0]
+                raise ValueError(f"qhull cannot hull the vertices: {reason}") from None
         return centre, basis, equations
 
     def contains(self, p) -> bool:
@@ -362,6 +366,14 @@ def polytope_body(vertices, n_samples: int = 2048, seed: int = 0) -> ConvexBody:
     verts = np.asarray(vertices, dtype=np.float64)
     if verts.ndim != 2 or min(verts.shape) < 1:
         raise ValueError("vertices must be a non-empty (k, d) array")
+    if not np.all(np.isfinite(verts)):
+        raise ValueError("body data must be finite")
+    # every sample lies in the vertices' bounding box, so, as for a
+    # FiniteMetricSpace, a finite distance across it keeps the mesh finite
+    with np.errstate(over="ignore"):
+        span = _pairwise(verts.max(axis=0)[None], verts.min(axis=0)[None], "euclidean")
+    if not np.isfinite(span[0]):
+        raise ValueError("polytope vertex distances overflow: the vertex spread is too wide")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(verts.shape[0]), size=max(n_samples - verts.shape[0], 0))
     sample = np.vstack([verts, weights @ verts]) if weights.size else verts.copy()

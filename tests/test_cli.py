@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,11 @@ def test_vime_rejects_bad_eps_grid(tmp_path):
     ["modulus", "--eps-grid", "0.1,nan"],
     ["vime", "--eps-grid", "-inf"],
     ["steckin", "--delta-grid", "0.1,inf"],
+    ["modulus", "--eps-grid", "0.1,abc"],
+    ["vime", "--eps-grid", ","],
+    ["perturb", "--eps", "abc"],
+    ["vime", "--steps", "ten"],
+    ["modulus", "--steps", "2.5"],
 ])
 def test_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -62,6 +68,15 @@ def test_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_perturb_with_a_given_eps(tmp_path):
+    # argparse applies type= to the text of --eps, never to its float default
+    out = tmp_path / "p"
+    assert cli.main(["perturb", "--eps", "0.25", "--out", str(out)]) == 0
+    report = _read(out / "perturb_report.json")
+    assert all(r["eps"] <= 0.25 and r["ok"] for r in report["density_runs"])
+    assert any(r["eps"] == 0.25 for r in report["density_runs"])
 
 
 @pytest.mark.parametrize("command", ["modulus", "vime"])
@@ -189,6 +204,58 @@ def test_steckin_huge_segment_or_witness(inst, message, tmp_path, capsys):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("verts, message", [
+    # the squared width overflows
+    ([[0, 0], [1e200, 0], [0, 1]], "the vertex spread is too wide"),
+    # finite but thin: qhull finds its initial simplex flat
+    ([[0, 0], [1e150, 0], [0, 1]], "qhull cannot hull the vertices"),
+])
+def test_steckin_polytope_qhull_cannot_hull(verts, message, tmp_path, capsys):
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps({"kind": "polytope", "vertices": verts, "n_samples": 64,
+                                     "mesh": 0.05, "witness_points": [[2.0, 2.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Warning" not in err
+
+
+def test_steckin_mesh_with_an_instance_is_a_usage_error(tmp_path, capsys):
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps(COARSE_INSTANCE))
+    code = cli.main(["steckin", "--instance", str(inst_file), "--mesh", "0.5",
+                     "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert '"mesh" field' in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_steckin_instance_with_a_seminorm_tree_base(tmp_path):
+    # the sup norm spelled out as a tree: max(|x|, |y|)
+    tree = {"kind": "max", "children": [{"kind": "abslinear", "coef": [1.0, 0.0]},
+                                        {"kind": "abslinear", "coef": [0.0, 1.0]}]}
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps(dict(COARSE_INSTANCE, base=tree)))
+    outs = [tmp_path / "s1", tmp_path / "s2"]
+    for out in outs:
+        assert cli.main(["steckin", "--instance", str(inst_file), "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "nu_final.json" in names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_text() == (outs[1] / name).read_text()
+    assert _read(outs[0] / "ledger.json")["success"]
+
+
+def test_steckin_unknown_base_name(tmp_path, capsys):
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps(dict(COARSE_INSTANCE, base="l7")))
+    code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "unknown base norm 'l7'" in capsys.readouterr().err
 
 
 def test_steckin_fractional_sample_count(tmp_path, capsys):

@@ -50,7 +50,7 @@ def _ref_cond1(fam, p, x, eps, grid):
     fp_x = float(fam.objective(p).values[x])
     if fp_x == np.inf:
         return (grid[0], {}, True)
-    ball_x = ball(fam.domain, x, eps).sorted_indices()
+    ball_x = ball(fam.domain, x, eps).indices
     prow = fam.params.space.row(p)
     witnesses, min_bad = {}, np.inf
     for q in np.flatnonzero(prow <= grid[0]):
@@ -137,7 +137,7 @@ def _ref_demo(fam, eps):
     left = {i for i in xs if 3 * i <= k}
     interior = {i for i in xs if k < 3 * i < 2 * k}
     right = {i for i in xs if 3 * i >= 2 * k}
-    omegas = [argmin_set(fam.objective(p), eps).members for p in range(fam.params.space.n)]
+    omegas = [set(argmin_set(fam.objective(p), eps)) for p in range(fam.params.space.n)]
     bad = tuple(p for p, om in enumerate(omegas) if not om.isdisjoint(interior))
     return omegas[0] <= left, omegas[-1] <= right, bad
 

@@ -300,6 +300,11 @@ class TestFiveR:
         with pytest.raises(PreconditionError):
             check_5r_lemma(fam, p=0, eps=0.1, r=0.2, delta_grid=(0.5, 0.1))
 
+    @pytest.mark.parametrize("r", [0.0, -0.2, float("nan")])
+    def test_a_radius_that_is_not_positive_raises(self, r):
+        with pytest.raises(ValueError, match="r must be positive"):
+            check_5r_lemma(vime_family(9, 9), p=0, eps=0.1, r=r, delta_grid=(0.1, 0.05))
+
     def test_bound_holds_on_vime(self):
         fam = vime_family(99, 99)
         rep = check_5r_lemma(fam, p=0, eps=0.1, r=0.2, delta_grid=(0.1, 0.05))
@@ -335,8 +340,8 @@ class TestSelectionGap:
         i3 = 3 * np.arange(k + 1)
         left_block = set(np.flatnonzero(i3 <= k).tolist())
         right_block = set(np.flatnonzero(i3 >= 2 * k).tolist())
-        assert argmin_set(fam.objective(0), 0.3).members <= left_block
-        assert argmin_set(fam.objective(k), 0.3).members <= right_block
+        assert set(argmin_set(fam.objective(0), 0.3)) <= left_block
+        assert set(argmin_set(fam.objective(k), 0.3)) <= right_block
 
     def test_domain_errors(self):
         fam = vime_family(99, 99)
@@ -431,6 +436,29 @@ class TestFamilyFromJson:
         # coefficient slope 2 per unit parameter, bump height 1
         assert fam.lipschitz_in_p == pytest.approx(2.0)
         assert np.allclose(fam.objective(2).values, 1.0)
+
+    @pytest.mark.parametrize("field, size", [("base", 9), ("bump", 11), ("coef", 4)])
+    def test_lipschitz_expr_shape_mismatch(self, field, size):
+        params = {
+            "domain": {"kind": "grid1d", "params": {"steps": 9}},
+            "param_space": {"kind": "grid1d", "params": {"steps": 4}},
+            "base": [0.0] * 10,
+            "bump": [1.0] * 10,
+            "coef": [0.0, 0.5, 1.0, 1.5, 2.0],
+        }
+        params[field] = [0.0] * size
+        with pytest.raises(ValueError, match="base/bump/coef shapes must match the spaces"):
+            family_from_json({"kind": "lipschitz_expr", "params": params})
+
+    @pytest.mark.parametrize("field", ["x_steps", "p_steps"])
+    def test_vime_counts_are_whole_and_nonnegative(self, field):
+        # int() would truncate 9.7 steps to 9
+        for bad, message in ((9.7, "must be an integer, got 9.7"),
+                             (-5, "must be nonnegative, got -5")):
+            with pytest.raises(ValueError, match=f"{field} {message}"):
+                family_from_json({"kind": "vime", "params": {"x_steps": 9, "p_steps": 9, field: bad}})
+        fam = family_from_json({"kind": "vime", "params": {"x_steps": 9.0, "p_steps": 9}})
+        assert fam.domain.n == fam.params.space.n == 10
 
     def test_lipschitz_expr_declared_constant_wins(self):
         desc = {

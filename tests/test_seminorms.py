@@ -554,6 +554,12 @@ class TestSerialization:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             seminorm_from_json({"kind": "mystery"})
+
+    def test_euclidean_dim_is_a_count(self):
+        for bad, message in ((2.5, "dim must be an integer, got 2.5"), (-1, "dim must be nonnegative")):
+            with pytest.raises(ValueError, match=message):
+                seminorm_from_json({"kind": "euclidean", "dim": bad})
+        assert seminorm_from_json({"kind": "euclidean", "dim": 3.0}).dim == 3
         with pytest.raises(ValueError):
             seminorm_from_json([1, 2, 3])
 

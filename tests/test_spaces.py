@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wellpose.objectives import ObjectiveFunction, argmin_set
 from wellpose.spaces import (
     FiniteMetricSpace,
     _pairwise,
@@ -253,7 +254,7 @@ class TestSubsetsAndBalls:
         b = PointSubset.of(sp, (1, 2, 3))
         assert not a.issubset(b)
         assert PointSubset.of(sp, (1, 2)).issubset(a)
-        assert tuple(a.intersection(b).sorted_indices()) == (1, 2)
+        assert tuple(a.intersection(b).indices) == (1, 2)
         assert not a.isdisjoint(b)
         assert list(a) == [0, 1, 2]
 
@@ -282,6 +283,69 @@ class TestSubsetsAndBalls:
         b = PointSubset.of(sp, (5, 10))
         assert set_distance(a, b) == sp.dist(1, 5)
 
+    def test_set_distance_of_an_empty_subset_raises(self):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 4)
+        for a, b in ((PointSubset.of(sp, ()), PointSubset.of(sp, (1,))),
+                     (PointSubset.of(sp, (1,)), PointSubset.of(sp, ()))):
+            with pytest.raises(ValueError, match="set distance needs non-empty subsets"):
+                set_distance(a, b)
+
+    @pytest.mark.parametrize("center, eps, message", [
+        (-1, 0.5, "center index -1 out of range"),
+        (5, 0.5, "center index 5 out of range"),
+        (2, -0.25, "ball radius must be nonnegative"),
+        (2, float("nan"), "ball radius must be nonnegative"),
+    ])
+    def test_ball_rejects_a_bad_center_or_radius(self, center, eps, message):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match=message):
+            ball(sp, center, eps)
+
+    def test_indices_are_one_read_only_sorted_array(self):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 9)
+        sub = PointSubset.of(sp, (7, 2, 2, 5))
+        assert sub.indices.dtype == np.intp and sub.indices.tolist() == [2, 5, 7]
+        with pytest.raises(ValueError, match="read-only"):
+            sub.indices[0] = 3
+        for bad in ([2, 2], [5, 2], [[1, 2]]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                PointSubset(sp, np.array(bad))
+        # no "members": a set comparison of two arrays would compare elementwise
+        assert not hasattr(sub, "members")
+
+    def test_large_lazy_subsets_stay_small(self):
+        # 400,001 members of a 1,000,001-point grid: two index arrays and
+        # one distance row, not a boxed Python int per member
+        tracemalloc.start()
+        try:
+            space = FiniteMetricSpace.grid1d(0.0, 1.0, 1_000_000)
+            f = ObjectiveFunction(space, np.abs(np.arange(space.n) - 500_000.0))
+            omega = argmin_set(f, 200_000.0)
+            width = diam(omega)
+            inside = omega.issubset(ball(space, 500_000, 0.25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(omega) == 400_001 and omega.indices[0] == 300_000
+        assert width == space.dist(300_000, 700_000) and inside
+        assert peak < 40_000_000
+
+
+_SUBSET_SPACE = FiniteMetricSpace.grid1d(0.0, 1.0, 23)
+_members = st.lists(st.integers(0, _SUBSET_SPACE.n - 1), max_size=30)
+
+
+@given(_members, _members, st.integers(-3, _SUBSET_SPACE.n + 3))
+def test_subset_operations_match_python_sets(a, b, probe):
+    sa, sb = PointSubset.of(_SUBSET_SPACE, a), PointSubset.of(_SUBSET_SPACE, b)
+    assert len(sa) == len(set(a)) and list(sa) == sorted(set(a))
+    assert all(type(i) is int for i in sa)
+    assert sa.issubset(sb) == (set(a) <= set(b))
+    assert sb.issubset(sa) == (set(b) <= set(a))
+    assert sa.isdisjoint(sb) == set(a).isdisjoint(b)
+    assert list(sa.intersection(sb)) == sorted(set(a) & set(b))
+    assert (probe in sa) == (probe in set(a))
+
 
 class TestSerialization:
     def test_grid_kinds_round_trip(self):
@@ -299,6 +363,27 @@ class TestSerialization:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             space_from_json({"kind": "mystery"})
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("grid1d", lambda k: {"steps": k}, "steps"),
+        ("grid2d", lambda k: {"x": [0, 1, k], "y": [0, 1, 2]}, "x steps"),
+        ("grid2d", lambda k: {"x": [0, 1, 2], "y": [0, 1, k]}, "y steps"),
+    ])
+    def test_grid_counts_are_whole_and_nonnegative(self, kind, params, name):
+        # int() would truncate 2.5 steps to 2
+        for bad, message in ((2.5, "must be an integer, got 2.5"), (-5, "must be nonnegative, got -5")):
+            with pytest.raises(ValueError, match=f"{name} {message}"):
+                space_from_json({"kind": kind, "params": params(bad)})
+        assert space_from_json({"kind": kind, "params": params(2.0)}).n == (3 if kind == "grid1d" else 9)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FiniteMetricSpace.grid1d(0.0, 1.0, 0),
+        lambda: FiniteMetricSpace.grid2d((0.0, 1.0, 0), (0.0, 1.0, 2)),
+        lambda: FiniteMetricSpace.grid2d((0.0, 1.0, 2), (0.0, 1.0, -1)),
+    ])
+    def test_grids_need_a_step(self, build):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            build()
 
     @pytest.mark.parametrize("metric", ["linf", "l1", "euclidean"])
     def test_non_finite_coordinates_are_rejected(self, metric):

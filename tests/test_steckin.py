@@ -184,6 +184,23 @@ class TestConvexBody:
         with pytest.raises(ValueError, match="non-empty"):
             polytope_body(np.zeros((2, 0)))  # vertices without coordinates
 
+    @pytest.mark.parametrize("verts", [[[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]],
+                                       [[0.0, np.nan], [1.0, 0.0], [0.0, 1.0]]])
+    def test_polytope_vertices_must_be_finite(self, verts):
+        with pytest.raises(ValueError, match="body data must be finite"):
+            polytope_body(verts, n_samples=16)
+
+    def test_an_overflowing_polytope_is_rejected_before_its_mesh(self):
+        # the squared 1e200 width overflows
+        with pytest.raises(ValueError, match="the vertex spread is too wide"):
+            polytope_body([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]], n_samples=16)
+
+    def test_a_hull_qhull_cannot_build_is_a_value_error(self):
+        # finite but so thin that qhull finds the initial simplex flat
+        body = polytope_body([[0.0, 0.0], [1e150, 0.0], [0.0, 1.0]], n_samples=16)
+        with pytest.raises(ValueError, match="qhull cannot hull the vertices"):
+            body.contains([0.0, 0.5])
+
 
 def _lp_contains(verts, p) -> bool:
     """The oracle: a feasible convex combination of the vertices, by LP."""
@@ -288,6 +305,17 @@ def test_fractional_counts_are_rejected(field):
     whole = steckin_instance_from_json(dict(desc, n_samples=40.0, seed=3.0))
     assert np.array_equal(whole.body.sample,
                           steckin_instance_from_json(dict(desc, n_samples=40, seed=3)).body.sample)
+
+
+@pytest.mark.parametrize("kind, field", [("polytope", "n_samples"), ("polytope", "seed"),
+                                         ("segment", "n_samples")])
+def test_negative_counts_are_rejected(kind, field):
+    # a polytope would sample max(-5 - 3, 0) extra points: its vertices alone
+    desc = {"kind": "polytope", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+    if kind == "segment":
+        desc = {"kind": "segment", "a": [0.0, 0.0], "b": [1.0, 0.0]}
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative, got -5"):
+        steckin_instance_from_json(dict(desc, witness_points=[[2.0, 2.0]], mesh=0.05, **{field: -5}))
 
 
 class TestSetDiameter:

@@ -100,7 +100,7 @@ class TestSublevelDiameters:
         for t, d in zip(grid, curve):
             omega = argmin_set(f, t)
             assert d == diam(omega)
-            assert d == _pair_max(space, omega.members)
+            assert d == _pair_max(space, omega.indices)
 
     def test_grid_order_is_free_and_ties_enter_together(self):
         space = FiniteMetricSpace.grid1d(0.0, 1.0, 4)
@@ -116,7 +116,7 @@ class TestSublevelDiameters:
         edge = 0.1 + 0.2
         f = ObjectiveFunction(space, np.array([0.1, 0.3, np.nextafter(edge, 1.0), edge]))
         curve = _space_curve(space, f.values, (0.2,))
-        assert argmin_set(f, 0.2).members == {0, 1, 3}
+        assert set(argmin_set(f, 0.2)) == {0, 1, 3}
         assert curve[0] == diam(argmin_set(f, 0.2)) == 1.0
         f2 = ObjectiveFunction(space, np.array([0.1, 0.3, edge, np.nextafter(edge, 1.0)]))
         assert _space_curve(space, f2.values, (0.2,))[0] == space.dist(0, 2)
@@ -149,7 +149,7 @@ def test_sublevel_sweep_against_enumeration(values, grid, seed, metric):
     space = FiniteMetricSpace.pointcloud(pts, metric=metric[0])
     f = ObjectiveFunction(space, values)
     for t, d in zip(grid, _space_curve(space, values, grid)):
-        assert d == _pair_max(space, argmin_set(f, t).members)
+        assert d == _pair_max(space, argmin_set(f, t).indices)
 
 
 class TestPrefixDiameters:
@@ -250,7 +250,7 @@ class TestSpreadPath:
         grid = (0.25, 0.5, 1.0, 2.5, 10.0)
         curve = wellposedness_modulus(f, grid)
         for t, d in zip(grid, curve.diam_values):
-            assert d == _pair_max(space, argmin_set(f, t).members)
+            assert d == _pair_max(space, argmin_set(f, t).indices)
         finite = int(np.count_nonzero(np.isfinite(f.values)))
         assert len(argmin_set(f, 10.0)) == finite < space.n  # +inf never enters
         hit, t = mn_membership(f, g, 1, grid)
@@ -388,7 +388,7 @@ class TestBatchedSweep:
         for values, curve in zip(rows, curves):
             assert _bits(curve) == _bits(_space_curve(space, values, BATCH_GRID))
             f = ObjectiveFunction(space, values)
-            assert curve.tolist() == [_pair_max(space, argmin_set(f, t).members) for t in BATCH_GRID]
+            assert curve.tolist() == [_pair_max(space, argmin_set(f, t).indices) for t in BATCH_GRID]
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_a_block_of_orders_equals_one_order_at_a_time(self, kind, rng):
@@ -470,7 +470,7 @@ def _loop_5r(fam, p, r, grid):
         q_diams = {}
         for q in np.flatnonzero(prow <= delta):
             omega = argmin_set(fam.objective(int(q)), delta)
-            q_diams[int(q)] = _pair_max(fam.domain, omega.members)
+            q_diams[int(q)] = _pair_max(fam.domain, omega.indices)
             if not q_diams[int(q)] < 5.0 * r:
                 break
         else:
@@ -515,7 +515,7 @@ class TestParametricSweeps:
             for eps in (0.05, 0.3):
                 grid = default_delta_grid(fam, eps, octaves=6)
                 for p in range(0, fam.params.space.n, 4):
-                    base = _pair_max(fam.domain, argmin_set(fam.objective(p), eps).members)
+                    base = _pair_max(fam.domain, argmin_set(fam.objective(p), eps).indices)
                     for r in (1.01 * base + 1e-3, 1.5 * base + 0.05):
                         rep = check_5r_lemma(fam, p, eps, r, grid)
                         delta, q_diams = _loop_5r(fam, p, r, grid)
