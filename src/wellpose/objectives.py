@@ -35,9 +35,6 @@ __all__ = [
     "sup_norm",
 ]
 
-# cells of the gathered (k, members) block of one ball_min chunk (8 MiB)
-_BALL_CELLS = 1 << 20
-
 
 def _as_values(obj, space: FiniteMetricSpace) -> np.ndarray:
     """Accept an ObjectiveFunction-like (has .values/.space) or an array."""
@@ -182,21 +179,16 @@ def ball_min(space: FiniteMetricSpace, rows: np.ndarray, eps: float) -> np.ndarr
     start at lo and end at hi.  Only the current level is kept, so memory
     stays O(k n), and the work is O(k n log n).
 
-    Every other space gathers the balls: for a chunk of points x, the
-    flat nonzero positions of the mask block(x) <= eps list each ball's
-    members in point order, the member columns of ``rows`` are gathered
-    into one (k, members) block, and np.minimum.reduceat reduces each
-    ball's segment of it, which starts at the first member in its mask
-    row.  No segment is empty, because every point lies in its own ball:
-    d(x, x) = 0 <= eps exactly (the coordinate kernel subtracts equal
-    numbers, and a matrix space's diagonal is checked to be zero), and
-    reduceat would read an empty segment as its start element.  With
-    k' = max(k, 1), a chunk holds max(1, _BALL_CELLS // (k' n)) points, so
-    its gathered block holds at most max(_BALL_CELLS, k' n) cells and its
-    distance block and mask a k'-th of that: temporaries stay
-    O(_BALL_CELLS + k' n) cells beside the (k, n) result.  The work is
-    O(n^2 + k m) for m ball members in all.  Min is exact in any order,
-    so both paths equal the one-row enumeration bit for bit.
+    Every other space reads its ball table (see
+    FiniteMetricSpace._ball_table): for each chunk of centres, sorted by
+    descending ball size, level b lists the b-th member of every ball with
+    more than b members, and those balls are the first ones.  The minimum
+    starts from level 0, each ball's first member, and folds in each
+    level's members over the prefix of balls that reach it.  The work is
+    O(k m) for m ball members in all, and each temporary holds at most
+    k n cells beside the (k, n) result.  The space keeps a small table,
+    so a repeated radius skips the O(n^2) distance mask.  Min is exact in
+    any order, so both paths equal the one-row enumeration bit for bit.
     """
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
@@ -208,13 +200,12 @@ def ball_min(space: FiniteMetricSpace, rows: np.ndarray, eps: float) -> np.ndarr
     if runs is not None:
         return _run_min(rows, *runs)
     out = np.empty((k, n))
-    step = max(1, _BALL_CELLS // (max(k, 1) * n))
-    for lo in range(0, n, step):
-        m = min(step, n - lo)
-        # flat positions c n + y of the chunk's ball members, in point order
-        members = np.flatnonzero(space.block(np.arange(lo, lo + m)) <= eps)
-        starts = np.searchsorted(members, np.arange(0, m * n, n))
-        out[:, lo:lo + m] = np.minimum.reduceat(rows[:, members % n], starts, axis=1)
+    for centres, levels in space._ball_table(eps):
+        acc = rows.take(levels[0], axis=1)
+        for level in levels[1:]:
+            head = acc[:, :level.size]
+            np.minimum(head, rows.take(level, axis=1), out=head)
+        out[:, centres] = acc
     return out
 
 

@@ -526,9 +526,10 @@ def check_sum_epi(fam: ParametricFamily, g_fam, p: int, eps: float, delta_grid) 
         gq = g_fam.values[qs[dist <= delta]]
         # max_{y in B_delta(x)} |g_q(y) - g_p(x)| is the larger of
         # (ball max of g_q) - g_p(x) and g_p(x) - (ball min of g_q): rounded
-        # subtraction is monotone, so this is exact
-        hi = -ball_min(fam.domain, -gq, delta)
-        lo = ball_min(fam.domain, gq, delta)
+        # subtraction is monotone, so this is exact; one call reduces both,
+        # the ball max as minus the ball min of -g_q
+        both = ball_min(fam.domain, np.vstack([-gq, gq]), delta)
+        hi, lo = -both[:len(gq)], both[len(gq):]
         if np.all(np.maximum(hi - gp, gp - lo) < eps):
             gcont_delta = delta
             break

@@ -32,6 +32,9 @@ __all__ = [
 _CHUNK_CELLS = 1 << 15
 # cells per chunk of sweep rows when their coordinates are gathered
 _GATHER_CELLS = 1 << 20
+# cells of the (centres, n) mask of one ball-table chunk, and the most
+# members a space keeps a ball table of
+_BALL_CELLS = 1 << 20
 
 _METRICS = ("euclidean", "linf", "l1")
 
@@ -136,6 +139,8 @@ class FiniteMetricSpace:
         # a linf distance is max_k |c_k(x) - c_k(y)| with _pairwise's own
         # roundings, so the coordinates are a spread array for prefix_diameters
         self._spread = self._matrix is None and metric == "linf"
+        # (eps, chunks) of the last ball table small enough to keep
+        self._balls = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -260,6 +265,50 @@ class FiniteMetricSpace:
             hi_guess = np.searchsorted(s, s + eps, side="right") - 1
         return order, run_end(lo_guess, -1), run_end(hi_guess, self.n)
 
+    def _ball_table(self, eps: float) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+        """Every closed eps-ball in jagged-diagonal storage, by chunks of centres.
+
+        Yields (centres, levels) for each chunk of _BALL_CELLS // n points
+        (one at least).  centres holds the chunk's points sorted stably by
+        descending ball size; levels[b] holds the b-th member, in point
+        order, of the balls around centres[:levels[b].size], the centres
+        whose ball has more than b members.  A ball's members are the
+        points where block(centre) <= eps, as in :func:`ball`; every point
+        lies in its own ball (d(x, x) = 0 exactly: the coordinate kernel
+        subtracts equal numbers, and a matrix space's diagonal is checked
+        to be zero), so levels[0] covers every centre.  eps must be >= 0.
+
+        The space keeps the table of the last radius asked for if it holds
+        at most _BALL_CELLS members in all, once the build has been read to
+        the end; a larger table is rebuilt, one chunk at a time, on each call.
+        """
+        kept = self._balls
+        if kept is not None and kept[0] == eps:
+            yield from kept[1]
+            return
+        chunks, members = [], 0
+        step = max(1, _BALL_CELLS // self.n)
+        for lo in range(0, self.n, step):
+            mask = self.block(np.arange(lo, min(lo + step, self.n))) <= eps
+            size = np.count_nonzero(mask, axis=1)
+            rank = np.argsort(-size, kind="stable")
+            size = size[rank]
+            row, col = np.nonzero(mask[rank])
+            # the member at depth b of the ball at rank r goes to level b,
+            # position r: the balls deeper than b are the first ranks
+            depth = np.arange(col.size) - np.repeat(np.cumsum(size) - size, size)
+            width = np.bincount(depth)
+            start = np.cumsum(width) - width
+            flat = np.empty_like(col)
+            flat[start[depth] + row] = col
+            chunk = (lo + rank, np.split(flat, start[1:]))
+            members += col.size
+            if members <= _BALL_CELLS:
+                chunks.append(chunk)
+            yield chunk
+        if members <= _BALL_CELLS:
+            self._balls = (eps, chunks)
+
     def prefix_diameters(self, order) -> np.ndarray:
         """Running diameter of the points in ``order`` as each one enters.
 
@@ -367,7 +416,11 @@ class PointSubset:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = np.asarray(self.indices)
+        # a cast would truncate fractions and read a bool mask as indices 0 and 1
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]):
             raise ValueError("subset indices must be one strictly increasing array")
         if idx.size and not (0 <= idx[0] and idx[-1] < self.space.n):
@@ -377,7 +430,8 @@ class PointSubset:
 
     @classmethod
     def of(cls, space: FiniteMetricSpace, indices: Iterable[int]) -> "PointSubset":
-        return cls(space, np.unique(np.fromiter(indices, dtype=np.intp)))
+        """Subset of integer indices in any order, repeats allowed."""
+        return cls(space, np.unique(np.array(list(indices))))
 
     def _found_in(self, other: "PointSubset") -> np.ndarray:
         """Mask over indices: which of them other holds (two insertion points)."""

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
 from wellpose.instances import random_lipschitz_family
@@ -264,6 +266,19 @@ def _enumerated_ball_min(space, rows, eps):
     return out
 
 
+def _count_blocks(monkeypatch):
+    """The row count of every FiniteMetricSpace.block call from now on."""
+    calls = []
+    real_block = FiniteMetricSpace.block
+
+    def block(space, idx, cols=None):
+        calls.append(len(idx))
+        return real_block(space, idx, cols)
+
+    monkeypatch.setattr(FiniteMetricSpace, "block", block)
+    return calls
+
+
 def _params(fam):
     n = fam.params.space.n
     return sorted({0, n // 3, n // 2, n - 1})
@@ -286,8 +301,8 @@ class TestAgainstTheLoops:
     def test_ball_min_on_a_line_equals_the_enumeration_and_the_masked_path(self):
         rng = np.random.default_rng(7)
         for name, space in _line_spaces(rng).items():
-            # a matrix space of the same distances takes the gather path (the
-            # test keeps its name from the masked path that the gather replaced)
+            # a matrix space of the same distances reads a ball table (the
+            # test keeps its name from the masked path that the table replaced)
             matrix = FiniteMetricSpace.from_matrix(space.block(np.arange(space.n)))
             rows = _tied_rows(space, rng)
             for eps in _radii(space, rng):
@@ -328,7 +343,7 @@ class TestAgainstTheLoops:
             ball_min(space, _tied_rows(space, rng), 0.5)
         certify_uniform_epi(fam, 10, 0.3, default_delta_grid(fam, 0.3))
         assert calls["block"] == 0 and calls["runs"] and all(calls["runs"])
-        # a plane, and a matrix space even of a line, take the gather path
+        # a plane, and a matrix space even of a line, read a ball table
         calls["runs"].clear()
         for space in (FiniteMetricSpace.pointcloud(rng.normal(size=(30, 2)), metric="linf"),
                       FiniteMetricSpace.from_matrix(fam.domain.block(np.arange(fam.domain.n)))):
@@ -368,29 +383,59 @@ class TestAgainstTheLoops:
                                           want.reshape(k, space.n)), (name, k, eps)
 
     def test_the_gather_in_several_chunks(self, monkeypatch):
-        from wellpose import objectives
+        from wellpose import spaces
 
         rng = np.random.default_rng(13)
-        space = FiniteMetricSpace.pointcloud(rng.uniform(-3.0, 3.0, size=(300, 2)), metric="linf")
-        # k n above the budget: one point per chunk; 40 rows: chunks of
-        # several points, the last one short
-        for k in (objectives._BALL_CELLS // space.n + 1, 40):
-            step = max(1, objectives._BALL_CELLS // (k * space.n))
-            assert step < space.n and (k * space.n > objectives._BALL_CELLS or space.n % step)
-            rows = _tied_rows(space, rng, k)
-            for eps in (0.0, 0.3, 2.0):
-                assert np.array_equal(ball_min(space, rows, eps),
-                                      _enumerated_ball_min(space, rows, eps)), (k, eps)
+        # chunks of budget // n centres: one centre at 64, several at 1000
+        # and 2048, mostly with the last chunk short; fresh spaces for each
+        # budget, so that no table kept under another budget skips the
+        # chunked build
+        short = 0
         for budget in (64, 1000, 2048):
-            monkeypatch.setattr(objectives, "_BALL_CELLS", budget)
+            monkeypatch.setattr(spaces, "_BALL_CELLS", budget)
             for name, space in _cloud_spaces(rng).items():
+                step = max(1, budget // space.n)
+                assert step < space.n
+                short += step > 1 and space.n % step > 0
+                assert len(list(space._ball_table(0.0))) == -(-space.n // step)
                 rows = _tied_rows(space, rng, 3)
                 for eps in _radii(space, rng):
                     assert np.array_equal(ball_min(space, rows, eps),
                                           _enumerated_ball_min(space, rows, eps)), (budget, name, eps)
+        assert short >= 10
+
+    def test_a_repeated_radius_reuses_the_ball_table(self, monkeypatch):
+        calls = _count_blocks(monkeypatch)
+        rng = np.random.default_rng(16)
+        space = FiniteMetricSpace.pointcloud(rng.normal(size=(40, 2)), metric="euclidean")
+        rows = rng.normal(size=(3, 40))
+        first = ball_min(space, rows, 0.5)
+        assert calls == [40]
+        assert np.array_equal(ball_min(space, rows[1:], 0.5), first[1:]) and calls == [40]
+        # the table of another radius takes its place
+        ball_min(space, rows, 0.7)
+        assert np.array_equal(ball_min(space, rows, 0.5), first) and calls == [40, 40, 40]
+
+    def test_a_table_over_the_budget_is_not_kept(self, monkeypatch):
+        from wellpose import spaces
+
+        monkeypatch.setattr(spaces, "_BALL_CELLS", 100)
+        calls = _count_blocks(monkeypatch)
+        rng = np.random.default_rng(17)
+        space = FiniteMetricSpace.pointcloud(rng.normal(size=(30, 2)), metric="l1")
+        rows = rng.normal(size=(2, 30))
+        want = np.repeat(rows.min(axis=1)[:, None], 30, axis=1)
+        # 900 members at eps = inf: ten chunks of three centres on each call
+        for _ in range(2):
+            assert np.array_equal(ball_min(space, rows, np.inf), want)
+        assert calls == [3] * 20 and space._balls is None
+        # 30 members at eps = 0 (distinct points): built once, then kept
+        for _ in range(2):
+            assert np.array_equal(ball_min(space, rows, 0.0), rows)
+        assert calls == [3] * 30 and space._balls[0] == 0.0
 
     def test_the_gather_stays_within_its_cell_budget(self):
-        from wellpose import objectives
+        from wellpose import spaces
 
         rng = np.random.default_rng(14)
         space = FiniteMetricSpace.pointcloud(rng.uniform(-3.0, 3.0, size=(400, 2)), metric="linf")
@@ -403,7 +448,7 @@ class TestAgainstTheLoops:
             tracemalloc.stop()
         assert np.array_equal(out, np.repeat(rows.min(axis=1)[:, None], 400, axis=1))
         # one gather of every ball at once would hold 64 x 400 x 400 cells, 82 MB
-        assert peak < 3 * 8 * objectives._BALL_CELLS
+        assert peak < 3 * 8 * spaces._BALL_CELLS
 
     def test_cond1_at_every_anchor(self):
         for fam in _families():
@@ -594,8 +639,16 @@ class TestAgainstTheLoops:
                             16, 0.3, grid)
         assert rep.gcont_delta is None and rep.epi is None and not rep.ok
 
-    def test_sum_epi_on_planes_like_the_loop(self):
-        # the precheck's ball max is a negated ball min on the gather path
+    def test_sum_epi_on_planes_like_the_loop(self, monkeypatch):
+        # the precheck's ball max is a negated ball min on the ball-table
+        # path, taken in the same ball_min call as the ball min
+        from wellpose import parametric
+
+        calls = []
+        monkeypatch.setattr(parametric, "ball_min",
+                            lambda space, rows, eps: calls.append(eps) or ball_min(space, rows, eps))
+        monkeypatch.setattr(parametric, "certify_uniform_epi",
+                            lambda *args: calls.append("certify") or certify_uniform_epi(*args))
         rng = np.random.default_rng(16)
         pspace = FiniteMetricSpace.grid1d(0.0, 1.0, 6)
         grid = (0.3, 0.2, 0.125, 0.05)
@@ -606,9 +659,16 @@ class TestAgainstTheLoops:
             fam = ParametricFamily(ParameterGrid(pspace), domain, rng.normal(size=(7, 25)))
             g = PerturbationFamily(pspace, domain, rng.integers(-3, 4, size=(7, 25)) * 0.05)
             for p in range(7):
+                calls.clear()
                 rep = check_sum_epi(fam, g, p, 0.3, grid)
                 assert rep.gcont_delta == _ref_gcont(fam, g, p, 0.3, grid), (metric, p)
                 seen.add(rep.gcont_delta)
+                # one call per radius tried, then the summed family's certificate
+                if rep.gcont_delta is None:
+                    assert tuple(calls) == grid, (metric, p)
+                else:
+                    tried = grid[:grid.index(rep.gcont_delta) + 1]
+                    assert tuple(calls[:calls.index("certify")]) == tried, (metric, p)
         assert None in seen and len(seen) > 2
 
     @pytest.mark.parametrize("pts, eps", [
@@ -669,6 +729,35 @@ class TestAgainstTheLoops:
                     worst = max(worst, abs(float(coef[i] - coef[j])) / float(row[j]))
         assert fam.lipschitz_in_p == worst * float(np.max(np.abs(bump)))
         assert np.array_equal(fam.values, [bump * c for c in coef])
+
+
+# 0, the smallest subnormal (only duplicates share a ball), a distance of
+# the quarter-spaced points (a boundary under linf and l1), and inf
+_TABLE_RADII = (0.0, 5e-324, 0.5, np.inf)
+
+
+@given(metric=st.sampled_from(["linf", "l1", "euclidean", "matrix"]),
+       points=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 1)),
+                       min_size=1, max_size=40),
+       dim=st.sampled_from([2, 3]),
+       calls=st.lists(st.tuples(st.sampled_from(_TABLE_RADII), st.sampled_from([0, 1, 5])),
+                      min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_ball_table_equals_the_enumeration_call_after_call(metric, points, dim, calls, seed):
+    # quarter-spaced points, duplicates likely; the matrix space stores the l1 distances
+    coords = np.array(points, dtype=np.float64)[:, :dim] / 4.0
+    if metric == "matrix":
+        plane = FiniteMetricSpace.pointcloud(coords, metric="l1")
+        space = FiniteMetricSpace.from_matrix(plane.block(np.arange(plane.n)))
+    else:
+        space = FiniteMetricSpace.pointcloud(coords, metric=metric)
+    rng = np.random.default_rng(seed)
+    # repeated and interleaved radii on one space: kept tables, replaced tables
+    for eps, k in calls:
+        rows = _tied_rows(space, rng, k)
+        want = _enumerated_ball_min(space, rows, eps)
+        for _ in range(2):
+            assert np.array_equal(ball_min(space, rows, eps), want), (eps, k)
 
 
 # ----------------------------------------------------------------------

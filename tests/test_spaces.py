@@ -313,6 +313,21 @@ class TestSubsetsAndBalls:
         # no "members": a set comparison of two arrays would compare elementwise
         assert not hasattr(sub, "members")
 
+    def test_fractional_indices_raise(self):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 9)
+        with pytest.raises(ValueError, match="must be integers"):
+            PointSubset(sp, np.array([0.5, 1.7]))
+
+    def test_of_rejects_values_that_are_not_whole_numbers(self):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 9)
+        with pytest.raises(ValueError, match="must be integers"):
+            PointSubset.of(sp, [0.5, 2.9])
+
+    def test_a_bool_mask_is_not_read_as_indices(self):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="must be integers"):
+            PointSubset(sp, np.array([False, True]))
+
     def test_large_lazy_subsets_stay_small(self):
         # 400,001 members of a 1,000,001-point grid: two index arrays and
         # one distance row, not a boxed Python int per member
