@@ -3,12 +3,15 @@
 
 Usage: python3 scripts/cli_snapshot.py OUTDIR [COMMAND ...]
 
-Each command (default: vime, modulus, perturb, steckin, steckin_l1,
-steckin_euclidean, verify) runs in a fresh interpreter against the
-``src`` tree of the checkout this script belongs to, with OUTDIR as
-working directory and ``--out COMMAND``.  Its stdout, stderr and exit
-code go to COMMAND/console.txt beside the files it writes.  steckin_l1
-and steckin_euclidean run ``steckin`` on the instance files beside this
+Each command (default: vime, vime_steps10, vime_steps11, modulus,
+perturb, steckin, steckin_l1, steckin_euclidean, verify) runs in a fresh
+interpreter against the ``src`` tree of the checkout this script belongs
+to, with OUTDIR as working directory and ``--out COMMAND``.  Its stdout,
+stderr and exit code go to COMMAND/console.txt beside the files it
+writes.  vime_steps10 and vime_steps11 run ``vime --steps 10`` and
+``--steps 11``, whose step counts leave remainders 1 and 2 mod 3, so the
+ends of the middle third fall between grid points.  steckin_l1 and
+steckin_euclidean run ``steckin`` on the instance files beside this
 script: an l1 polytope and a euclidean segment.  Paths in the outputs
 are relative, so two checkouts compare with one ``diff -r``:
 
@@ -28,6 +31,8 @@ SRC = HERE.parent / "src"
 # snapshot name -> CLI arguments before --out
 RUNS = {
     "vime": ["vime"],
+    "vime_steps10": ["vime", "--steps", "10"],
+    "vime_steps11": ["vime", "--steps", "11"],
     "modulus": ["modulus"],
     "perturb": ["perturb"],
     "steckin": ["steckin"],

@@ -67,7 +67,8 @@ class ParametricFamily:
     """One proper objective per parameter, all on a shared domain.
 
     values is the read-only (n_params, n_points) table, row p holding f_p;
-    every row is proper (no NaN or -inf, some finite value).
+    every row is proper (no NaN or -inf, some finite value).  row_min is
+    the read-only (n_params,) array of row minima inf f_p, kept once.
     ``lipschitz_in_p`` (optional) asserts sup_x |f_p(x) - f_q(x)| <= L * mu(p, q)
     and unlocks an analytic delta fast path that searches cross-check.
     """
@@ -77,10 +78,14 @@ class ParametricFamily:
     values: np.ndarray
     lipschitz_in_p: float | None = None
     meta: dict = field(default_factory=dict)
+    row_min: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = (self.params.space.n, self.domain.n)
         object.__setattr__(self, "values", proper_table(self.values, shape))
+        row_min = self.values.min(axis=1)
+        row_min.setflags(write=False)
+        object.__setattr__(self, "row_min", row_min)
 
     def objective(self, p: int) -> ObjectiveFunction:
         return ObjectiveFunction(self.domain, self.values[p])
@@ -156,8 +161,8 @@ def _largest_delta(grid: tuple[float, ...], dist: np.ndarray, good: np.ndarray) 
 
 
 def value_function(fam: ParametricFamily) -> np.ndarray:
-    """V(p) = inf_x f_p(x) per parameter index."""
-    return fam.values.min(axis=1)
+    """V(p) = inf_x f_p(x) per parameter index (the family's read-only row_min)."""
+    return fam.row_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +415,7 @@ def argmin_usc(fam: ParametricFamily, p: int, eps: float, delta_grid) -> UscRepo
     vals = fam.values[qs]
     # argmin_set(f_q, delta) ⊆ B_eps(x_p) iff f_q > inf f_q + delta off the ball
     outside = vals[:, fam.domain.row(x_p) > eps].min(axis=1, initial=np.inf)
-    j = _largest_delta(grid, dist, outside[:, None] > vals.min(axis=1)[:, None] + np.asarray(grid))
+    j = _largest_delta(grid, dist, outside[:, None] > fam.row_min[qs, None] + np.asarray(grid))
     return UscReport(p=p, eps=eps, x_p=x_p, delta=None if j is None else grid[j])
 
 
@@ -465,25 +470,31 @@ def no_continuous_selection_demo(fam: ParametricFamily, eps: float) -> Selection
     """Verify the three block claims for the vime family at one eps.
 
     Requires eps in (0, 1/2) (a domain error otherwise) and a family
-    built by vime_family.  Claims: the eps-argmin at p=0 stays in the
-    left third, at p=1 in the right third, and for every p it misses the
-    open middle third entirely, so any selection of near-minimizers
-    must jump across a gap of width 1/3 somewhere.
+    built by vime_family, whose meta x_steps is the domain's step count.
+    Claims: the eps-argmin at p=0 stays in the left third, at p=1 in the
+    right third, and for every p it misses the open middle third
+    entirely, so any selection of near-minimizers must jump across a gap
+    of width 1/3 somewhere.
     """
     if fam.meta.get("kind") != "vime":
         raise ValueError("demo requires a family built by vime_family")
+    k = fam.domain.n - 1
+    if fam.meta.get("x_steps") != k:
+        raise ValueError(f"family meta x_steps {fam.meta.get('x_steps')!r} does not match "
+                         f"the domain's {k} steps")
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    # blocks by integer comparison: left i/k <= 1/3, right i/k >= 2/3
-    k = fam.meta["x_steps"]
-    i3 = 3 * np.arange(k + 1)
-    # row p is argmin_set(f_p, eps): f_p(x) <= inf f_p + eps
-    near = fam.values <= fam.values.min(axis=1, keepdims=True) + eps
-    bad_p = np.flatnonzero(near[:, (i3 > k) & (i3 < 2 * k)].any(axis=1))
+    # the eps-argmin of f_p is {x : f_p(x) <= inf f_p + eps}; it meets a run
+    # of points iff the run's minimum is <= inf f_p + eps (a min is exact).
+    # Blocks by integer comparison: left 3i <= k, middle k < 3i < 2k (the
+    # run lo:hi, empty for k = 3), right 3i >= 2k
+    lo, hi = k // 3 + 1, (2 * k + 2) // 3
+    vals, cut = fam.values, fam.row_min + eps
+    bad_p = np.flatnonzero(vals[:, lo:hi].min(axis=1, initial=np.inf) <= cut)
     return SelectionGapReport(
         eps=eps,
-        left_ok=not near[0, i3 > k].any(),
-        right_ok=not near[-1, i3 < 2 * k].any(),
+        left_ok=bool(vals[0, lo:].min(initial=np.inf) > cut[0]),
+        right_ok=bool(vals[-1, :hi].min(initial=np.inf) > cut[-1]),
         gap_ok=bad_p.size == 0,
         gap_interval=(1.0 / 3.0, 2.0 / 3.0),
         bad_p=tuple(bad_p.tolist()),

@@ -408,8 +408,11 @@ class FiniteMetricSpace:
 class PointSubset:
     """Subset of a space's points, stored as a sorted index array.
 
-    indices is read-only and strictly increasing.  Set claims look one such
-    array up in the other: exact integer comparisons, no float tolerance.
+    indices is read-only and strictly increasing, and the subset owns it:
+    the constructor copies what it is given, so neither the caller's array
+    nor any array it shares memory with can change the subset later.  Set
+    claims look one such array up in the other: exact integer comparisons,
+    no float tolerance.
     """
 
     space: FiniteMetricSpace
@@ -420,7 +423,7 @@ class PointSubset:
         # a cast would truncate fractions and read a bool mask as indices 0 and 1
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
-        idx = idx.astype(np.intp, copy=False)
+        idx = idx.astype(np.intp)  # a copy, checked below and never shared
         if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]):
             raise ValueError("subset indices must be one strictly increasing array")
         if idx.size and not (0 <= idx[0] and idx[-1] < self.space.n):

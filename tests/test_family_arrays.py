@@ -211,6 +211,25 @@ def _families():
         yield _random_table_family(seed)
 
 
+# (rows, x, demo answer at eps = 0.2) for vime_family(30, 12) with point x
+# of each listed row lowered to that row's minimum, which puts x in the
+# row's eps-argmin
+_BENT = [
+    ([4, 9], 12, (True, True, (4, 9))),  # interior points join two rows
+    ([0], 10, (True, True, ())),  # the left block's closing point 3x = k
+    ([0], 11, (False, True, (0,))),  # the first interior point
+    ([-1], 20, (True, True, ())),  # the right block's opening point 3x = 2k
+    ([-1], 19, (True, False, (12,))),  # the last interior point
+]
+
+
+def _bent(rows, x, x_steps=30):
+    fam = vime_family(x_steps, 12)
+    vals = np.array(fam.values)
+    vals[rows, x] = vals[rows].min(axis=1)
+    return ParametricFamily(fam.params, fam.domain, vals, meta=fam.meta)
+
+
 def _line_spaces(rng):
     """1-D coordinate spaces for the interval path, by name."""
     ticks = rng.integers(0, 12, size=40) / 4.0  # unsorted, many duplicates
@@ -594,27 +613,64 @@ class TestAgainstTheLoops:
             want = [float(np.min(fam.objective(p).values)) for p in range(fam.params.space.n)]
             assert value_function(fam).tolist() == want
 
+    def test_row_min_is_the_row_minimum_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        fams = list(_families())
+        fams += [fam.add_perturbation(PerturbationFamily(
+            fam.params.space, fam.domain, rng.integers(-3, 4, size=fam.values.shape) * 0.125))
+            for fam in fams]
+        fams += [_bent(rows, x) for rows, x, _ in _BENT]
+        for fam in fams:
+            assert fam.row_min.tobytes() == fam.values.min(axis=1).tobytes()
+            assert not fam.row_min.flags.writeable
+
+    def test_value_function_rejects_a_write(self):
+        fam = vime_family(30, 12)
+        with pytest.raises(ValueError, match="read-only"):
+            value_function(fam)[0] = 1.0
+        assert value_function(fam)[0] == -1.0
+
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3, 0.4, 0.49])
     def test_selection_demo(self, eps):
-        for fam in (vime_family(99, 99), vime_family(30, 12)):
+        # k = 3..11 covers each residue of k mod 3 and, at k = 3, an empty middle third
+        for fam in (vime_family(99, 99), vime_family(30, 12),
+                    *(vime_family(k, 12) for k in range(3, 12))):
             rep = no_continuous_selection_demo(fam, eps)
             assert (rep.left_ok, rep.right_ok, rep.bad_p) == _ref_demo(fam, eps)
 
-    @pytest.mark.parametrize("rows, x, want", [
-        ([4, 9], 12, (True, True, (4, 9))),  # interior points join two rows
-        ([0], 10, (True, True, ())),  # the left block's closing point 3x = k
-        ([0], 11, (False, True, (0,))),  # the first interior point
-        ([-1], 20, (True, True, ())),  # the right block's opening point 3x = 2k
-        ([-1], 19, (True, False, (12,))),  # the last interior point
-    ])
+    @pytest.mark.parametrize("rows, x, want", _BENT)
     def test_selection_demo_on_bent_rows(self, rows, x, want):
-        # lowering a point to its row's minimum puts it in the eps-argmin
-        fam = vime_family(30, 12)
-        vals = np.array(fam.values)
-        vals[rows, x] = vals[rows].min(axis=1)
-        bent = ParametricFamily(fam.params, fam.domain, vals, meta=fam.meta)
+        bent = _bent(rows, x)
         rep = no_continuous_selection_demo(bent, 0.2)
         assert (rep.left_ok, rep.right_ok, rep.bad_p) == want == _ref_demo(bent, 0.2)
+
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_selection_demo_with_any_one_point_bent(self, k):
+        # every point of an end row and of a middle row in turn, so each
+        # block boundary is crossed at each residue of k mod 3
+        seen = set()
+        for rows in ([0], [6], [-1]):
+            for x in range(k + 1):
+                bent = _bent(rows, x, k)
+                rep = no_continuous_selection_demo(bent, 0.2)
+                got = (rep.left_ok, rep.right_ok, rep.bad_p)
+                assert got == _ref_demo(bent, 0.2)
+                seen.add(got)
+        outside = {(True, True, ()), (False, True, ()), (True, False, ())}
+        inside = {(True, True, (6,)), (False, True, (0,)), (True, False, (12,))}
+        assert seen == (outside if k == 3 else outside | inside)  # k = 3: no middle point
+
+    def test_the_selection_demo_reads_no_full_table(self):
+        fam = vime_family(999, 999)
+        tracemalloc.start()
+        try:
+            rep = no_continuous_selection_demo(fam, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        # a (1000, 1000) boolean near-minimizer table alone is 1 MB
+        assert peak < 64 * 1024
 
     def test_sum_epi_precheck_passes_and_fails_like_the_loop(self):
         fam = vime_family(30, 30)

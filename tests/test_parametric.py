@@ -352,6 +352,17 @@ class TestSelectionGap:
         with pytest.raises(ValueError):
             no_continuous_selection_demo(plain, 0.3)
 
+    @pytest.mark.parametrize("meta", [
+        {"kind": "vime"},  # no x_steps
+        {"kind": "vime", "x_steps": 98},  # fewer steps than the domain
+        {"kind": "vime", "x_steps": 100},  # more steps than the domain
+    ])
+    def test_meta_must_match_the_domain(self, meta):
+        fam = vime_family(99, 99)
+        wrong = ParametricFamily(fam.params, fam.domain, fam.values, meta=meta)
+        with pytest.raises(ValueError, match="x_steps"):
+            no_continuous_selection_demo(wrong, 0.3)
+
 
 class TestSumEpi:
     def test_certified_sum(self):

@@ -313,6 +313,22 @@ class TestSubsetsAndBalls:
         # no "members": a set comparison of two arrays would compare elementwise
         assert not hasattr(sub, "members")
 
+    def test_the_callers_array_stays_writable(self):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 9)
+        a = np.array([1, 3], dtype=np.intp)
+        sub = PointSubset(sp, a)
+        assert a.flags.writeable
+        a[0] = 7  # the caller may go on using its array
+        assert sub.indices.tolist() == [1, 3] and not sub.indices.flags.writeable
+
+    def test_a_writable_base_cannot_change_the_subset(self):
+        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 9)
+        base = np.array([1, 3, 4], dtype=np.intp)
+        sub = PointSubset(sp, base[:2])
+        base[0] = 4  # would leave an unsorted [4, 3] in a shared array
+        assert sub.indices.tolist() == [1, 3]
+        assert not np.shares_memory(sub.indices, base)
+
     def test_fractional_indices_raise(self):
         sp = FiniteMetricSpace.grid1d(0.0, 1.0, 9)
         with pytest.raises(ValueError, match="must be integers"):
