@@ -6,7 +6,7 @@ replayed and checked line by line.
 
 Modules
 -------
-spaces        finite metric spaces, balls, diameters, set distances
+spaces        finite metric spaces, balls, diameters, sublevel sweeps
 objectives    extended-real objectives, eps-argmin sets, moduli, regularization
 parametric    parametric families, epi-continuity certificates, the vime family
 perturbation  bounded perturbations, density step, openness radii, axiom checks

@@ -74,11 +74,22 @@ def _positive_float(text: str) -> float:
     return val
 
 
-def _steps(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        val = int(text)
+        return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+
+
+def _seed(text: str) -> int:
+    val = _int(text)
+    if val < 0:  # numpy's generators take no negative seed
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return val
+
+
+def _steps(text: str) -> int:
+    val = _int(text)
     if (val + 1) ** 2 > _MAX_TABLE_CELLS:
         raise argparse.ArgumentTypeError(
             f"{val} steps need a ({val + 1})^2 value table, more than {_MAX_TABLE_CELLS} cells")
@@ -282,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_modulus)
 
     p = sub.add_parser("perturb", help="density-step batch and axiom battery")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--eps", type=_positive_float, default=0.5)
     p.add_argument("--out", default="out_perturb")
     p.set_defaults(fn=_cmd_perturb)
@@ -294,12 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-total", type=float, default=0.3)
     p.add_argument("--n-target", type=int, default=5)
     p.add_argument("--delta-grid", type=_float_list, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out_steckin")
     p.set_defaults(fn=_cmd_steckin)
 
     p = sub.add_parser("verify", help="run the invariant battery")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--inject-fault", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)

@@ -23,7 +23,6 @@ from .spaces import FiniteMetricSpace, PointSubset, sublevel_diameters
 __all__ = [
     "ObjectiveFunction",
     "ModulusCurve",
-    "StrongMinCertificate",
     "ContEpsReport",
     "inf_value",
     "argmin_set",
@@ -82,9 +81,6 @@ class ObjectiveFunction:
         # +inf + finite = +inf, so perturbing never leaves the domain
         return type(self)(self.space, self.values + _as_values(other, self.space))
 
-    def __sub__(self, other) -> "ObjectiveFunction":
-        return type(self)(self.space, self.values - _as_values(other, self.space))
-
 
 def sup_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
@@ -135,22 +131,6 @@ def wellposedness_modulus(f: ObjectiveFunction, eps_grid) -> ModulusCurve:
     eps_grid = tuple(float(e) for e in eps_grid)
     diams = sublevel_diameters(f.values, eps_grid, f.space.prefix_diameters)
     return ModulusCurve(eps_grid, tuple(diams.tolist()))
-
-
-@dataclass(frozen=True)
-class StrongMinCertificate:
-    """Exact minimizer together with its decay-of-diameter evidence."""
-
-    minimizer: int
-    modulus: ModulusCurve
-
-    @classmethod
-    def build(cls, f: ObjectiveFunction, delta_grid) -> "StrongMinCertificate":
-        minimizer = int(np.argmin(f.values))
-        curve = wellposedness_modulus(f, sorted(float(d) for d in delta_grid))
-        if f.values[minimizer] != inf_value(f):  # pragma: no cover - by construction
-            raise ValueError("minimizer must attain the exact minimum")
-        return cls(minimizer, curve)
 
 
 def regularize(f: ObjectiveFunction, eps: float) -> ObjectiveFunction:

@@ -1,11 +1,13 @@
 """Bounded perturbations of objectives and density/openness checks.
 
-A perturbation is a finite real-valued function on the domain space;
-families of them carry an optional divergence rho on top of the default
-sup-norm one.  The central construction, :func:`buc_density_step`,
-replaces a given perturbation g by a nearby g' (at rho-distance exactly
-eps) whose perturbed problem localizes its near-minimizers inside a ball
-of radius eps/2 around a chosen anchor.
+A perturbation is a finite real-valued function on the domain space; a
+family holds one per parameter.  The divergence rho between two
+perturbations is the sup norm of their difference (only
+:func:`check_openness_contract` takes another value, as rho_value).  The
+central construction, :func:`buc_density_step`, replaces a given
+perturbation g by a nearby g' (at rho-distance exactly eps) whose
+perturbed problem localizes its near-minimizers inside a ball of radius
+eps/2 around a chosen anchor.
 """
 
 from __future__ import annotations
@@ -51,55 +53,20 @@ class PerturbationFunction(ObjectiveFunction):
     def sup_norm(self) -> float:
         return sup_norm(self.values)
 
-    def scale(self, c: float) -> "PerturbationFunction":
-        return PerturbationFunction(self.space, float(c) * self.values)
-
-
-def _default_rho(a: "PerturbationFamily", b: "PerturbationFamily") -> float:
-    return sup_norm(a.values - b.values)
-
 
 @dataclass(frozen=True, eq=False)
 class PerturbationFamily:
-    """One perturbation per parameter with a divergence between families.
-
-    values is the finite (n_params, n_points) table, row p holding g_p.
-    rho_fn(a, b) must be a pseudometric on families over the same spaces;
-    the default is the worst-case sup norm across parameters; zero_like,
-    sums and scalings keep the left operand's rho_fn.
-    """
+    """One perturbation per parameter: the finite (n_params, n_points)
+    table values, row p holding g_p."""
 
     params: FiniteMetricSpace
     domain: FiniteMetricSpace
     values: np.ndarray
-    rho_fn: object = None
 
     def __post_init__(self):
         values = proper_table(self.values, (self.params.n, self.domain.n))
         _bounded(values)
         object.__setattr__(self, "values", values)
-
-    def rho(self, other: "PerturbationFamily") -> float:
-        if other.params is not self.params or other.domain is not self.domain:
-            raise ValueError("families live on different spaces")
-        fn = self.rho_fn if self.rho_fn is not None else _default_rho
-        return float(fn(self, other))
-
-    def sup_norm(self) -> float:
-        return sup_norm(self.values)
-
-    def zero_like(self) -> "PerturbationFamily":
-        return PerturbationFamily(self.params, self.domain, np.zeros_like(self.values), self.rho_fn)
-
-    def __add__(self, other):
-        if not isinstance(other, PerturbationFamily):
-            return NotImplemented
-        if other.params is not self.params or other.domain is not self.domain:
-            raise ValueError("families live on different spaces")
-        return PerturbationFamily(self.params, self.domain, self.values + other.values, self.rho_fn)
-
-    def scale(self, c: float) -> "PerturbationFamily":
-        return PerturbationFamily(self.params, self.domain, float(c) * self.values, self.rho_fn)
 
 
 def cone_perturbation(space: FiniteMetricSpace, a: int, beta: float, gamma: float) -> PerturbationFunction:
@@ -263,16 +230,17 @@ def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list)
         raise ValueError("eps probes must be positive")
     dom = f_fam.domain
 
+    objs = {p: f_fam.objective(p) for p in sample_p}  # for argmin_set and the density step
     translation_ok = True
     for p in sample_p:
-        f = f_fam.objective(p)
+        f = objs[p]
         shifted = ObjectiveFunction(dom, f.values + 7.25)
         for e in eps_list:
             if not np.array_equal(argmin_set(f, e).indices, argmin_set(shifted, e).indices):
                 translation_ok = False
 
-    bounds = {p: sup_norm(f_fam.objective(p).values[np.isfinite(f_fam.objective(p).values)])
-              for p in sample_p}
+    rows = {p: f_fam.values[p] for p in sample_p}  # validated read-only rows, not copied
+    bounds = {p: sup_norm(row[np.isfinite(row)]) for p, row in rows.items()}
     bounded_ok = all(np.isfinite(b) for b in bounds.values())
 
     lip = 0.0
@@ -281,7 +249,7 @@ def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list)
         for q in sample_p[i + 1:]:
             mu = param_space.dist(p, q)
             if mu > 0.0:
-                gap = sup_norm(f_fam.objective(p).values - f_fam.objective(q).values)
+                gap = sup_norm(rows[p] - rows[q])
                 lip = max(lip, gap / mu)
                 pairs += 1
     modulus_ok = bool(pairs == 0 or np.isfinite(lip))
@@ -300,7 +268,7 @@ def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list)
     zero = PerturbationFunction(dom, np.zeros(dom.n))
     for p in sample_p:
         for e in eps_list:
-            step = buc_density_step(f_fam.objective(p), zero, e)
+            step = buc_density_step(objs[p], zero, e)
             ok = bool(step.achieved_diam <= e)
             density_ok = density_ok and ok
             density_runs.append({"p": p, "eps": e, "center": step.center,

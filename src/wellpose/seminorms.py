@@ -92,11 +92,6 @@ class SeminormExpr:
         pts = np.asarray(x, dtype=np.float64).reshape(1, -1)
         return float(self.eval_many(pts)[0])
 
-    def __add__(self, other):
-        if isinstance(other, SeminormExpr):
-            return SumOf((self, other))
-        return NotImplemented
-
 
 class AbsLinear(SeminormExpr):
     """x -> |a . x|"""

@@ -1,12 +1,13 @@
-"""Finite metric spaces, balls, diameters, and set distances.
+"""Finite metric spaces, balls, diameters and sublevel sweeps.
 
 Every downstream object (objectives, parametric families, perturbations)
 lives on a :class:`FiniteMetricSpace`: an indexed point set with a
 symmetric distance oracle.  A space stores what it was given: a distance
 matrix, or point coordinates (grids, point clouds) plus a standard metric,
 from which every distance is computed on demand with the same per-cell
-arithmetic.  A subset is a sorted index array with exact set operations;
-ball membership uses plain float comparisons with zero tolerance.
+arithmetic.  A subset is a sorted index array with exact subset and
+membership tests; ball membership uses plain float comparisons with zero
+tolerance.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ __all__ = [
     "ball",
     "diam",
     "prefix_diameters",
-    "set_distance",
     "space_from_json",
-    "space_to_json",
     "sublevel_diameters",
 ]
 
@@ -445,12 +444,6 @@ class PointSubset:
     def issubset(self, other: "PointSubset") -> bool:
         return bool(self._found_in(other).all())
 
-    def isdisjoint(self, other: "PointSubset") -> bool:
-        return not self._found_in(other).any()
-
-    def intersection(self, other: "PointSubset") -> "PointSubset":
-        return PointSubset(self.space, self.indices[self._found_in(other)])
-
     def _same_space(self, other: "PointSubset") -> None:
         if self.space is not other.space:
             raise ValueError("subsets live on different spaces")
@@ -592,16 +585,6 @@ def diam(subset: PointSubset) -> float:
     return float(subset.space.prefix_diameters(subset.indices)[-1])
 
 
-def set_distance(a: PointSubset, b: PointSubset) -> float:
-    """Min distance over pairs (one point from each subset)."""
-    a._same_space(b)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("set distance needs non-empty subsets")
-    ia, ib = a.indices, b.indices
-    step = max(1, _CHUNK_CELLS // ib.size)
-    return float(min(a.space.block(ia[lo:lo + step], ib).min() for lo in range(0, ia.size, step)))
-
-
 # ----------------------------------------------------------------------
 # JSON descriptors
 #
@@ -638,13 +621,3 @@ def space_from_json(desc: dict) -> FiniteMetricSpace:
     if kind == "pointcloud":
         return FiniteMetricSpace.pointcloud(params["points"], metric=metric)
     raise ValueError(f"unknown space kind {kind!r}")
-
-
-def space_to_json(space: FiniteMetricSpace) -> dict:
-    """Serialize a space as an explicit-matrix descriptor (always exact)."""
-    m = space._matrix if space._matrix is not None else space.block(np.arange(space.n))
-    return {
-        "kind": "pointcloud",
-        "metric": "matrix",
-        "params": {"matrix": [[float(v) for v in row] for row in m.tolist()]},
-    }

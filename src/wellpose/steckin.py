@@ -43,12 +43,10 @@ __all__ = [
     "ConvexBody",
     "segment_body",
     "polytope_body",
-    "validate_sample",
     "set_diameter",
     "ProjectionReport",
     "metric_projection",
     "c_of_p",
-    "stech_perturb_seminorm",
     "WellposeReport",
     "wellpose_point",
     "LedgerStep",
@@ -335,8 +333,11 @@ class ConvexBody:
         centre, basis, equations = self._facets
         offset = p - centre
         y = offset @ basis
-        off_hull = float(np.linalg.norm(offset - basis @ y))
-        return bool(off_hull <= _CONTAINS_TOL
+        residual = offset - basis @ y
+        # the largest entry bounds the norm from below: a point far off the
+        # hull is outside before the squares can overflow
+        return bool(np.abs(residual).max() <= _CONTAINS_TOL
+                    and np.sqrt(residual @ residual) <= _CONTAINS_TOL
                     and np.all(equations[:, :-1] @ y + equations[:, -1] <= _CONTAINS_TOL))
 
 
@@ -384,13 +385,6 @@ def polytope_body(vertices, n_samples: int = 2048, seed: int = 0) -> ConvexBody:
         d[np.arange(d.shape[0]), np.arange(lo, lo + d.shape[0])] = np.inf
         mesh = max(mesh, float(d.min(axis=1).max()))
     return ConvexBody(vertices=verts, sample=sample, mesh=mesh)
-
-
-def validate_sample(body: ConvexBody, limit: int = 64) -> bool:
-    """Membership-check up to limit evenly spaced sample points."""
-    m = body.sample.shape[0]
-    idx = np.unique(np.linspace(0, m - 1, min(limit, m)).astype(int))
-    return all(body.contains(body.sample[i]) for i in idx)
 
 
 def _running_diameters(pts: np.ndarray, nu: SeminormExpr, stop: float = np.inf) -> np.ndarray:
@@ -476,20 +470,6 @@ def c_of_p(body: ConvexBody, p, setting: NormedSetting) -> float:
     """Largest base distance from p to the sampled body."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     return float(setting.base.eval_many(p[None, :] - body.sample).max())
-
-
-def stech_perturb_seminorm(nu: SeminormExpr, x_star, eps: float,
-                           setting: NormedSetting) -> SeminormExpr:
-    """nu + (eps/2) base + (eps/2) line-quotient of base along x_star.
-
-    The quotient term vanishes along x_star, so a point reached from p
-    in that direction keeps a strict advantage; the base term restores
-    definiteness.  Both added terms are dominated by (eps/2) base on the
-    unit ball, so the move costs at most eps in rho.
-    """
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    return SumOf((nu,) + _quotient_terms(setting, x_star, eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,6 +631,8 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets
 
 
 def _quotient_terms(setting: NormedSetting, x_star: np.ndarray, eps: float):
+    """(eps/2) base and (eps/2) line quotient of base along x_star: each is
+    at most (eps/2) base, so adding both moves a seminorm by at most eps in rho."""
     lq = LineQuotient(setting.base, x_star)
     return (Scale(eps / 2.0, setting.base), Scale(eps / 2.0, lq))
 

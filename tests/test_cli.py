@@ -61,6 +61,11 @@ def test_vime_rejects_bad_eps_grid(tmp_path):
     ["perturb", "--eps", "abc"],
     ["vime", "--steps", "ten"],
     ["modulus", "--steps", "2.5"],
+    # numpy refuses a negative seed only when a generator is built, which
+    # steckin did after its whole renorming, with ledger.json written
+    ["perturb", "--seed", "-1"],
+    ["steckin", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
 ])
 def test_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -204,6 +209,19 @@ def test_steckin_huge_segment_or_witness(inst, message, tmp_path, capsys):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_steckin_far_off_hull_witness_fails_without_a_warning(tmp_path, capsys):
+    # the witness's squared distance off the segment's line overflows a
+    # float; the hull test must still answer "outside" without a warning
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps({"kind": "segment", "a": [-1, 0], "b": [1, 0],
+                                     "p": [0, 1e200]}))
+    out = tmp_path / "s"
+    code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(out)])
+    assert code == 4
+    assert "step_failed" in capsys.readouterr().err
+    assert _read(out / "ledger.json")["reason"] == "step_failed"
 
 
 @pytest.mark.parametrize("verts, message", [

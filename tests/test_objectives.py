@@ -7,7 +7,6 @@ from wellpose.errors import PreconditionError
 from wellpose.objectives import (
     ModulusCurve,
     ObjectiveFunction,
-    StrongMinCertificate,
     argmin_set,
     check_cont_eps_lemma,
     inf_value,
@@ -41,7 +40,6 @@ class TestObjectiveFunction:
         g = ObjectiveFunction(sp, np.array([2.0, 3.0]))
         assert (f + g).values[1] == np.inf
         assert (f + g).values[0] == 3.0
-        assert (f - g).values[1] == np.inf
 
     def test_values_are_read_only_copies(self):
         sp = _two_point_space()
@@ -121,12 +119,6 @@ class TestModulusCurve:
             assert d == diam(argmin_set(f, e))
         for e, d in zip(curve.eps_grid, curve.diam_values):
             assert d == pytest.approx(2 * e, rel=1e-12)
-
-    def test_strong_min_certificate_lowest_index(self):
-        sp = FiniteMetricSpace.grid1d(0.0, 1.0, 10)
-        f = ObjectiveFunction(sp, np.array([3.0, 0.0, 1.0, 0.0, 2.0, 3, 3, 3, 3, 3, 3]))
-        cert = StrongMinCertificate.build(f, (0.5, 1.0))
-        assert cert.minimizer == 1
 
 
 class TestRegularize:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wellpose.errors import PreconditionError
-from wellpose.objectives import ObjectiveFunction, argmin_set, sup_norm
+from wellpose.objectives import ObjectiveFunction, argmin_set
 from wellpose.parametric import vime_family
 from wellpose.perturbation import (
     PerturbationFamily,
@@ -38,9 +38,8 @@ class TestPerturbationFunction:
         sp = _line(2)
         a = PerturbationFunction(sp, np.array([1.0, 2.0]))
         b = PerturbationFunction(sp, np.array([0.5, -1.0]))
+        assert type(a + b) is PerturbationFunction
         assert np.array_equal((a + b).values, [1.5, 1.0])
-        assert np.array_equal((a - b).values, [0.5, 3.0])
-        assert np.array_equal(a.scale(2.0).values, [2.0, 4.0])
         assert a.sup_norm() == 2.0
 
     def test_space_mismatch_raises(self):
@@ -63,56 +62,12 @@ class TestPerturbationFamily:
         params = params if params is not None else _line(len(rows))
         return PerturbationFamily(params=params, domain=dom, values=np.asarray(rows, float))
 
-    def test_default_rho_is_worst_sup_gap(self):
-        a = self._fam([[0.0, 0.0], [1.0, 1.0]])
-        b = PerturbationFamily(
-            params=a.params,
-            domain=a.domain,
-            values=a.values + np.array([[0.25], [-0.75]]),
-        )
-        assert a.rho(b) == 0.75
-
-    def test_rho_fn_override(self):
-        a = self._fam([[0.0, 0.0], [0.0, 0.0]])
-        halved = lambda x, y: 0.5 * sup_norm(x.values - y.values)
-        a2 = PerturbationFamily(params=a.params, domain=a.domain, values=a.values, rho_fn=halved)
-        b = PerturbationFamily(
-            params=a.params,
-            domain=a.domain,
-            values=a.values + 1.0,
-            rho_fn=halved,
-        )
-        assert a2.rho(b) == 0.5
-
-    def test_zero_like_and_sum(self):
-        dom = _line(2)
-        params = _line(2)
-        a = PerturbationFamily(params=params, domain=dom, values=np.ones((2, 2)))
-        z = a.zero_like()
-        assert z.sup_norm() == 0.0
-        s = a + z
-        assert np.array_equal(s.values[0], [1.0, 1.0])
-
-    def test_scale_keeps_rho_fn(self):
-        a = self._fam([[2.0, 2.0], [2.0, 2.0]])
-        a = PerturbationFamily(params=a.params, domain=a.domain, values=a.values,
-                               rho_fn=lambda x, y: 7.0)
-        half = a.scale(0.5)
-        assert half.values[1][0] == 1.0
-        assert half.rho_fn is a.rho_fn and (half + a.zero_like()).rho(a) == 7.0
-
     def test_family_shape_errors(self):
         dom = _line(2)
         with pytest.raises(ValueError):
             PerturbationFamily(params=_line(2), domain=dom, values=np.zeros((1, 2)))
         with pytest.raises(ValueError):
             PerturbationFamily(params=_line(2), domain=dom, values=np.zeros((2, 3)))
-
-    def test_rho_space_mismatch(self):
-        a = self._fam([[0.0, 0.0], [0.0, 0.0]])
-        b = self._fam([[0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            a.rho(b)
 
 
 class TestConePerturbation:

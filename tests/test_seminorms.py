@@ -104,11 +104,6 @@ class TestFrozenValues:
         assert np.allclose(euclidean_norm(3).eval_many(pts),
                            np.linalg.norm(pts, axis=1), rtol=0, atol=0)
 
-    def test_add_builds_a_sum(self):
-        s = AbsLinear([1.0, 0.0]) + AbsLinear([0.0, 1.0])
-        assert isinstance(s, SumOf)
-        assert s([3.0, -4.0]) == 7.0
-
 
 class TestLineQuotientAccuracy:
     def test_never_exceeds_base_pointwise(self, rng):

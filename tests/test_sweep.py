@@ -31,7 +31,6 @@ from wellpose.spaces import (
     ball,
     diam,
     prefix_diameters,
-    set_distance,
     sublevel_diameters,
 )
 from wellpose.steckin import (
@@ -188,13 +187,6 @@ class TestPrefixDiameters:
         block = prefix_diameters(space.block, np.stack([order, order[::-1]]))
         assert block[0].tolist() == expected
         assert block[1, -1] == expected[-1]
-
-    def test_set_distance_against_enumeration(self, rng):
-        space = FiniteMetricSpace.pointcloud(rng.normal(size=(90, 2)), metric="l1")
-        a = PointSubset.of(space, range(0, 90, 3))
-        b = PointSubset.of(space, range(1, 90, 2))
-        brute = min(space.dist(i, j) for i in a for j in b)
-        assert set_distance(a, b) == brute
 
 
 def _bits(values) -> bytes:
@@ -559,8 +551,6 @@ def test_lazy_space_memory_stays_bounded():
     limit = n * n * 8 / 10  # a tenth of one n x n float64 block: 320 MB
     f = ObjectiveFunction(space, np.abs(np.arange(n) - 6000) / n)
     grid = tuple(k / 200.0 for k in range(1, 100))
-    a = PointSubset.of(space, range(n // 2))
-    b = PointSubset.of(space, range(n // 2, n))
 
     def peak(fn):
         tracemalloc.start()
@@ -578,8 +568,6 @@ def test_lazy_space_memory_stays_bounded():
     for t, d in zip(curve.eps_grid, curve.diam_values):
         inside = np.flatnonzero(f.values <= t)
         assert d == space.dist(inside[0], inside[-1])
-    gap, used = peak(lambda: set_distance(a, b))
-    assert gap == space.dist(n // 2 - 1, n // 2) and used < limit
 
 
 def test_batched_sweep_memory_stays_bounded():
