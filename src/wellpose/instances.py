@@ -169,7 +169,7 @@ def random_lipschitz_family(rng: np.random.Generator, *, max_params: int = 40,
     ps = np.arange(steps + 1, dtype=np.float64) / steps
     values = base + (c * ps)[:, None] * bump
     return ParametricFamily(ParameterGrid(pspace), domain, values,
-                            lipschitz_in_p=c * peak, meta={"kind": "lipschitz_expr"})
+                            lipschitz_in_p=c * peak, meta={"kind": "lipschitz_expr"}, owned=True)
 
 
 def random_polyhedral_seminorm(rng: np.random.Generator, dim: int,

@@ -13,7 +13,7 @@ the minimum is strong exactly when that modulus tends to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -49,18 +49,30 @@ def _as_values(obj, space: FiniteMetricSpace) -> np.ndarray:
     return values
 
 
-def proper_table(values, shape: tuple[int, ...]) -> np.ndarray:
-    """Read-only float64 copy of a value table whose last-axis rows are
-    proper: no NaN, no -inf, and at least one finite value per row."""
-    values = np.array(values, dtype=np.float64)
+def proper_table(values, shape: tuple[int, ...], *, owned: bool = False):
+    """Read-only float64 table and its row minima, once every last-axis
+    row is checked proper: no NaN, no -inf, and at least one finite value.
+
+    min propagates NaN, so a row is proper exactly when its minimum is
+    finite; the one reduction is the whole check, and its result is
+    returned as ``low`` (a float64 scalar for a 1-D table).  Only a
+    failing table is looked at again, to say what is wrong with it.  The
+    table is copied unless ``owned`` says the caller hands over an array
+    that nothing else holds.
+    """
+    values = (np.asarray if owned else np.array)(values, dtype=np.float64)
     if values.shape != shape:
         raise ValueError("value table does not match the space")
-    if np.any(np.isnan(values)) or np.any(values == -np.inf):
-        raise ValueError("values must avoid NaN and -inf")
-    if not np.all(np.any(np.isfinite(values), axis=-1)):
+    try:
+        low = values.min(axis=-1)
+    except ValueError:  # empty rows: min has no identity, and no row is proper
+        low = np.full(values.shape[:-1], np.inf)
+    if not np.isfinite(low).all():
+        if np.any(np.isnan(values)) or np.any(values == -np.inf):
+            raise ValueError("values must avoid NaN and -inf")
         raise ValueError("objective must be proper (some finite value)")
     values.setflags(write=False)
-    return values
+    return values, low
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,18 +80,26 @@ class ObjectiveFunction:
     """Proper extended-real function on a finite metric space.
 
     Values may be +inf (effective-domain marker) but never -inf or NaN,
-    and at least one value is finite.
+    and at least one value is finite.  values is a read-only copy of the
+    given table (``owned=True`` adopts an array that nothing else holds),
+    and low is inf f, kept from the one pass that checks the table.
     """
 
     space: FiniteMetricSpace
     values: np.ndarray
+    low: float = field(init=False, repr=False)
+    _: KW_ONLY
+    owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", proper_table(self.values, (self.space.n,)))
+    def __post_init__(self, owned):
+        values, low = proper_table(self.values, (self.space.n,), owned=owned)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "low", float(low))
 
     def __add__(self, other) -> "ObjectiveFunction":
-        # +inf + finite = +inf, so perturbing never leaves the domain
-        return type(self)(self.space, self.values + _as_values(other, self.space))
+        # +inf + finite = +inf, so perturbing never leaves the domain; the
+        # sum is a fresh array, so the result adopts it
+        return type(self)(self.space, self.values + _as_values(other, self.space), owned=True)
 
 
 def sup_norm(values: np.ndarray) -> float:
@@ -87,8 +107,9 @@ def sup_norm(values: np.ndarray) -> float:
 
 
 def inf_value(f: ObjectiveFunction) -> float:
-    """Exact minimum of the value table (finite by properness)."""
-    return float(np.min(f.values))
+    """Exact minimum of the value table (finite by properness), as kept
+    by the objective when its table was checked."""
+    return f.low
 
 
 def argmin_set(f: ObjectiveFunction, eps: float) -> PointSubset:
@@ -98,7 +119,7 @@ def argmin_set(f: ObjectiveFunction, eps: float) -> PointSubset:
     """
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
-    bound = inf_value(f) + eps
+    bound = f.low + eps
     return PointSubset(f.space, np.flatnonzero(f.values <= bound))
 
 

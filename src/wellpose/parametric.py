@@ -18,7 +18,7 @@ and the sublevel sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,9 @@ class ParametricFamily:
 
     values is the read-only (n_params, n_points) table, row p holding f_p;
     every row is proper (no NaN or -inf, some finite value).  row_min is
-    the read-only (n_params,) array of row minima inf f_p, kept once.
+    the read-only (n_params,) array of row minima inf f_p, from the same
+    pass that checks the table.  The table is copied unless ``owned`` says
+    that nothing else holds it (the library's own builders).
     ``lipschitz_in_p`` (optional) asserts sup_x |f_p(x) - f_q(x)| <= L * mu(p, q)
     and unlocks an analytic delta fast path that searches cross-check.
     """
@@ -79,12 +81,14 @@ class ParametricFamily:
     lipschitz_in_p: float | None = None
     meta: dict = field(default_factory=dict)
     row_min: np.ndarray = field(init=False, repr=False)
+    _: KW_ONLY
+    owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, owned):
         shape = (self.params.space.n, self.domain.n)
-        object.__setattr__(self, "values", proper_table(self.values, shape))
-        row_min = self.values.min(axis=1)
+        values, row_min = proper_table(self.values, shape, owned=owned)
         row_min.setflags(write=False)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "row_min", row_min)
 
     def objective(self, p: int) -> ObjectiveFunction:
@@ -102,7 +106,7 @@ class ParametricFamily:
         self._check_perturbation(g_fam)
         # +inf + finite = +inf, so perturbing never leaves the domain
         return ParametricFamily(self.params, self.domain, self.values + g_fam.values,
-                                meta={"kind": "sum"})
+                                meta={"kind": "sum"}, owned=True)
 
 
 def default_delta_grid(fam: ParametricFamily, eps: float, octaves: int = 16) -> tuple[float, ...]:
@@ -440,14 +444,16 @@ def vime_family(x_steps: int = 999, p_steps: int = 999) -> ParametricFamily:
     P = FiniteMetricSpace.grid1d(0.0, 1.0, p_steps)
     xs = np.arange(x_steps + 1, dtype=np.float64) / x_steps
     ps = np.arange(p_steps + 1, dtype=np.float64) / p_steps
-    i3 = 3 * np.arange(x_steps + 1)
-    left = i3 < x_steps
-    right = i3 > 2 * x_steps
+    # 3i < x_steps on the left run, 3i > 2 x_steps on the right one; each
+    # piece is written in place, so the table is the only large array
+    left = slice(0, (x_steps + 2) // 3)
+    right = slice(2 * x_steps // 3 + 1, None)
     table_vals = np.zeros((p_steps + 1, x_steps + 1), dtype=np.float64)
-    table_vals[:, left] = np.outer(1.0 - ps, 3.0 * xs[left] - 1.0)
-    table_vals[:, right] = np.outer(ps, 2.0 - 3.0 * xs[right])
+    np.outer(1.0 - ps, 3.0 * xs[left] - 1.0, out=table_vals[:, left])
+    np.outer(ps, 2.0 - 3.0 * xs[right], out=table_vals[:, right])
     meta = {"kind": "vime", "x_steps": x_steps, "p_steps": p_steps}
-    return ParametricFamily(ParameterGrid(P), X, table_vals, lipschitz_in_p=1.0, meta=meta)
+    return ParametricFamily(ParameterGrid(P), X, table_vals, lipschitz_in_p=1.0, meta=meta,
+                            owned=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,8 @@ __all__ = [
 
 
 def _bounded(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    # a proper table has no NaN and no -inf, so one max settles finiteness
+    if values.max() == np.inf:
         raise ValueError("perturbations must be finite everywhere")
 
 
@@ -44,10 +45,11 @@ class PerturbationFunction(ObjectiveFunction):
 
     An objective whose values are all finite, so it adds to any objective
     directly: ``f + g`` is an ObjectiveFunction, ``g + h`` a perturbation.
+    The table is checked as an objective's, then bounded by one max.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __post_init__(self, owned):
+        super().__post_init__(owned)
         _bounded(self.values)
 
     def sup_norm(self) -> float:
@@ -64,7 +66,7 @@ class PerturbationFamily:
     values: np.ndarray
 
     def __post_init__(self):
-        values = proper_table(self.values, (self.params.n, self.domain.n))
+        values, _ = proper_table(self.values, (self.params.n, self.domain.n))
         _bounded(values)
         object.__setattr__(self, "values", values)
 
@@ -78,7 +80,7 @@ def cone_perturbation(space: FiniteMetricSpace, a: int, beta: float, gamma: floa
         raise ValueError("beta and gamma must be positive")
     row = space.row(a)
     vals = np.where(row <= gamma, (beta / gamma) * row, beta)
-    return PerturbationFunction(space, vals)
+    return PerturbationFunction(space, vals, owned=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +110,13 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     fg = f + g
-    a = argmin_set(fg, eps / 4.0).indices[0]
-    cone = cone_perturbation(f.space, int(a), beta=eps, gamma=eps / 2.0)
+    # the first point of argmin_set(fg, eps/4), read off the kept minimum
+    a = int(np.argmax(fg.values <= fg.low + eps / 4.0))
+    cone = cone_perturbation(f.space, a, beta=eps, gamma=eps / 2.0)
     g_prime = g + cone
     fg2 = f + g_prime
     omega = argmin_set(fg2, eps / 2.0)
-    if not omega.issubset(ball(f.space, int(a), eps / 2.0)):
+    if not omega.issubset(ball(f.space, a, eps / 2.0)):
         # the cone construction proves this containment; reaching here is a bug
         raise AssertionError("density step localization failed to replay")
     # the move is the cone itself; re-deriving it as (g + cone) - g would
@@ -123,7 +126,7 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
         delta=eps / 2.0,
         achieved_diam=diam(omega),
         distance_moved=sup_norm(cone.values),
-        center=int(a),
+        center=a,
     )
 
 
@@ -217,8 +220,9 @@ def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list)
       modulus:     a finite sup-norm Lipschitz constant across sampled
                    parameter pairs (trivially satisfiable on finite
                    grids; the recorded value is the best constant);
-      calibration: the smallest factor c with sup|g_p| <= c * rho(g, 0)
-                   over probe cones (rho = sup norm here, so c = 1);
+      calibration: c = max over probe cones of beta / sup|u|, the cone's
+                   height over the move it makes; ok iff c <= 1 + 1e-12,
+                   the "moves exactly eps" premise of buc_density_step;
       density:     buc_density_step succeeds at every (p, eps) probe.
     """
     sample_p = [int(p) for p in sample_p]
@@ -254,13 +258,13 @@ def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list)
                 pairs += 1
     modulus_ok = bool(pairs == 0 or np.isfinite(lip))
 
-    # cone probes: with the sup-norm divergence, sup|u| / rho(u, 0) == 1
+    # cone probes, shaped as buc_density_step's: height beta = e over the
+    # move sup|u| the cone makes, which is beta exactly when some point is
+    # at least gamma = e/2 from the apex; a smaller domain reads c > 1
     c_best = 0.0
     for e in eps_list:
-        u = cone_perturbation(dom, 0, beta=e, gamma=e / 2.0)
-        r = sup_norm(u.values)
-        if r > 0.0:
-            c_best = max(c_best, u.sup_norm() / r)
+        move = cone_perturbation(dom, 0, beta=e, gamma=e / 2.0).sup_norm()
+        c_best = max(c_best, e / move if move > 0.0 else np.inf)
     calibration_ok = c_best <= 1.0 + 1e-12
 
     density_runs = []

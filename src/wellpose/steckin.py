@@ -304,7 +304,10 @@ class ConvexBody:
         n . y + c <= 0 on the hull: none for a point, the two ends of an
         interval on a line, qhull's facets in two or more dimensions.
         """
-        centre = self.vertices.mean(axis=0)
+        # the mean of the offsets from the first vertex stays finite where
+        # the vertices' own sum overflows (a body near the edge of the range)
+        first = self.vertices[0]
+        centre = first + (self.vertices - first).mean(axis=0)
         u, s, vt = np.linalg.svd(self.vertices - centre, full_matrices=False)
         basis = vt[np.abs(u * s).max(axis=0) > _CONTAINS_TOL].T
         coords = (self.vertices - centre) @ basis

@@ -224,6 +224,26 @@ def test_steckin_far_off_hull_witness_fails_without_a_warning(tmp_path, capsys):
     assert _read(out / "ledger.json")["reason"] == "step_failed"
 
 
+def test_steckin_segment_at_the_edge_of_the_float_range(tmp_path):
+    # the vertices' sum overflows (-2e308); the hull's centre must not, and
+    # the run must match the same segment moved to x = 0 (pytest turns a
+    # RuntimeWarning into an error)
+    def run(x, name):
+        inst_file = tmp_path / f"{name}.json"
+        inst_file.write_text(json.dumps({"kind": "segment", "a": [x, 0], "b": [x, 1],
+                                         "p": [x, 5], "n_samples": 11, "mesh": 0.05}))
+        out = tmp_path / name
+        assert cli.main(["steckin", "--instance", str(inst_file), "--out", str(out)]) == 0
+        ledger = _read(out / "ledger.json")
+        for step in ledger["steps"]:
+            assert step.pop("point") == [x, 5.0]
+        return ledger
+
+    edge = run(-1e308, "edge")
+    assert edge["success"] and edge["steps"]
+    assert edge == run(0.0, "origin")
+
+
 @pytest.mark.parametrize("verts, message", [
     # the squared width overflows
     ([[0, 0], [1e200, 0], [0, 1]], "the vertex spread is too wide"),

@@ -874,3 +874,41 @@ class TestValidation:
         raw[0, 0] = 7.0
         assert fam.values[0, 0] == 0.0 and not fam.values.flags.writeable
         assert type(PerturbationFunction(domain, np.ones(3)) + np.ones(3)) is PerturbationFunction
+
+    def test_a_callers_array_is_copied_and_a_sum_is_fresh(self):
+        params, domain = self._spaces()
+        row, table = np.array([2.0, 0.5, 1.0]), np.array([[2.0, 0.5, 1.0], [0.0, 3.0, -1.0]])
+        built = [ObjectiveFunction(domain, row), PerturbationFunction(domain, row),
+                 PerturbationFamily(params.space, domain, table),
+                 ParametricFamily(params, domain, table)]
+        kept = [obj.values.copy() for obj in built]
+        for obj in built:
+            assert not np.shares_memory(obj.values, row) and not np.shares_memory(obj.values, table)
+        row[:] = np.nan
+        table[:] = np.nan
+        assert row.flags.writeable and table.flags.writeable
+        for obj, want in zip(built, kept):
+            assert obj.values.tobytes() == want.tobytes()
+        f, g = built[:2]
+        assert (f.low, g.low) == (0.5, 0.5)
+        assert built[3].row_min.tolist() == [0.5, -1.0]
+        for a, b in ((f, g), (g, g), (g, f)):
+            total = a + b
+            assert not np.shares_memory(total.values, a.values)
+            assert not np.shares_memory(total.values, b.values)
+
+    def test_an_owned_array_is_adopted(self):
+        _, domain = self._spaces()
+        row = np.array([2.0, 0.5, 1.0])
+        f = ObjectiveFunction(domain, row, owned=True)
+        assert f.values is row and not row.flags.writeable and f.low == 0.5
+
+    def test_the_vime_table_is_the_only_large_array_built(self):
+        vime_family(9, 9)  # imports and caches outside the traced call
+        tracemalloc.start()
+        try:
+            fam = vime_family(999, 999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * fam.values.nbytes

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
@@ -10,6 +10,7 @@ from wellpose.objectives import (
     argmin_set,
     check_cont_eps_lemma,
     inf_value,
+    proper_table,
     regularize,
     sup_norm,
     wellposedness_modulus,
@@ -49,6 +50,69 @@ class TestObjectiveFunction:
         assert f.values[0] == 1.0
         with pytest.raises(ValueError):
             f.values[0] = 5.0
+
+
+def _ref_proper_table(values, shape):
+    """The four-pass check: copy, then NaN, -inf, and a finite value in every row."""
+    values = np.array(values, dtype=np.float64)
+    if values.shape != shape:
+        raise ValueError("value table does not match the space")
+    if np.any(np.isnan(values)) or np.any(values == -np.inf):
+        raise ValueError("values must avoid NaN and -inf")
+    if not np.all(np.any(np.isfinite(values), axis=-1)):
+        raise ValueError("objective must be proper (some finite value)")
+    values.setflags(write=False)
+    return values
+
+
+def _outcome(check, table, shape, **kw):
+    try:
+        return check(table, shape, **kw)
+    except ValueError as exc:
+        return str(exc)
+
+
+_CELLS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                   st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _tables(draw):
+    """1-D and 2-D tables, empty ones included, some with an all-+inf row."""
+    shape = draw(st.one_of(st.tuples(st.integers(0, 6)),
+                           st.tuples(st.integers(0, 4), st.integers(0, 5))))
+    size = int(np.prod(shape))
+    table = np.array(draw(st.lists(_CELLS, min_size=size, max_size=size)),
+                     dtype=np.float64).reshape(shape)
+    if table.size and draw(st.booleans()):
+        rows = table.reshape(-1, table.shape[-1])  # a view: a 1-D table is one row
+        rows[draw(st.integers(0, len(rows) - 1))] = np.inf
+    return table
+
+
+class TestProperTable:
+    @pytest.mark.parametrize("owned", [False, True])
+    @given(table=_tables())
+    @example(table=np.zeros(0)).via("an empty row")
+    @example(table=np.zeros((3, 0))).via("(P, 0)")
+    @example(table=np.zeros((0, 0))).via("no row at all")
+    @example(table=np.zeros((0, 4))).via("(0, n)")
+    def test_one_pass_agrees_with_the_four_pass_check(self, table, owned):
+        want = _outcome(_ref_proper_table, table, table.shape)
+        if isinstance(want, str):
+            assert _outcome(proper_table, table, table.shape, owned=owned) == want
+            return
+        expected = (table.min(axis=-1) if table.shape[-1]
+                    else np.empty(table.shape[:-1]))  # (0, 0): no row to reduce
+        values, low = proper_table(table, table.shape, owned=owned)
+        assert values.shape == want.shape and values.tobytes() == want.tobytes()
+        assert not values.flags.writeable
+        assert (values is table) == owned and (owned or not np.shares_memory(values, table))
+        assert np.asarray(low).tobytes() == np.asarray(expected).tobytes()
+
+    def test_a_wrong_shape_is_named(self):
+        assert _outcome(proper_table, np.zeros(3), (4,)) == _outcome(_ref_proper_table,
+                                                                      np.zeros(3), (4,))
 
 
 class TestArgminSet:

@@ -5,7 +5,7 @@ import pytest
 
 from wellpose.errors import PreconditionError
 from wellpose.objectives import ObjectiveFunction, argmin_set
-from wellpose.parametric import vime_family
+from wellpose.parametric import ParameterGrid, ParametricFamily, vime_family
 from wellpose.perturbation import (
     PerturbationFamily,
     PerturbationFunction,
@@ -217,10 +217,20 @@ class TestAxiomBattery:
         report = check_pert_axioms(fam.params.space, fam, sample_p=(0, 50, 99),
                                    eps_list=(0.1, 0.3))
         assert report["all_ok"]
-        assert report["calibration"]["c"] <= 1.0
+        assert report["calibration"] == {"ok": True, "c": 1.0}
         assert report["modulus"]["lipschitz"] <= 1.0 + 1e-12
         assert len(report["density"]["runs"]) == 6
         json.dumps(report)  # must be JSON-ready as promised
+
+    def test_calibration_fails_on_a_domain_narrower_than_the_cone(self):
+        # diam 0.1 < gamma = eps/2 = 0.15: the cone of height 0.3 stops at
+        # (0.3 / 0.15) * 0.1 = 0.2, so it moves less than its height
+        dom = FiniteMetricSpace.grid1d(0.0, 0.1, 10)
+        fam = ParametricFamily(ParameterGrid(_line(3)), dom, np.zeros((3, dom.n)))
+        report = check_pert_axioms(fam.params.space, fam, sample_p=(0, 2), eps_list=(0.1, 0.3))
+        assert report["calibration"] == {"ok": False, "c": 0.3 / 0.2}
+        assert not report["all_ok"]
+        assert report["density"]["ok"]  # the step itself still localizes
 
     def test_probe_validation(self):
         fam = vime_family(9, 9)
