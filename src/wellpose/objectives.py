@@ -131,12 +131,14 @@ class ModulusCurve:
     diam_values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.eps_grid) != len(self.diam_values) or not self.eps_grid:
+        eps, diam = self.eps_grid, self.diam_values
+        if len(eps) != len(diam) or not eps:
             raise ValueError("grid and values must align and be non-empty")
-        eps = np.asarray(self.eps_grid)
-        if np.any(eps <= 0.0) or np.any(np.diff(eps) <= 0.0):
+        # the steps are compared as differences, as np.diff would give
+        # them: a NaN, or inf - inf, fails every comparison and passes
+        if any(e <= 0.0 for e in eps) or any(b - a <= 0.0 for a, b in zip(eps, eps[1:])):
             raise ValueError("eps grid must be positive and strictly increasing")
-        if np.any(np.diff(self.diam_values) < 0.0):
+        if any(b - a < 0.0 for a, b in zip(diam, diam[1:])):
             raise ValueError("modulus must be non-decreasing in eps")
 
     def to_csv(self, header: str = "eps,diam") -> str:
@@ -149,7 +151,7 @@ class ModulusCurve:
 
 def wellposedness_modulus(f: ObjectiveFunction, eps_grid) -> ModulusCurve:
     """Modulus curve eps -> diam(argmin_set(f, eps)) over a grid."""
-    eps_grid = tuple(float(e) for e in eps_grid)
+    eps_grid = tuple(map(float, eps_grid))
     diams = sublevel_diameters(f.values, eps_grid, f.space.prefix_diameters)
     return ModulusCurve(eps_grid, tuple(diams.tolist()))
 

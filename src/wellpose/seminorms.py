@@ -24,12 +24,19 @@ eight or more children, and may differ from the fold in the last bit).
 A fold never returns a child's own array: a caller may fold values it
 keeps and reads again (a renorming step's carried arrays).
 
+A tree never changes once built, so what depends on the tree alone is
+computed on first use and kept on the node, read-only: its flattened
+linear rows (:func:`_linear_rows`) and their index pairs, which a line
+quotient's kink search reads (:func:`_perp_quotient`).
+
 Every node also carries a magnitude majorant (an upper bound on the
 absolute values flowing through its evaluation) used to scale rounding
 tolerances in exactness tests.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +98,20 @@ class SeminormExpr:
     def __call__(self, x) -> float:
         pts = np.asarray(x, dtype=np.float64).reshape(1, -1)
         return float(self.eval_many(pts)[0])
+
+    @cached_property
+    def _rows(self) -> np.ndarray | None:
+        rows = _flatten(self)
+        if rows is not None:
+            rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _row_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        pairs = np.triu_indices(self._rows.shape[0], 1)
+        for index in pairs:
+            index.flags.writeable = False
+        return pairs
 
 
 class AbsLinear(SeminormExpr):
@@ -188,6 +209,17 @@ class Scale(SeminormExpr):
 def _linear_rows(expr: SeminormExpr) -> np.ndarray | None:
     """Rows L with expr(z) = max_j |L_j . z|, when the tree permits.
 
+    The rows are flattened (:func:`_flatten`) on the first call for a
+    tree and kept on its root, read-only, so every later call for the
+    same tree returns the same array.  The index pairs i < j of the r
+    rows, np.triu_indices(r, 1), are kept beside them (expr._row_pairs).
+    """
+    return expr._rows
+
+
+def _flatten(expr: SeminormExpr) -> np.ndarray | None:
+    """Rows L with expr(z) = max_j |L_j . z|, computed afresh.
+
     Absolute linear leaves, scales and maxima flatten directly.  A sum of
     such maxima is the maximum of |(L_i +- L_j +- ...) . z| over one row
     per child and every sign pattern.  Any other leaf, or more than
@@ -196,11 +228,11 @@ def _linear_rows(expr: SeminormExpr) -> np.ndarray | None:
     if isinstance(expr, AbsLinear):
         return expr.coef[None, :]
     if isinstance(expr, Scale):
-        rows = _linear_rows(expr.child)
+        rows = _flatten(expr.child)
         return None if rows is None else expr.factor * rows
     if not isinstance(expr, (MaxOf, SumOf)):
         return None
-    parts = [_linear_rows(c) for c in expr.children]
+    parts = [_flatten(c) for c in expr.children]
     if any(p is None for p in parts):
         return None
     if isinstance(expr, MaxOf):
@@ -262,7 +294,8 @@ def _perp_quotient(base: SeminormExpr, perp: np.ndarray, direction: np.ndarray,
     piecewise linear, so its minimum sits at a kink: a zero a_j / b_j of
     one row or a crossing (a_i -+ a_j) / (b_i -+ b_j) of two.  base is
     evaluated once at every kink inside the bracket |t| <= 2 base(perp) /
-    base(direction) that holds the minimum.  Any other tree is searched.
+    base(direction) that holds the minimum; the rows and their pairs are
+    kept on base.  Any other tree is searched.
     """
     on_perp = base.eval_many(perp[None, :])
     at_zero = float(on_perp[0])
@@ -273,7 +306,7 @@ def _perp_quotient(base: SeminormExpr, perp: np.ndarray, direction: np.ndarray,
         return float(_golden_quotient(base, perp[None, :], direction, dir_value, on_perp)[0])
     a = rows @ perp
     b = rows @ direction
-    i, j = np.triu_indices(a.size, 1)
+    i, j = base._row_pairs
     num = np.concatenate([a, a[i] - a[j], a[i] + a[j]])
     den = np.concatenate([b, b[i] - b[j], b[i] + b[j]])
     # a zero denominator is a pair of parallel pieces, which has no kink

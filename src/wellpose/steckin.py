@@ -20,7 +20,7 @@ through a shrinking-radius ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -62,12 +62,26 @@ class NormedSetting:
 
     mesh is the achieved covering fineness: the largest base-gap between
     adjacent sample points.  All estimate error bounds scale with it.
+
+    sphere is a read-only copy of the given points, and base_sphere is
+    base's values on it, computed once here and read-only: every
+    renorming step and :func:`wellpose_point` on the setting reads them
+    instead of evaluating base on the sphere again.
     """
 
     dim: int
     base: SeminormExpr
     sphere: np.ndarray
     mesh: float
+    base_sphere: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sphere = np.array(self.sphere, dtype=np.float64)
+        sphere.flags.writeable = False
+        values = self.base.eval_many(sphere)
+        values.flags.writeable = False
+        object.__setattr__(self, "sphere", sphere)
+        object.__setattr__(self, "base_sphere", values)
 
 
 def _normalize_rows(base: SeminormExpr, u: np.ndarray) -> np.ndarray:
@@ -112,8 +126,6 @@ def make_setting(dim: int, base: SeminormExpr, mesh: float) -> NormedSetting:
             raise ValueError("requested mesh is too fine for the sphere sampler")
     else:
         raise ValueError("only dimensions 1, 2, 3 are supported")
-    sphere = np.ascontiguousarray(sphere)
-    sphere.flags.writeable = False
     return NormedSetting(dim=dim, base=base, sphere=sphere, mesh=achieved)
 
 
@@ -409,9 +421,24 @@ def _running_diameters(pts: np.ndarray, nu: SeminormExpr, stop: float = np.inf) 
     return prefix_diameters(block, np.arange(pts.shape[0]), stop)
 
 
-def _sublevel_curve(values: np.ndarray, sample: np.ndarray, grid, base: SeminormExpr):
-    """Base diameter of {values <= min + t} for each t in grid."""
-    diams = sublevel_diameters(values, grid, lambda order: _running_diameters(sample[order], base))
+def _sweep(sample: np.ndarray, base: SeminormExpr):
+    """sweep(order, stop=inf): _running_diameters(sample[order], base, stop).
+
+    For a polyhedral base the sample is projected once, sample @ rows.T,
+    and every sweep gathers the projected rows by order.  A row of the
+    product depends on that row of sample alone, so the gathered rows are
+    sample[order] @ rows.T bit for bit.
+    """
+    rows = _linear_rows(base)
+    if rows is None:
+        return lambda order, stop=np.inf: _running_diameters(sample[order], base, stop)
+    proj = sample @ rows.T
+    return lambda order, stop=np.inf: prefix_diameters(proj, order)
+
+
+def _sublevel_curve(values: np.ndarray, sweep, grid):
+    """Base diameter of {values <= min + t} for each t in grid (sweep from :func:`_sweep`)."""
+    diams = sublevel_diameters(values, grid, sweep)
     return ModulusCurve(eps_grid=tuple(grid), diam_values=tuple(diams.tolist()))
 
 
@@ -428,7 +455,9 @@ def set_diameter(points: np.ndarray, nu: SeminormExpr) -> float:
     spread path rounds each L_j.x once, where eval_many rounds
     L_j.(x - y) (and a sum adds its terms' roundings), so the two can
     differ in the last bits.  A tree that flattens to more rows than
-    seminorms._MAX_LINEAR_ROWS takes the block path.
+    seminorms._MAX_LINEAR_ROWS takes the block path.  The rows L are
+    flattened on the first call for a tree and kept on it
+    (seminorms._linear_rows), so repeated calls only project.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != nu.dim:
@@ -465,7 +494,7 @@ def metric_projection(nu: SeminormExpr, body: ConvexBody, p, delta_grid,
     values = nu.eval_many(p[None, :] - body.sample)
     dist = float(values.min())
     argmin = tuple(int(i) for i in np.flatnonzero(values == dist))
-    curve = _sublevel_curve(values, body.sample, grid, setting.base)
+    curve = _sublevel_curve(values, _sweep(body.sample, setting.base), grid)
     return ProjectionReport(dist=dist, argmin_indices=argmin, curve=curve)
 
 
@@ -523,15 +552,31 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
     offsets = _offsets(body, p)
     base_off = setting.base.eval_many(offsets)
     vals0 = base_off if nu is setting.base else nu.eval_many(offsets)
-    base_sphere = setting.base.eval_many(setting.sphere)
-    report, values, _ = _localize(nu, vals0, base_off, offsets, base_sphere, body, p, eps,
-                                  setting, grid)
-    return replace(report, curve=_sublevel_curve(values, body.sample, grid, setting.base))
+    sweep = _sweep(body.sample, setting.base)
+    report, values, _ = _localize(nu, vals0, base_off, offsets, body, p, eps, setting, grid,
+                                  sweep)
+    return replace(report, curve=_sublevel_curve(values, sweep, grid))
+
+
+# 2^-32, ..., 2^-1, 1: the default step grid's factors, ascending
+_HALVINGS = tuple(2.0**-k for k in range(32, -1, -1))
+_TINY = np.finfo(np.float64).tiny
 
 
 def _step_grid(delta_grid, eps: float) -> tuple[float, ...]:
+    """The ascending grid, by default the 33 halvings eps / 2^k, k <= 32.
+
+    eps * 2^-k is eps / 2^k bit for bit (both round the same real).
+    While eps * 2^-32 is a finite normal float the products are exact,
+    so they are distinct and ascending as built.  Otherwise (an infinite
+    eps, or halvings that round or underflow) they go through
+    _ascending_grid, which sorts, drops duplicates and rejects a zero.
+    """
     if delta_grid is None:
-        delta_grid = tuple(eps / 2.0**k for k in range(33))
+        eps = float(eps)
+        delta_grid = tuple(eps * h for h in _HALVINGS)
+        if _TINY <= delta_grid[0] and eps < np.inf:
+            return delta_grid
     return _ascending_grid(delta_grid)
 
 
@@ -578,28 +623,29 @@ def _add_terms(carried: np.ndarray, terms, pts: np.ndarray, base_vals: np.ndarra
     return _fold(np.add, [carried, *_term_values(terms, pts, base_vals)])
 
 
-def _largest_tolerance(values: np.ndarray, sample: np.ndarray, grid, base: SeminormExpr,
+def _largest_tolerance(values: np.ndarray, sweep, grid,
                        eps: float) -> tuple[float, float] | tuple[None, None]:
     """The largest t in grid whose near-minimizers {values <= min + t}
     have base diameter below eps, with that diameter; (None, None) if none.
+    sweep is the sample's, from :func:`_sweep`.
 
     The sweep stops at eps: the diameters never decrease with t, so the
     tolerances that pass are a prefix of the grid, and every cut past the
     first diameter >= eps reads +inf (see sublevel_diameters), which the
     pick never takes.
     """
-    diams = sublevel_diameters(values, grid,
-                               lambda order: _running_diameters(sample[order], base, eps))
+    diams = sublevel_diameters(values, grid, lambda order: sweep(order, eps))
     return max(((t, d) for t, d in zip(grid, diams.tolist()) if d < eps), default=(None, None))
 
 
 def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets: np.ndarray,
-              base_sphere: np.ndarray, body: ConvexBody, p: np.ndarray, eps: float,
-              setting: NormedSetting, grid) -> tuple:
+              body: ConvexBody, p: np.ndarray, eps: float, setting: NormedSetting, grid,
+              sweep) -> tuple:
     """The step body of :func:`wellpose_point` and :func:`baire_renorm`.
 
     vals0 and base_off are nu's and base's values on offsets = p - sample,
-    base_sphere base's on the sphere; only the added terms are evaluated.
+    and sweep is the sample's (:func:`_sweep`); base's values on the
+    sphere are the setting's.  Only the added terms are evaluated.
     Returns the report (without its curve), nu_prime's values on the
     offsets and the added terms' values on the sphere.
     """
@@ -621,11 +667,11 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets
         else:
             terms, x_star = _quotient_terms(setting, x, eps), tuple(float(v) for v in x)
         values = _add_terms(vals0, terms, offsets, base_off)
-        delta, dm = _largest_tolerance(values, body.sample, grid, setting.base, eps)
+        delta, dm = _largest_tolerance(values, sweep, grid, eps)
         if delta is not None:
             break
     # nu_prime - nu is exactly the sum of the added terms, a seminorm
-    on_sphere = _term_values(terms, setting.sphere, base_sphere)
+    on_sphere = _term_values(terms, setting.sphere, setting.base_sphere)
     moved = float(_fold(np.add, on_sphere).max())
     report = WellposeReport(nu_prime=SumOf((nu,) + terms), status=status, delta=delta,
                             achieved_diam=dm, moved=moved, dist=float(values.min()),
@@ -703,15 +749,18 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     raise ReplayError because the ledger arithmetic guarantees them.
 
     Each step only adds terms to the seminorm before it, so the growing
-    tree is never evaluated again.  base and nu0 are evaluated once on
-    the sphere and once on each witness's offsets p - sample; the loop
-    carries the current nu's values on each of these point sets, and a
-    step computes only its own terms, from base's values on the same
-    points, and adds them to every carried array in the tree's
-    left-to-right order.
+    tree is never evaluated again.  base's values on the sphere are the
+    setting's (NormedSetting.base_sphere), and nu0 is evaluated there
+    once unless it is base; both are evaluated once on each witness's
+    offsets p - sample.  The loop carries the current nu's values on
+    each of these point sets, and a step computes only its own terms,
+    from base's values on the same points, and adds them to every
+    carried array in the tree's left-to-right order.
     Every carried array therefore equals the current tree's eval_many
     bit for bit, and the strategy pick, moved, c_p, the final replay,
-    rho_total and a_final all read them.
+    rho_total and a_final all read them.  Every sweep of the call, the
+    steps' and the final replay's, reads one projection of the body's
+    sample (:func:`_sweep`).
 
     Precondition: eps_total must stay below the certified equivalence
     margin of nu0, or the budget could destroy definiteness.
@@ -728,8 +777,7 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     if nu0.dim != setting.dim:
         raise ValueError("dimension mismatch")
     base = setting.base
-    base_sphere = base.eval_many(setting.sphere)
-    nu0_sphere = base_sphere if nu0 is base else nu0.eval_many(setting.sphere)
+    nu0_sphere = setting.base_sphere if nu0 is base else nu0.eval_many(setting.sphere)
     a0 = _inf_estimate(nu0_sphere, setting)
     if not (eps_total < a0.value - a0.error_bound):
         raise PreconditionError(
@@ -752,6 +800,7 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
             raise ValueError(f"witness point {p.tolist()} is too far from the body: "
                              f"c_p = {cp}, and 3 c_p overflows")
     nu_off = list(base_off) if nu0 is base else [nu0.eval_many(x) for x in offsets]
+    sweep = _sweep(body.sample, base)
     nu = nu0
     nu_sphere = nu0_sphere
     remaining = eps_total
@@ -772,8 +821,8 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         eps_i = 0.5 * allowance
         if not (eps_i > floor):
             return _fail("budget_exhausted")
-        wp, values, on_sphere = _localize(nu, nu_off[i], base_off[i], offsets[i], base_sphere,
-                                          body, p, eps_i, setting, _step_grid(delta_grid, eps_i))
+        wp, values, on_sphere = _localize(nu, nu_off[i], base_off[i], offsets[i], body, p, eps_i,
+                                          setting, _step_grid(delta_grid, eps_i), sweep)
         if wp.delta is None:
             return _fail("step_failed")
         cp = float(base_off[i].max())
@@ -797,7 +846,7 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     for step, values in zip(steps, nu_off):
         tol = step.delta / 3.0
         grid = tuple(sorted({float(d) for d in (tol, 2.0 * tol, 3.0 * tol)}))
-        curve = _sublevel_curve(values, body.sample, grid, base)
+        curve = _sublevel_curve(values, sweep, grid)
         dm = curve.diam_values[0]  # the claim: diameter at tolerance delta/3
         if not (dm < step.eps_step):
             raise ReplayError(

@@ -163,6 +163,46 @@ class TestModulusCurve:
         with pytest.raises(ValueError):
             ModulusCurve((-0.1, 0.2), (0.0, 0.0))
 
+    # few distinct values, so that ties, equal neighbours and NaN or inf
+    # steps are common
+    _edge_floats = st.sampled_from([0.0, -0.0, 0.1, 0.2, 1.0, -1.0, 5e-324, 1e308,
+                                    np.inf, -np.inf, np.nan]) | st.floats()
+
+    @staticmethod
+    def _numpy_verdict(eps_grid, diam_values):
+        """The numpy round-trip checks the curve used to make: the message
+        of the first failing check, or None if the curve is accepted."""
+        if len(eps_grid) != len(diam_values) or not eps_grid:
+            return "grid and values must align and be non-empty"
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails every check
+            eps = np.asarray(eps_grid)
+            if np.any(eps <= 0.0) or np.any(np.diff(eps) <= 0.0):
+                return "eps grid must be positive and strictly increasing"
+            if np.any(np.diff(diam_values) < 0.0):
+                return "modulus must be non-decreasing in eps"
+        return None
+
+    @given(st.lists(_edge_floats, max_size=6), st.lists(_edge_floats, max_size=6),
+           st.booleans())
+    @example([0.1, float("nan")], [0.0, 0.0], True)  # a NaN grid value is accepted
+    @example([0.1, float("inf"), float("inf")], [0.0, 1.0, 2.0], True)
+    @example([], [], True)
+    @example([0.1], [0.0, 0.0], True)
+    @example([-0.0, 0.1], [0.0, 0.0], True)
+    def test_checks_equal_the_numpy_checks(self, eps, diam, align):
+        if align:
+            n = min(len(eps), len(diam))
+            eps, diam = eps[:n], diam[:n]
+        eps, diam = tuple(eps), tuple(diam)
+        expected = self._numpy_verdict(eps, diam)
+        if expected is None:
+            curve = ModulusCurve(eps, diam)
+            assert curve.eps_grid is eps and curve.diam_values is diam
+        else:
+            with pytest.raises(ValueError) as err:
+                ModulusCurve(eps, diam)
+            assert str(err.value) == expected
+
     def test_csv_round_trips_floats_exactly(self):
         curve = ModulusCurve((0.1, 0.2, 1.0 / 3.0), (0.0, 1e-17, 2.0 / 7.0))
         text = curve.to_csv()

@@ -488,6 +488,58 @@ class TestLinearRows:
                                         for k in range(cap + 1)))) is None
 
 
+class TestKeptRows:
+    """A tree's rows and their index pairs are flattened once and kept on
+    it, read-only; the kept arrays equal a fresh flattening."""
+
+    @staticmethod
+    def _trees(rng):
+        trees = [linf_norm(2), linf_norm(3), l1_norm(2), l1_norm(3), Scale(2.5, l1_norm(2)),
+                 MaxOf((SumOf((AbsLinear([1.0, 2.0]), AbsLinear([0.5, -1.0]))),
+                        Scale(0.3, l1_norm(2))))]
+        return trees + [random_polyhedral_seminorm(rng, int(rng.integers(2, 4)))
+                        for _ in range(40)]
+
+    def test_kept_rows_equal_a_fresh_flattening(self, rng):
+        trees = self._trees(rng)
+        for tree in trees:
+            rows = _linear_rows(tree)
+            assert rows is _linear_rows(tree)
+            assert _bits(rows) == _bits(seminorms._flatten(tree))
+            assert rows.shape[1] == tree.dim
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+        # read again after every other tree was flattened: each keeps its own
+        for tree in trees:
+            assert _bits(_linear_rows(tree)) == _bits(seminorms._flatten(tree))
+
+    def test_kept_row_pairs_equal_the_upper_triangle(self, rng):
+        for tree in self._trees(rng):
+            i, j = tree._row_pairs
+            ref_i, ref_j = np.triu_indices(_linear_rows(tree).shape[0], 1)
+            assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+            assert tree._row_pairs[0] is i
+            for kept in (i, j):
+                if kept.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        kept[0] = 0
+
+    def test_none_is_kept_for_trees_that_do_not_flatten(self):
+        atoms = [AbsLinear([1.0, float(k)]) for k in range(8)]
+        for tree in (Euclidean(2), MaxOf((AbsLinear([1.0, 0.0]), Scale(0.3, Euclidean(2)))),
+                     LineQuotient(linf_norm(2), [1.0, 1.0]), SumOf(atoms)):
+            assert _linear_rows(tree) is None
+            assert _linear_rows(tree) is None
+
+    def test_a_quotient_reads_the_kept_pairs(self, monkeypatch):
+        base = linf_norm(2)
+        LineQuotient(base, [1.0, 0.5])
+        monkeypatch.setattr(np, "triu_indices", None)  # any fresh pair list now fails
+        monkeypatch.setattr(seminorms, "_flatten", None)
+        q = LineQuotient(base, [0.3, -1.0])
+        assert q(np.array([1.0, 1.0])) <= base(np.array([1.0, 1.0]))
+
+
 def _tree_cases():
     e1 = AbsLinear([1.0, -2.0])
     e2 = AbsLinear([0.5, 0.5])

@@ -8,6 +8,7 @@ from wellpose.instances import (
     acceptance_witness_points,
     necessity_witness_points,
     random_norm,
+    random_polyhedral_seminorm,
     segment_instance,
     steckin_instance_from_json,
 )
@@ -29,10 +30,13 @@ from wellpose.errors import ReplayError
 from wellpose.spaces import prefix_diameters
 from wellpose.steckin import (
     ConvexBody,
+    NormedSetting,
     _nearest_two,
     _quotient_terms,
     _running_diameters,
+    _step_grid,
     _sublevel_curve,
+    _sweep,
     _term_values,
     a_nu,
     baire_renorm,
@@ -640,6 +644,12 @@ class TestBaireRenorm:
             assert np.array_equal(rep.nu_final.eval_many(pts), rebuilt.eval_many(pts))
 
 
+def _plain_sweep(sample, base):
+    """Running base diameters of sample[order], the rows gathered and
+    projected afresh on every sweep."""
+    return lambda order: _running_diameters(sample[order], base)
+
+
 def _reference_renorm(nu0, body, witness_points, eps_total, n_target, setting,
                       delta_grid=None, tried=None):
     """baire_renorm as a loop that re-evaluates the whole growing tree:
@@ -682,7 +692,7 @@ def _reference_renorm(nu0, body, witness_points, eps_total, n_target, setting,
                 tried.append(tuple(x))
                 terms = (Scale(eps_i / 2.0, base), Scale(eps_i / 2.0, LineQuotient(base, x)))
             values = SumOf((nu,) + terms).eval_many(offsets)
-            curve = _sublevel_curve(values, body.sample, grid, base)
+            curve = _sublevel_curve(values, _plain_sweep(body.sample, base), grid)
             delta, dm = max(((t, d) for t, d in zip(grid, curve.diam_values) if d < eps_i),
                             default=(None, None))
             if delta is not None:
@@ -703,7 +713,8 @@ def _reference_renorm(nu0, body, witness_points, eps_total, n_target, setting,
     for step, p in zip(steps, points):
         tol = step["delta"] / 3.0
         grid = tuple(sorted({tol, 2.0 * tol, 3.0 * tol}))
-        curve = _sublevel_curve(nu.eval_many(p[None, :] - body.sample), body.sample, grid, base)
+        curve = _sublevel_curve(nu.eval_many(p[None, :] - body.sample),
+                                _plain_sweep(body.sample, base), grid)
         per_point.append({"index": step["index"], "point": step["point"], "delta_over_3": tol,
                           "diam": curve.diam_values[0], "eps_step": step["eps_step"],
                           "bound": 1.0 / n_target, "curve": curve})
@@ -835,25 +846,46 @@ class TestCarriedValues:
 
     @pytest.mark.parametrize("count", [2, 4, 8])
     def test_base_is_computed_once_per_point_set(self, count, monkeypatch):
-        """Every leaf of the linf base computes at most once on the sphere
-        and once on each witness's offsets, however many steps follow."""
-        inst = segment_instance(n_samples=201, mesh=5e-3)
-        witnesses = tuple((0.3 * k - 1.0, 2.0 + 0.1 * k) for k in range(count))
-        computed = []
+        """Every leaf of the linf base computes at most once on the sphere,
+        when the setting is built, and once on each witness's offsets,
+        however many steps follow.  A second run on the same setting
+        computes nothing on the sphere, and base's rows are flattened
+        once across both runs."""
+        computed, flattened = [], []
         raw = AbsLinear.eval_many
+        raw_flatten = seminorms._flatten
 
         def spy(self, X):
             computed.append((self, X))
             return raw(self, X)
 
+        def flatten_spy(expr):
+            flattened.append(expr)
+            return raw_flatten(expr)
+
         monkeypatch.setattr(AbsLinear, "eval_many", spy)
+        monkeypatch.setattr(seminorms, "_flatten", flatten_spy)
+        inst = segment_instance(n_samples=201, mesh=5e-3)
+        witnesses = tuple((0.3 * k - 1.0, 2.0 + 0.1 * k) for k in range(count))
         rep = baire_renorm(inst.nu0, inst.body, witnesses, 0.3, 5, inst.setting)
         assert len(rep.ledger.steps) >= 2
         point_sets = [inst.setting.sphere] + [np.asarray(w) - inst.body.sample for w in witnesses]
+
+        def leaves_on(pts):
+            return [leaf for leaf, X in computed if X.shape == pts.shape and np.array_equal(X, pts)]
+
         for pts in point_sets:
-            on_pts = [leaf for leaf, X in computed
-                      if X.shape == pts.shape and np.array_equal(X, pts)]
+            on_pts = leaves_on(pts)
             assert len(on_pts) == len(set(map(id, on_pts))) == 2  # each leaf once
+        computed.clear()
+        again = baire_renorm(inst.nu0, inst.body, witnesses, 0.3, 5, inst.setting)
+        _assert_same_bits([vars(s) for s in again.ledger.steps],
+                          [vars(s) for s in rep.ledger.steps])
+        assert leaves_on(inst.setting.sphere) == []
+        for pts in point_sets[1:]:
+            on_pts = leaves_on(pts)
+            assert len(on_pts) == len(set(map(id, on_pts))) == 2
+        assert flattened.count(inst.setting.base) == 1
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_step_terms_from_base_values(self, dim, rng):
@@ -880,6 +912,87 @@ class TestCarriedValues:
             alt = next((int(k) for k in order[1:]
                         if not np.array_equal(rows[k], rows[order[0]])), None)
             assert _nearest_two(vals, rows) == (int(order[0]), alt)
+
+
+class TestKeptValues:
+    """What a renorming step reads from its fixed base is computed once
+    and kept read-only; each kept value equals a fresh computation."""
+
+    @staticmethod
+    def _settings():
+        rng = np.random.default_rng(23)
+        yield make_setting(1, l1_norm(1), 0.1)
+        for base in (linf_norm(2), l1_norm(2), euclidean_norm(2), random_norm(rng, 2)):
+            yield make_setting(2, base, 2e-2)
+        for base in (linf_norm(3), euclidean_norm(3)):
+            yield make_setting(3, base, 0.5)
+
+    def test_sphere_values_equal_a_fresh_evaluation(self):
+        for setting in self._settings():
+            assert _bits(setting.base_sphere) == _bits(setting.base.eval_many(setting.sphere))
+            for kept in (setting.sphere, setting.base_sphere):
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[0] = 0.0
+
+    def test_the_setting_owns_its_sphere(self):
+        base = linf_norm(2)
+        angles = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+        points = np.column_stack([np.cos(angles), np.sin(angles)])
+        points /= base.eval_many(points)[:, None]
+        setting = NormedSetting(dim=2, base=base, sphere=points, mesh=0.2)
+        sphere, values = setting.sphere.copy(), setting.base_sphere.copy()
+        points *= 3.0
+        assert _bits(setting.sphere) == _bits(sphere)
+        assert _bits(setting.base_sphere) == _bits(values)
+        assert not np.shares_memory(setting.sphere, points)
+
+    @staticmethod
+    def _bodies():
+        rng = np.random.default_rng(5)
+        yield segment_body([-1.0, 0.0], [1.0, 0.5], n_samples=41)
+        yield polytope_body([[-1.0, -0.5], [1.0, -0.6], [0.8, 0.7], [-0.6, 0.9]],
+                            n_samples=60, seed=2)
+        yield polytope_body(rng.normal(size=(6, 3)), n_samples=50, seed=3)
+        # tied rows and dyadic coordinates: equal projections and diameters
+        tied = rng.integers(-4, 5, size=(40, 2)) / 4.0
+        yield ConvexBody(vertices=tied, sample=np.vstack([tied, tied[::3]]), mesh=0.25)
+
+    def test_projection_sweep_equals_the_gathered_sample(self):
+        rng = np.random.default_rng(7)
+        for body in self._bodies():
+            d = body.dim
+            bases = [linf_norm(d), l1_norm(d), euclidean_norm(d),
+                     MaxOf((l1_norm(d), Scale(0.75, linf_norm(d))))]
+            bases += [random_polyhedral_seminorm(rng, d) for _ in range(3)]
+            m = body.sample.shape[0]
+            for base in bases:
+                sweep = _sweep(body.sample, base)
+                for length in range(1, m + 1):
+                    order = rng.permutation(m)[:length]
+                    expected = _running_diameters(body.sample[order], base)
+                    assert _bits(sweep(order)) == _bits(expected)
+                # a sweep that stops at a bound keeps a prefix of the full one
+                order = rng.permutation(m)
+                full = _running_diameters(body.sample[order], base)
+                stop = float(np.median(full))
+                short = sweep(order, stop)
+                assert _bits(short) == _bits(full[:short.size]) and short[-1] >= stop
+
+    def test_default_step_grid_equals_the_sorted_halvings(self):
+        tiny = np.finfo(float).tiny
+        cases = [0.3, 0.05, 1.0, 0.3 * 2.0**-40, 2.0**-990, 2.0**-989, 2.0**-991,
+                 tiny, 5e-324, 1e-310, 1e-314, 1e308, np.finfo(float).max, np.inf]
+        rng = np.random.default_rng(11)
+        cases += list(10.0 ** rng.uniform(-320, 308, size=200))
+        for eps in cases:
+            halvings = {float(eps / 2.0**k) for k in range(33)}
+            if min(halvings) == 0.0:  # eps / 2^32 underflows: no grid
+                with pytest.raises(ValueError, match="positive"):
+                    _step_grid(None, eps)
+                continue
+            got = _step_grid(None, eps)
+            assert all(type(t) is float for t in got)
+            assert [t.hex() for t in got] == [t.hex() for t in sorted(halvings)]
 
 
 class TestInstanceHelpers:

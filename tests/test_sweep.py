@@ -37,6 +37,7 @@ from wellpose.steckin import (
     _largest_tolerance,
     _running_diameters,
     _sublevel_curve,
+    _sweep,
     make_setting,
     metric_projection,
     polytope_body,
@@ -684,8 +685,13 @@ STEP_BASES = {
 }
 
 
+def _plain_sweep(sample, base):
+    """Running base diameters of sample[order], the sample projected afresh."""
+    return lambda order: _running_diameters(sample[order], base)
+
+
 def _full_pick(values, sample, grid, base, eps):
-    curve = _sublevel_curve(values, sample, grid, base)
+    curve = _sublevel_curve(values, _plain_sweep(sample, base), grid)
     return max(((t, d) for t, d in zip(grid, curve.diam_values) if d < eps), default=(None, None))
 
 
@@ -703,9 +709,9 @@ class TestStepPick:
             # that land on eps
             sample = _tied_coords(rng, 50, 2)
             values = _tied_values(rng, 50)
-            curve = _sublevel_curve(values, sample, grid, base).diam_values
+            curve = _sublevel_curve(values, _plain_sweep(sample, base), grid).diam_values
             for eps in {*rng.choice(curve, size=4), 0.25, 2.0, curve[0], curve[-1]}:
-                assert _largest_tolerance(values, sample, grid, base, eps) == \
+                assert _largest_tolerance(values, _sweep(sample, base), grid, eps) == \
                     _full_pick(values, sample, grid, base, eps)
 
     @pytest.mark.parametrize("base_name", sorted(STEP_BASES))
