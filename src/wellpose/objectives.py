@@ -81,8 +81,9 @@ class ObjectiveFunction:
 
     Values may be +inf (effective-domain marker) but never -inf or NaN,
     and at least one value is finite.  values is a read-only copy of the
-    given table (``owned=True`` adopts an array that nothing else holds),
-    and low is inf f, kept from the one pass that checks the table.
+    given table (``owned=True`` adopts an array that nothing else holds or
+    writes, such as a row of a family's read-only table), and low is
+    inf f, kept from the one pass that checks the table.
     """
 
     space: FiniteMetricSpace

@@ -92,7 +92,9 @@ class ParametricFamily:
         object.__setattr__(self, "row_min", row_min)
 
     def objective(self, p: int) -> ObjectiveFunction:
-        return ObjectiveFunction(self.domain, self.values[p])
+        """f_p, on row p of the read-only table itself: nothing writes the
+        row, so the objective adopts it instead of a copy."""
+        return ObjectiveFunction(self.domain, self.values[p], owned=True)
 
     def _check_perturbation(self, g_fam) -> None:
         if g_fam.params is not self.params.space:

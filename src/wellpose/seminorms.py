@@ -12,8 +12,9 @@ kappa computed once per quotient: exactly for a euclidean or polyhedral
 tree.  Elsewhere the minimum, convex in t, is bracketed analytically and
 resolved by golden section at every point.  Either way reported values
 never exceed base(x).  A quotient also evaluates from base's values on
-the same points (LineQuotient.from_base), so a caller that keeps them
-does not pay for base again.
+the same points (LineQuotient.from_base, or from_columns on the points'
+coordinate columns), so a caller that keeps them does not pay for base
+again.
 
 Maxima and sums fold their children one at a time, left to right, into
 one running array (np.maximum and + in place), never a (k, N) stack.
@@ -336,8 +337,10 @@ class LineQuotient(SeminormExpr):
     evaluation is then one dot product per point, clamped to base(x) so
     rounding in kappa never lifts a value above base.  Other dimensions
     run the search at every point, starting from base(x).  from_base
-    takes base's values on the points from the caller; eval_many is
-    from_base applied to base.eval_many of the same points.
+    takes base's values on the points from the caller, and from_columns
+    the same on the points' coordinate columns; from_base is from_columns
+    of its rows' transpose, and eval_many is from_base applied to
+    base.eval_many of the same points.
     """
 
     def __init__(self, base: SeminormExpr, direction):
@@ -369,13 +372,25 @@ class LineQuotient(SeminormExpr):
         base_vals = np.asarray(base_vals, dtype=np.float64)
         if base_vals.shape != pts.shape[:1]:
             raise ValueError("base_vals must hold one value per point")
+        return self.from_columns(pts.T, base_vals)
+
+    def from_columns(self, cols: np.ndarray, base_vals: np.ndarray,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+        """Values on the points whose coordinate columns are the rows of
+        cols, (d, N), given base's values there (float64, (N,)), in a
+        fresh array.  In R^2 a given scratch array of shape (N,) holds
+        the second product; contiguous columns are read fastest.
+        """
         if self.dim != 2:
-            return _golden_quotient(self.base, pts, self.direction, self.dir_value, base_vals)
+            return _golden_quotient(self.base, cols.T, self.direction, self.dir_value, base_vals)
         # two products and a sum, never a fused multiply-add, so the dot
         # product is exactly 0 at x = direction
         perp = self._perp
-        flat = self._kappa * np.abs(pts[:, 0] * perp[0] + pts[:, 1] * perp[1])
-        return np.minimum(flat, base_vals)
+        out = np.multiply(cols[0], perp[0])
+        out += np.multiply(cols[1], perp[1], out=scratch)
+        np.abs(out, out=out)
+        out *= self._kappa
+        return np.minimum(out, base_vals, out=out)
 
     def magnitude_many(self, X):
         pts = _as_points(X, self.dim)

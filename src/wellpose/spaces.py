@@ -38,21 +38,25 @@ _BALL_CELLS = 1 << 20
 _METRICS = ("euclidean", "linf", "l1")
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+def _pairwise(a: np.ndarray, b: np.ndarray, metric: str, out: np.ndarray | None = None,
+              col: np.ndarray | None = None) -> np.ndarray:
     """Distances between points a and b, arrays of shape (..., d) that
     broadcast against each other; the all-pairs block of (na, d) and
-    (nb, d) arrays is _pairwise(a[:, None], b[None], metric).
+    (nb, d) arrays is _pairwise(a[:, None], b[None], metric).  Metric
+    "sqeuclidean" gives the euclidean squares before their root.
 
     One in-place loop over the coordinate columns for every metric: numpy
     reduces a short last axis slowly, and a block-sized temporary costs
-    more in page faults than its arithmetic.  For d <= 7 the sums equal
-    numpy's axis reduction bit for bit (no CLI or benchmark space has d >= 8).
+    more in page faults than its arithmetic.  A caller that fills block
+    after block may pass the result array ``out`` and the column array
+    ``col``, both of the block's shape, to be reused.  For d <= 7 the
+    sums equal numpy's axis reduction bit for bit (no CLI or benchmark
+    space has d >= 8).
     """
     fold = np.maximum if metric == "linf" else np.add
-    term = np.square if metric == "euclidean" else np.abs
-    out = a[..., 0] - b[..., 0]
+    term = np.square if metric in ("euclidean", "sqeuclidean") else np.abs
+    out = np.subtract(a[..., 0], b[..., 0], out=out)
     term(out, out=out)
-    col = None
     for k in range(1, a.shape[-1]):
         col = np.subtract(a[..., k], b[..., k], out=col)
         fold(out, term(col, out=col), out=out)
@@ -525,6 +529,39 @@ def prefix_diameters(dist, order=None, stop: float = np.inf) -> np.ndarray:
         if row_max[lo:lo + step].max() >= stop:
             return np.maximum.accumulate(row_max[:lo + step])
     return np.maximum.accumulate(row_max)
+
+
+def _euclidean_prefix(pts: np.ndarray, stop: float = np.inf) -> np.ndarray:
+    """Running euclidean diameter of the rows of pts, with prefix_diameters's
+    ``stop``: its block path over _pairwise blocks, on squared distances.
+
+    Each chunk of rows fills one reused block with the kernel's squares
+    (metric "sqeuclidean") and keeps running maxima of them.  sqrt is
+    monotone and correctly rounded, so the root of a maximum is the
+    maximum of the roots: rooted at the end, the result is the block
+    path's bit for bit, and each chunk is tested against stop by the root
+    of its maximum.  A square fl((a - b)^2) is symmetric bit for bit, so
+    row i's maximum over the chunk's own square's lower triangle is entry
+    i of the diagonal of that square's running column maximum.
+    """
+    m = pts.shape[0]
+    step = min(m, max(1, _CHUNK_CELLS // max(m, 1)))
+    pts = np.asfortranarray(pts)  # the kernel reads one coordinate column at a time
+    buf, col = np.empty(step * m), np.empty(step * m)
+    row_max = np.empty(m)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        shape, cells = (hi - lo, hi), (hi - lo) * hi
+        sq = _pairwise(pts[lo:hi, None], pts[None, :hi], "sqeuclidean",
+                       buf[:cells].reshape(shape), col[:cells].reshape(shape))
+        own = sq[:, lo:]
+        np.maximum.accumulate(own, axis=0, out=own)
+        row_max[lo:hi] = own.diagonal()
+        if lo:
+            np.maximum(row_max[lo:hi], sq[:, :lo].max(axis=1), out=row_max[lo:hi])
+        if np.sqrt(row_max[lo:hi].max()) >= stop:
+            return np.sqrt(np.maximum.accumulate(row_max[:hi]))
+    return np.sqrt(np.maximum.accumulate(row_max))
 
 
 def sublevel_diameters(values, grid, prefix) -> np.ndarray:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
-from .seminorms import Euclidean, LineQuotient, Scale, SeminormExpr, SumOf, _fold, _linear_rows
-from .spaces import _pairwise, prefix_diameters, sublevel_diameters
+from .seminorms import Euclidean, LineQuotient, Scale, SeminormExpr, SumOf, _linear_rows
+from .spaces import _euclidean_prefix, _pairwise, prefix_diameters, sublevel_diameters
 
 __all__ = [
     "NormedSetting",
@@ -63,16 +63,19 @@ class NormedSetting:
     mesh is the achieved covering fineness: the largest base-gap between
     adjacent sample points.  All estimate error bounds scale with it.
 
-    sphere is a read-only copy of the given points, and base_sphere is
-    base's values on it, computed once here and read-only: every
+    sphere is a read-only copy of the given points, sphere_columns its
+    coordinate columns as one contiguous (d, N) array, and base_sphere
+    base's values on it, all computed once here and read-only: every
     renorming step and :func:`wellpose_point` on the setting reads them
-    instead of evaluating base on the sphere again.
+    instead of evaluating base on the sphere again, and adds its terms
+    there column by column (see :func:`_add_terms`).
     """
 
     dim: int
     base: SeminormExpr
     sphere: np.ndarray
     mesh: float
+    sphere_columns: np.ndarray = field(init=False, repr=False)
     base_sphere: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -81,7 +84,16 @@ class NormedSetting:
         values = self.base.eval_many(sphere)
         values.flags.writeable = False
         object.__setattr__(self, "sphere", sphere)
+        object.__setattr__(self, "sphere_columns", _columns(sphere))
         object.__setattr__(self, "base_sphere", values)
+
+
+def _columns(points: np.ndarray) -> np.ndarray:
+    """The coordinate columns of (N, d) points as a contiguous read-only
+    (d, N) array: the same numbers, read without a stride."""
+    cols = np.ascontiguousarray(points.T)
+    cols.flags.writeable = False
+    return cols
 
 
 def _normalize_rows(base: SeminormExpr, u: np.ndarray) -> np.ndarray:
@@ -278,7 +290,8 @@ class ConvexBody:
 
     mesh records the sample spacing (euclidean); membership queries use
     the exact hull, while projection estimates range over the sample.
-    The hull's facet table is built on the first membership query.
+    The hull's facet table is built on the first membership query, and
+    whether the sample repeats a point on the first step that asks.
     """
 
     vertices: np.ndarray
@@ -338,6 +351,14 @@ class ConvexBody:
                 reason = str(exc).partition("\n")[0]
                 raise ValueError(f"qhull cannot hull the vertices: {reason}") from None
         return centre, basis, equations
+
+    @cached_property
+    def _repeats(self) -> bool:
+        """Whether two sample rows are the same point, equal (==) in every
+        coordinate.  Equal rows are equal keys of a lexicographic sort, so
+        they end up next to each other."""
+        rows = self.sample[np.lexsort(self.sample.T)]
+        return bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
 
     def contains(self, p) -> bool:
         p = np.asarray(p, dtype=np.float64).reshape(-1)
@@ -411,12 +432,11 @@ def _running_diameters(pts: np.ndarray, nu: SeminormExpr, stop: float = np.inf) 
         return prefix_diameters(pts @ rows.T)
 
     if isinstance(nu, Euclidean):
-        def block(i, j):
-            return _pairwise(pts[i][:, None], pts[j][None], "euclidean")
-    else:
-        def block(i, j):
-            diffs = pts[i][:, None, :] - pts[j][None, :, :]
-            return nu.eval_many(diffs.reshape(-1, pts.shape[1])).reshape(len(i), len(j))
+        return _euclidean_prefix(pts, stop)
+
+    def block(i, j):
+        diffs = pts[i][:, None, :] - pts[j][None, :, :]
+        return nu.eval_many(diffs.reshape(-1, pts.shape[1])).reshape(len(i), len(j))
 
     return prefix_diameters(block, np.arange(pts.shape[0]), stop)
 
@@ -449,9 +469,11 @@ def set_diameter(points: np.ndarray, nu: SeminormExpr) -> float:
     nu(x - y) = max_j |L_j.x - L_j.y|, so the projections pts @ L.T go to
     the spread path of :func:`~wellpose.spaces.prefix_diameters` (O(m j));
     every other tree goes to its block path, pairwise by row chunk.  A
-    euclidean nu fills those blocks with the distance kernel
-    :func:`~wellpose.spaces._pairwise`, bit for bit its eval_many of the
-    differences; any other tree evaluates the difference rows.  The
+    euclidean nu fills those blocks with the squares of the distance
+    kernel :func:`~wellpose.spaces._pairwise` and roots their running
+    maxima at the end (spaces._euclidean_prefix), bit for bit its
+    eval_many of the differences; any other tree evaluates the
+    difference rows.  The
     spread path rounds each L_j.x once, where eval_many rounds
     L_j.(x - y) (and a sum adds its terms' roundings), so the two can
     differ in the last bits.  A tree that flattens to more rows than
@@ -553,8 +575,9 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
     base_off = setting.base.eval_many(offsets)
     vals0 = base_off if nu is setting.base else nu.eval_many(offsets)
     sweep = _sweep(body.sample, setting.base)
-    report, values, _ = _localize(nu, vals0, base_off, offsets, body, p, eps, setting, grid,
-                                  sweep)
+    # nu's own values on the sphere are never read: only moved is
+    report, values, _ = _localize(nu, vals0, 0.0, base_off, _columns(offsets), body, p, eps,
+                                  setting, grid, sweep)
     return replace(report, curve=_sublevel_curve(values, sweep, grid))
 
 
@@ -581,20 +604,30 @@ def _step_grid(delta_grid, eps: float) -> tuple[float, ...]:
 
 
 def _offsets(body: ConvexBody, p: np.ndarray) -> np.ndarray:
-    """p - x for every sample point x, read-only: every strategy and step reads it."""
+    """p - x for every sample point x, read-only: nu and base are evaluated
+    on these rows, and every step reads their columns (:func:`_columns`)."""
     offsets = p[None, :] - body.sample
     offsets.flags.writeable = False
     return offsets
 
 
-def _nearest_two(vals: np.ndarray, sample: np.ndarray) -> tuple[int, int | None]:
+def _nearest_two(vals: np.ndarray, body: ConvexBody) -> tuple[int, int | None]:
     """The first two distinct points of a stable argsort of vals.
 
     The lowest-index nearest sample, and the lowest-index nearest among
     the samples at another point (None if every sample is the same
-    point): the perturbation directions are built from them.
+    point): the perturbation directions are built from them.  When no
+    sample point repeats (body._repeats), every other index is at
+    another point, and the second is the lowest-index minimum of vals
+    with the first left out.
     """
     first = int(np.argmin(vals))
+    if not body._repeats:
+        if vals.size == 1:
+            return first, None
+        alt = int(np.argmin(np.concatenate((vals[:first], vals[first + 1:]))))
+        return first, alt + (alt >= first)
+    sample = body.sample
     # column by column: numpy reduces a short last axis slowly
     other = sample[:, 0] != sample[first, 0]
     for k in range(1, sample.shape[1]):
@@ -605,22 +638,39 @@ def _nearest_two(vals: np.ndarray, sample: np.ndarray) -> tuple[int, int | None]
     return first, int(differ[np.argmin(vals[differ])])
 
 
-def _term_values(terms, pts: np.ndarray, base_vals: np.ndarray) -> list:
-    """Each added term's values on pts from base's values there.
+def _add_terms(carried, terms, cols: np.ndarray, base_vals: np.ndarray,
+               moved: bool = False) -> tuple[np.ndarray, float | None]:
+    """SumOf((nu,) + terms) on the points whose coordinate columns are
+    cols, (d, N), from nu's values there (carried, or a scalar) and
+    base's (base_vals), and with ``moved`` also the largest value of the
+    terms' own sum there (None without).
 
-    A term is c base or c LineQuotient(base, x) (:func:`_quotient_terms`),
-    so c times base_vals or the quotient's from_base is its eval_many bit
-    for bit, and base is not evaluated again.
+    terms are (c1 base,) or (c1 base, c2 LineQuotient(base, x)), as
+    :func:`_localize` builds them, so T1 = c1 base_vals and T2 = c2 times
+    the quotient's from_columns are their eval_many bit for bit, and base
+    is not evaluated again.  The sum node adds (carried + T1) + T2; a
+    rounded sum does not depend on its operands' order, so T1 += carried
+    and T2 += that are the same numbers.  One fresh result and one
+    scratch array hold every step: nothing else of size N is allocated
+    (a 3-D quotient's golden search aside), and carried is never written.
     """
-    return [t.factor * (t.child.from_base(pts, base_vals) if isinstance(t.child, LineQuotient)
-                        else base_vals) for t in terms]
-
-
-def _add_terms(carried: np.ndarray, terms, pts: np.ndarray, base_vals: np.ndarray) -> np.ndarray:
-    """SumOf((nu,) + terms) on pts, from nu's values (carried) and base's
-    values there: the terms are added left to right as the sum node adds
-    them, so the result is that node's eval_many bit for bit."""
-    return _fold(np.add, [carried, *_term_values(terms, pts, base_vals)])
+    head, *quotient = terms
+    if not quotient:
+        out = np.multiply(base_vals, head.factor)
+        top = float(out.max()) if moved else None
+        out += carried
+        return out, top
+    scratch = np.empty_like(base_vals)
+    out = quotient[0].child.from_columns(cols, base_vals, scratch)
+    out *= quotient[0].factor
+    np.multiply(base_vals, head.factor, out=scratch)  # T1
+    top = None
+    if moved:  # T1 + T2 takes the scratch array, so T1 is formed again
+        top = float(np.add(scratch, out, out=scratch).max())
+        np.multiply(base_vals, head.factor, out=scratch)
+    scratch += carried
+    out += scratch
+    return out, top
 
 
 def _largest_tolerance(values: np.ndarray, sweep, grid,
@@ -632,31 +682,38 @@ def _largest_tolerance(values: np.ndarray, sweep, grid,
     The sweep stops at eps: the diameters never decrease with t, so the
     tolerances that pass are a prefix of the grid, and every cut past the
     first diameter >= eps reads +inf (see sublevel_diameters), which the
-    pick never takes.
+    pick never takes.  The grid ascends, so the pick is the last cut
+    below eps.
     """
     diams = sublevel_diameters(values, grid, lambda order: sweep(order, eps))
-    return max(((t, d) for t, d in zip(grid, diams.tolist()) if d < eps), default=(None, None))
+    passing = np.flatnonzero(diams < eps)
+    if passing.size == 0:
+        return None, None
+    return grid[passing[-1]], float(diams[passing[-1]])
 
 
-def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets: np.ndarray,
-              body: ConvexBody, p: np.ndarray, eps: float, setting: NormedSetting, grid,
-              sweep) -> tuple:
+def _localize(nu: SeminormExpr, vals0: np.ndarray, nu_sphere, base_off: np.ndarray,
+              off_cols: np.ndarray, body: ConvexBody, p: np.ndarray, eps: float,
+              setting: NormedSetting, grid, sweep) -> tuple:
     """The step body of :func:`wellpose_point` and :func:`baire_renorm`.
 
-    vals0 and base_off are nu's and base's values on offsets = p - sample,
-    and sweep is the sample's (:func:`_sweep`); base's values on the
-    sphere are the setting's.  Only the added terms are evaluated.
-    Returns the report (without its curve), nu_prime's values on the
-    offsets and the added terms' values on the sphere.
+    off_cols are the coordinate columns (:func:`_columns`) of the offsets
+    p - sample, vals0 and base_off nu's and base's values on them,
+    nu_sphere nu's values on the setting's sphere (0.0 when only moved is
+    read) and sweep the sample's (:func:`_sweep`); base's values on the
+    sphere are the setting's.  Only the added terms are evaluated
+    (:func:`_add_terms`).  Returns the report (without its curve) and
+    nu_prime's values on the offsets and on the sphere.
     """
     # (status, quotient direction or None for the plain base term)
     if body.contains(p):
         strategies = [("interior", None)]
     else:
-        first, alt = _nearest_two(vals0, body.sample)
-        strategies = [("perturbed", offsets[first])]
+        first, alt = _nearest_two(vals0, body)
+        # a column's entries copied out: the offset p - x of one sample
+        strategies = [("perturbed", off_cols[:, first].copy())]
         if alt is not None:
-            strategies.append(("perturbed_alt", offsets[alt]))
+            strategies.append(("perturbed_alt", off_cols[:, alt].copy()))
         strategies.append(("fallback", None))
 
     for status, x in strategies:
@@ -666,17 +723,17 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, base_off: np.ndarray, offsets
             terms, x_star = (Scale(eps, setting.base),), None
         else:
             terms, x_star = _quotient_terms(setting, x, eps), tuple(float(v) for v in x)
-        values = _add_terms(vals0, terms, offsets, base_off)
+        values, _ = _add_terms(vals0, terms, off_cols, base_off)
         delta, dm = _largest_tolerance(values, sweep, grid, eps)
         if delta is not None:
             break
     # nu_prime - nu is exactly the sum of the added terms, a seminorm
-    on_sphere = _term_values(terms, setting.sphere, setting.base_sphere)
-    moved = float(_fold(np.add, on_sphere).max())
+    nu_sphere, moved = _add_terms(nu_sphere, terms, setting.sphere_columns, setting.base_sphere,
+                                  moved=True)
     report = WellposeReport(nu_prime=SumOf((nu,) + terms), status=status, delta=delta,
                             achieved_diam=dm, moved=moved, dist=float(values.min()),
                             curve=None, x_star=x_star, added_exprs=terms)
-    return report, values, on_sphere
+    return report, values, nu_sphere
 
 
 def _quotient_terms(setting: NormedSetting, x_star: np.ndarray, eps: float):
@@ -752,15 +809,18 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     tree is never evaluated again.  base's values on the sphere are the
     setting's (NormedSetting.base_sphere), and nu0 is evaluated there
     once unless it is base; both are evaluated once on each witness's
-    offsets p - sample.  The loop carries the current nu's values on
-    each of these point sets, and a step computes only its own terms,
-    from base's values on the same points, and adds them to every
-    carried array in the tree's left-to-right order.
-    Every carried array therefore equals the current tree's eval_many
-    bit for bit, and the strategy pick, moved, c_p, the final replay,
-    rho_total and a_final all read them.  Every sweep of the call, the
-    steps' and the final replay's, reads one projection of the body's
-    sample (:func:`_sweep`).
+    offsets p - sample, whose coordinate columns are also kept, one
+    contiguous (d, N) array per witness (the sphere's are the setting's,
+    NormedSetting.sphere_columns).  The loop carries the current nu's
+    values on each of these point sets, and a step computes only its
+    own terms, from base's values and the columns of the same points,
+    and adds them to every carried array in the tree's left-to-right
+    order, one fused pass per point set (:func:`_add_terms`, which on
+    the sphere also gives the step's move).  Every carried array
+    therefore equals the current tree's eval_many bit for bit, and the
+    strategy pick, moved, c_p, the final replay, rho_total and a_final
+    all read them.  Every sweep of the call, the steps' and the final
+    replay's, reads one projection of the body's sample (:func:`_sweep`).
 
     Precondition: eps_total must stay below the certified equivalence
     margin of nu0, or the budget could destroy definiteness.
@@ -800,6 +860,7 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
             raise ValueError(f"witness point {p.tolist()} is too far from the body: "
                              f"c_p = {cp}, and 3 c_p overflows")
     nu_off = list(base_off) if nu0 is base else [nu0.eval_many(x) for x in offsets]
+    off_cols = [_columns(x) for x in offsets]
     sweep = _sweep(body.sample, base)
     nu = nu0
     nu_sphere = nu0_sphere
@@ -821,8 +882,9 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         eps_i = 0.5 * allowance
         if not (eps_i > floor):
             return _fail("budget_exhausted")
-        wp, values, on_sphere = _localize(nu, nu_off[i], base_off[i], offsets[i], body, p, eps_i,
-                                          setting, _step_grid(delta_grid, eps_i), sweep)
+        wp, values, nu_sphere = _localize(nu, nu_off[i], nu_sphere, base_off[i], off_cols[i],
+                                          body, p, eps_i, setting, _step_grid(delta_grid, eps_i),
+                                          sweep)
         if wp.delta is None:
             return _fail("step_failed")
         cp = float(base_off[i].max())
@@ -836,8 +898,7 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
             added_exprs=wp.added_exprs,
         ))
         nu = wp.nu_prime
-        nu_sphere = _fold(np.add, [nu_sphere, *on_sphere])
-        nu_off = [values if j == i else _add_terms(v, wp.added_exprs, offsets[j], base_off[j])
+        nu_off = [values if j == i else _add_terms(v, wp.added_exprs, off_cols[j], base_off[j])[0]
                   for j, v in enumerate(nu_off)]
         remaining -= eps_i
         spent += eps_i

@@ -630,6 +630,18 @@ class TestAgainstTheLoops:
             value_function(fam)[0] = 1.0
         assert value_function(fam)[0] == -1.0
 
+    def test_objective_adopts_its_row(self):
+        """f_p is row p of the family's table itself, read-only, with its
+        minimum equal to the kept row minimum."""
+        for fam in _families():
+            for p in range(fam.params.space.n):
+                f = fam.objective(p)
+                assert np.shares_memory(f.values, fam.values)
+                assert f.values.tobytes() == fam.values[p].tobytes()
+                assert f.low == fam.row_min[p]
+                with pytest.raises(ValueError, match="read-only"):
+                    f.values[0] = 0.0
+
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3, 0.4, 0.49])
     def test_selection_demo(self, eps):
         # k = 3..11 covers each residue of k mod 3 and, at k = 3, an empty middle third

@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
 from wellpose.instances import (
@@ -27,17 +30,19 @@ from wellpose.seminorms import (
 )
 from wellpose import seminorms
 from wellpose.errors import ReplayError
-from wellpose.spaces import prefix_diameters
+from wellpose import spaces
+from wellpose.spaces import _euclidean_prefix, _pairwise, prefix_diameters
 from wellpose.steckin import (
     ConvexBody,
     NormedSetting,
+    _add_terms,
+    _columns,
     _nearest_two,
     _quotient_terms,
     _running_diameters,
     _step_grid,
     _sublevel_curve,
     _sweep,
-    _term_values,
     a_nu,
     baire_renorm,
     c_of_p,
@@ -389,6 +394,23 @@ class TestEuclideanKernel:
 
             expected = prefix_diameters(block, np.arange(len(pts)))
             assert np.array_equal(_running_diameters(pts, Euclidean(d)), expected)
+
+    @pytest.mark.parametrize("cells", [1, 64, 1 << 15])
+    def test_squared_sweep_equals_the_block_path(self, d, cells, rng, monkeypatch):
+        """Running maxima of squared distances, rooted at the end, are the
+        block path over _pairwise distance blocks bit for bit, with and
+        without a stop, for chunks of one row, a few rows and many."""
+        monkeypatch.setattr(spaces, "_CHUNK_CELLS", cells)
+        X = _awkward_rows(rng, d)
+        for pts in [X, X[:1], X[:2], X[rng.permutation(len(X))], rng.normal(size=(300, d))]:
+            def block(i, j):
+                return _pairwise(pts[i][:, None], pts[j][None], "euclidean")
+
+            full = prefix_diameters(block, np.arange(len(pts)))
+            assert _bits(_euclidean_prefix(pts)) == _bits(full)
+            for stop in (0.0, float(full[0]), float(np.median(full)), float(full[-1]), np.inf):
+                expected = prefix_diameters(block, np.arange(len(pts)), stop)
+                assert _bits(_euclidean_prefix(pts, stop)) == _bits(expected)
 
 
 class TestMetricProjection:
@@ -889,18 +911,20 @@ class TestCarriedValues:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_step_terms_from_base_values(self, dim, rng):
-        """Each added term's values, computed from base's values, equal
-        that term's eval_many bit for bit: c base, c quotient of base."""
+        """The added terms, computed from base's values on the points'
+        columns, give the sum node's eval_many bit for bit: c base, c
+        quotient of base; the terms' own largest sum is moved."""
         for base in (linf_norm(dim), l1_norm(dim), euclidean_norm(dim)):
             setting = make_setting(dim, base, 0.5)
             pts = rng.normal(size=(50, dim)) * 2
             base_vals = base.eval_many(pts)
+            carried = rng.uniform(0.0, 3.0, size=50)
             for x in (rng.normal(size=dim), np.eye(dim)[0]):
                 for terms in (_quotient_terms(setting, x, 0.1), (Scale(0.1, base),)):
-                    got = _term_values(terms, pts, base_vals)
-                    assert len(got) == len(terms)
-                    for values, term in zip(got, terms):
-                        assert _bits(values) == _bits(term.eval_many(pts))
+                    got, moved = _add_terms(carried, terms, _columns(pts), base_vals, moved=True)
+                    each = [term.eval_many(pts) for term in terms]
+                    assert _bits(got) == _bits(seminorms._fold(np.add, [carried, *each]))
+                    assert moved == float(seminorms._fold(np.add, each).max())
 
     def test_argmin_pick_equals_the_stable_sort_pick(self, rng):
         """Repeated sample rows and tied values: the first two distinct
@@ -911,7 +935,106 @@ class TestCarriedValues:
             order = np.argsort(vals, kind="stable")
             alt = next((int(k) for k in order[1:]
                         if not np.array_equal(rows[k], rows[order[0]])), None)
-            assert _nearest_two(vals, rows) == (int(order[0]), alt)
+            body = ConvexBody(vertices=rows, sample=rows, mesh=0.0)
+            assert _nearest_two(vals, body) == (int(order[0]), alt)
+
+
+def _mask_pick(vals, sample):
+    """Reference pick: the lowest-index minimum among the samples that
+    differ from the first minimizer in some coordinate."""
+    first = int(np.argmin(vals))
+    differ = np.flatnonzero(np.any(sample != sample[first], axis=1))
+    return first, (int(differ[np.argmin(vals[differ])]) if differ.size else None)
+
+
+class TestNearestTwo:
+    @staticmethod
+    def _samples(rng):
+        yield np.array([[0.5, -1.0]])  # one point
+        yield np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 3.0]])  # -0.0 == 0.0 repeats
+        for m in (2, 3, 7, 40):
+            yield rng.normal(size=(m, 2))  # no repeats
+            yield rng.integers(0, 3, size=(m, 2)).astype(float)  # repeats
+            yield rng.normal(size=(m, 3))
+        yield np.repeat([[1.0, 2.0]], 5, axis=0)  # one point, five times
+
+    def test_repeat_flag(self, rng):
+        for sample in self._samples(rng):
+            body = ConvexBody(vertices=sample, sample=sample, mesh=0.0)
+            assert body._repeats == (len(set(map(tuple, sample.tolist()))) < len(sample))
+
+    def test_pick_equals_the_coordinate_mask(self, rng):
+        """Tied values, all-equal values and values in every order, on
+        samples with and without repeated points."""
+        for sample in self._samples(rng):
+            body = ConvexBody(vertices=sample, sample=sample, mesh=0.0)
+            m = len(sample)
+            cases = [np.zeros(m), np.full(m, 3.5), rng.normal(size=m),
+                     rng.integers(0, 3, size=m).astype(float), np.arange(m, 0, -1.0)]
+            for vals in cases:
+                assert _nearest_two(vals, body) == _mask_pick(vals, sample)
+
+
+_KERNEL_BASES = {"linf": linf_norm, "l1": l1_norm, "euclidean": euclidean_norm}
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_setting(dim, name):
+    return make_setting(dim, _KERNEL_BASES[name](dim), 0.5)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(terms, points, base values, carried values) of one step: a 2-D or
+    3-D quotient along a direction that may lie near an axis and be huge
+    or tiny, or the plain base term."""
+    dim = draw(st.sampled_from((2, 2, 2, 3)))
+    setting = _kernel_setting(dim, draw(st.sampled_from(sorted(_KERNEL_BASES))))
+    eps = draw(st.floats(1e-9, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    axis = draw(st.integers(0, dim - 1))
+    off_axis = draw(st.sampled_from((None, 0.0, 1e-17, 1e-9)))
+    if off_axis is not None:
+        direction = np.where(np.arange(dim) == axis, direction, off_axis * direction)
+    direction *= 10.0 ** draw(st.integers(-100, 100))
+    # a quotient's bracket 2 base(x) / base(direction) must stay finite
+    assume(np.abs(direction).max() >= 1e-120)
+    n = 12 if dim == 3 else 40
+    pts = rng.normal(size=(n, dim)) * 10.0 ** draw(st.integers(-60, 60))
+    pts[0] = 0.0
+    pts[1], pts[2] = direction, -3.0 * direction  # the quotient is 0 there
+    if draw(st.booleans()):
+        terms = (Scale(eps, setting.base),)
+    else:
+        try:
+            terms = _quotient_terms(setting, direction, eps)
+        except ValueError:  # base is 0 on the direction, or only by rounding above it
+            assume(False)
+    carried = draw(st.sampled_from((0.0, 1.0, 1e30))) * rng.uniform(0.0, 3.0, size=n)
+    return terms, pts, setting.base.eval_many(pts), carried
+
+
+class TestTermKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_cases())
+    def test_kernel_equals_the_sum_node(self, case):
+        """carried + the terms, on the points' columns, is the sum node's
+        fold over each term's eval_many bit for bit, moved is the largest
+        value of the terms' own sum, and carried is left as it was."""
+        terms, pts, base_vals, carried = case
+        kept = carried.copy()
+        got, moved = _add_terms(carried, terms, _columns(pts), base_vals, moved=True)
+        each = [t.eval_many(pts) for t in terms]
+        assert _bits(got) == _bits(seminorms._fold(np.add, [carried, *each]))
+        assert float(moved).hex() == float(seminorms._fold(np.add, each).max()).hex()
+        assert _add_terms(carried, terms, _columns(pts), base_vals)[1] is None
+        assert _bits(carried) == _bits(kept)
+        if len(terms) == 2 and pts.shape[1] == 2:
+            # reference: the quotient's closed form computed on the rows
+            lq = terms[1].child
+            flat = lq._kappa * np.abs(pts[:, 0] * lq._perp[0] + pts[:, 1] * lq._perp[1])
+            assert _bits(each[1]) == _bits(terms[1].factor * np.minimum(flat, base_vals))
 
 
 class TestKeptValues:
@@ -930,7 +1053,9 @@ class TestKeptValues:
     def test_sphere_values_equal_a_fresh_evaluation(self):
         for setting in self._settings():
             assert _bits(setting.base_sphere) == _bits(setting.base.eval_many(setting.sphere))
-            for kept in (setting.sphere, setting.base_sphere):
+            assert _bits(setting.sphere_columns) == _bits(setting.sphere.T.copy())
+            assert setting.sphere_columns.flags.c_contiguous
+            for kept in (setting.sphere, setting.sphere_columns, setting.base_sphere):
                 with pytest.raises(ValueError, match="read-only"):
                     kept[0] = 0.0
 

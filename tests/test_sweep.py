@@ -727,6 +727,29 @@ class TestStepPick:
             swept = sublevel_diameters(values, grid, prefix)
             assert _bits(swept) == _bits(_stable_sweep(prefix, values, grid))
 
+    def test_pick_equals_the_generator(self, rng):
+        """The last cut below eps equals the largest (t, d) pair below eps
+        that a generator over the grid picks, on running diameters with
+        ties, NaN and a sweep that stops early (its later cuts read inf)."""
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            values = _tied_values(rng, n)
+            running = np.maximum.accumulate(rng.integers(0, 6, size=n) / 2.0)
+            if rng.uniform() < 0.2:
+                running[rng.integers(n):] = np.nan
+            stopped = int(rng.integers(1, n + 1))
+            grid = tuple(np.unique(rng.integers(0, 40, size=int(rng.integers(1, 9))) / 4.0))
+
+            def sweep(order, stop=np.inf):
+                return running[:min(len(order), stopped)]
+
+            diams = sublevel_diameters(values, grid, lambda order: sweep(order))
+            for eps in {0.0, 0.5, 1.0, 2.5, 3.0, np.inf, *diams.tolist()}:
+                want = max(((t, d) for t, d in zip(grid, diams.tolist()) if d < eps),
+                           default=(None, None))
+                got = _largest_tolerance(values, sweep, grid, eps)
+                assert [type(v) for v in got] == [type(v) for v in want] and got == want
+
     def test_wellpose_point_keeps_its_whole_curve(self, segment_inst):
         inst = segment_inst
         for eps in (0.2, 0.05):
