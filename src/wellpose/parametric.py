@@ -18,6 +18,7 @@ and the sublevel sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
@@ -126,14 +127,19 @@ def default_delta_grid(fam: ParametricFamily, eps: float, octaves: int = 16) -> 
 
 
 def _check_grid(delta_grid) -> tuple[float, ...]:
+    """The grid as a tuple of floats, once it is non-empty, finite, positive
+    and strictly decreasing.  The checks run on the Python floats: a grid
+    holds a few radii, and an array would cost more than the comparisons.
+    """
     grid = tuple(float(d) for d in delta_grid)
     if not grid:
         raise ValueError("delta grid must be non-empty")
-    arr = np.asarray(grid)
-    if not np.all(np.isfinite(arr)):
+    if not all(math.isfinite(d) for d in grid):
         # an infinite radius leaves _largest_delta no bad distance above it
         raise ValueError(f"delta grid must be finite, got {list(grid)}")
-    if not np.all(arr > 0.0) or np.any(np.diff(arr) >= 0.0):
+    # for finite floats a > b exactly when fl(b - a) < 0 (a difference
+    # rounds to 0 only for equal floats), the test np.diff would make
+    if not (grid[-1] > 0.0 and all(a > b for a, b in zip(grid, grid[1:]))):
         raise ValueError("delta grid must be positive and strictly decreasing")
     return grid
 

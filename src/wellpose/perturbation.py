@@ -136,16 +136,18 @@ def mn_membership(f: ObjectiveFunction, g: PerturbationFunction, n: int,
 
     diam is non-decreasing in t, so if any grid t succeeds the smallest
     one does: the sweep reads the one cut at the smallest t.
-    Default grid: geometric from the space diameter down 16 octaves.
+    Default grid: geometric from the space diameter (1 if it is 0) down
+    16 octaves, whose smallest t is diameter / 2^16 (a division by a
+    power of two is monotone); it is computed directly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if g.space is not f.space:
         raise ValueError("perturbation lives on a different space")
     if t_grid is None:
-        top = f.space.diameter() or 1.0
-        t_grid = tuple(top / (2.0**k) for k in range(17))
-    grid = [float(t) for t in t_grid]
+        grid = [(f.space.diameter() or 1.0) / 2.0**16]
+    else:
+        grid = [float(t) for t in t_grid]
     if not grid or not all(t > 0.0 for t in grid):  # NaN is not > 0
         raise ValueError("t grid must be positive")
     t = min(grid)

@@ -253,8 +253,11 @@ def _golden_quotient(base: SeminormExpr, pts: np.ndarray, direction: np.ndarray,
                      dir_value: float, at_zero: np.ndarray) -> np.ndarray:
     """min_t base(x - t * direction) for each row x of pts, by golden section.
 
-    at_zero holds base's values on pts.  Values are minima over sampled
-    t, so they never undershoot the true quotient and never exceed base(x).
+    at_zero holds base's values on pts and dir_value base's value on
+    direction.  Values are minima over sampled t, so they never undershoot
+    the true quotient and never exceed base(x).  LineQuotient passes its
+    direction scaled to a largest entry in [1/2, 1), so the bracket stays
+    finite for a subnormal direction.
     """
     # base(x - t dir) >= |t| bd - base(x), so |t*| <= 2 base(x) / bd
     T = 2.0 * at_zero / dir_value
@@ -296,7 +299,8 @@ def _perp_quotient(base: SeminormExpr, perp: np.ndarray, direction: np.ndarray,
     one row or a crossing (a_i -+ a_j) / (b_i -+ b_j) of two.  base is
     evaluated once at every kink inside the bracket |t| <= 2 base(perp) /
     base(direction) that holds the minimum; the rows and their pairs are
-    kept on base.  Any other tree is searched.
+    kept on base.  Any other tree is searched.  dir_value is base's value
+    on direction, which LineQuotient passes scaled as it scales perp.
     """
     on_perp = base.eval_many(perp[None, :])
     at_zero = float(on_perp[0])
@@ -336,7 +340,17 @@ class LineQuotient(SeminormExpr):
     base (:func:`_perp_quotient`), by golden section otherwise.  Each
     evaluation is then one dot product per point, clamped to base(x) so
     rounding in kappa never lifts a value above base.  Other dimensions
-    run the search at every point, starting from base(x).  from_base
+    run the search at every point, starting from base(x).
+
+    Every search for the minimum over t runs along the direction scaled
+    by the same 2^-e, with its base value scaled to match: each t comes
+    out scaled by 2^e.  When every nonzero entry of the direction stays
+    normal after the scaling, t * direction keeps its bits wherever it
+    stays in the normal range; an entry more than about 2^1022 below the
+    largest is rounded or flushed to 0 by the scaling, and the searches
+    run along that rounded direction.  The bracket 2 base(x) /
+    base(direction) stays finite for a subnormal direction.  The stored
+    direction and dir_value are the unscaled ones.  from_base
     takes base's values on the points from the caller, and from_columns
     the same on the points' coordinate columns; from_base is from_columns
     of its rows' transpose, and eval_many is from_base applied to
@@ -356,11 +370,13 @@ class LineQuotient(SeminormExpr):
         self.direction = direction
         self.dir_value = bd
         self.dim = base.dim
+        shift = -np.frexp(np.abs(direction).max())[1]
+        self._unit = np.ldexp(direction, shift)
+        self._unit_value = float(np.ldexp(bd, shift))
         if self.dim == 2:
-            perp = np.array([-direction[1], direction[0]])
-            perp = np.ldexp(perp, -np.frexp(np.abs(perp).max())[1])
+            perp = np.array([-self._unit[1], self._unit[0]])
             self._perp = perp
-            self._kappa = _perp_quotient(base, perp, direction, bd) / float(perp @ perp)
+            self._kappa = _perp_quotient(base, perp, self._unit, self._unit_value) / float(perp @ perp)
 
     def eval_many(self, X):
         pts = _as_points(X, self.dim)
@@ -382,7 +398,7 @@ class LineQuotient(SeminormExpr):
         the second product; contiguous columns are read fastest.
         """
         if self.dim != 2:
-            return _golden_quotient(self.base, cols.T, self.direction, self.dir_value, base_vals)
+            return _golden_quotient(self.base, cols.T, self._unit, self._unit_value, base_vals)
         # two products and a sum, never a fused multiply-add, so the dot
         # product is exactly 0 at x = direction
         perp = self._perp
@@ -393,9 +409,11 @@ class LineQuotient(SeminormExpr):
         return np.minimum(out, base_vals, out=out)
 
     def magnitude_many(self, X):
+        # the bracket times the direction's magnitude, both on the scaled
+        # direction: the product is the same, and finite for a subnormal one
         pts = _as_points(X, self.dim)
-        T = 2.0 * self.base.eval_many(pts) / self.dir_value
-        dir_mag = float(self.base.magnitude_many(self.direction.reshape(1, -1))[0])
+        T = 2.0 * self.base.eval_many(pts) / self._unit_value
+        dir_mag = float(self.base.magnitude_many(self._unit[None])[0])
         return self.base.magnitude_many(pts) + T * dir_mag
 
 

@@ -2,12 +2,14 @@
 
 Every downstream object (objectives, parametric families, perturbations)
 lives on a :class:`FiniteMetricSpace`: an indexed point set with a
-symmetric distance oracle.  A space stores what it was given: a distance
-matrix, or point coordinates (grids, point clouds) plus a standard metric,
-from which every distance is computed on demand with the same per-cell
-arithmetic.  A subset is a sorted index array with exact subset and
-membership tests; ball membership uses plain float comparisons with zero
-tolerance.
+symmetric distance oracle.  A space owns what it was given: a copy of a
+distance matrix, or of point coordinates (grids, point clouds) plus a
+standard metric, from which every distance is computed on demand with the
+same per-cell arithmetic.  Nothing can change a space's distances after
+construction, so it keeps what it computes about the whole space: its
+diameter, its smallest positive distance and its last ball table.  A
+subset is a sorted index array with exact subset and membership tests;
+ball membership uses plain float comparisons with zero tolerance.
 """
 
 from __future__ import annotations
@@ -65,6 +67,17 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str, out: np.ndarray | None 
     return out
 
 
+def _ranges(coords: np.ndarray) -> np.ndarray:
+    """Each coordinate column's range fl(max c_k - min c_k), shape (d,).
+
+    One column at a time: numpy's axis-0 reduction of an (n, d) array
+    steps through its short rows and is about ten times slower.  The
+    values are those of coords.max(axis=0) - coords.min(axis=0) bit for
+    bit.
+    """
+    return np.array([c.max() - c.min() for c in coords.T])
+
+
 def _count(val, name: str) -> int:
     """A count field of a descriptor: a fraction or a negative number is
     an error, not truncated or clamped."""
@@ -89,7 +102,11 @@ class FiniteMetricSpace:
     one of a distance matrix or point coordinates.  A matrix space keeps
     its matrix; a coordinate space keeps its coordinates and metric only
     and computes each distance row or block on demand, so it never holds
-    an n x n array.
+    an n x n array.  The kept array is a read-only copy of the caller's,
+    so no write through the caller's array or its base can move a
+    distance, and the space keeps what it computes from them:
+    diameter(), min_positive_distance() and the last ball table are each
+    computed once, on the first call that needs them.
     """
 
     def __init__(
@@ -107,7 +124,7 @@ class FiniteMetricSpace:
         if coords is not None:
             if metric not in _METRICS:
                 raise ValueError(f"unknown metric {metric!r}")
-            coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
+            coords = np.array(coords, dtype=np.float64, order="C")
             if coords.ndim != 2 or coords.size == 0:
                 raise ValueError("coords must be a non-empty (n, d) array")
             if not np.all(np.isfinite(coords)):
@@ -121,13 +138,15 @@ class FiniteMetricSpace:
             # rounding is monotone, so no pairwise distance exceeds the
             # distance across the per-column span, and where that is finite
             # no block can overflow; the bound is the diameter for linf but
-            # may exceed it for l1 and Euclidean in d >= 2
+            # may exceed it for l1 and Euclidean in d >= 2 (a range minus 0
+            # is exact, so this is the kernel on column maxima and minima)
             with np.errstate(over="ignore"):
-                span = _pairwise(coords.max(axis=0)[None], coords.min(axis=0)[None], metric)
+                ranges = _ranges(coords)
+                span = _pairwise(ranges[None], np.zeros((1, ranges.size)), metric)
             if not np.isfinite(span[0]):
                 raise ValueError("coordinate distances may overflow: the point spread is too wide")
         else:
-            matrix = np.asarray(matrix, dtype=np.float64)
+            matrix = np.array(matrix, dtype=np.float64)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
                 raise ValueError("distance matrix must be square and non-empty")
             self.n = matrix.shape[0]
@@ -144,6 +163,9 @@ class FiniteMetricSpace:
         self._spread = self._matrix is None and metric == "linf"
         # (eps, chunks) of the last ball table small enough to keep
         self._balls = None
+        # diameter() and min_positive_distance(), once computed
+        self._diameter = None
+        self._spacing = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -191,7 +213,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def pointcloud(cls, points, metric: str = "euclidean") -> "FiniteMetricSpace":
-        return cls(coords=np.asarray(points, dtype=np.float64), metric=metric)
+        return cls(coords=points, metric=metric)
 
     # ------------------------------------------------------------------
     # distance access
@@ -335,19 +357,24 @@ class FiniteMetricSpace:
         return out
 
     def diameter(self) -> float:
-        """Max pairwise distance of the whole space (its scale).
+        """Max pairwise distance of the whole space (its scale), computed
+        on the first call and kept.
 
         This is the last running diameter over all points.  On the spread
         path that is the largest coordinate range, max_k (max c_k - min
-        c_k), which needs no running arrays; it equals the pairwise
-        maximum exactly, as :func:`prefix_diameters` explains.
+        c_k) (:func:`_ranges`), which needs no running arrays; it equals
+        the pairwise maximum exactly, as :func:`prefix_diameters` explains.
         """
-        if self._spread:
-            return float((self._coords.max(axis=0) - self._coords.min(axis=0)).max())
-        return float(prefix_diameters(self.block, np.arange(self.n))[-1])
+        if self._diameter is None:
+            if self._spread:
+                self._diameter = float(_ranges(self._coords).max())
+            else:
+                self._diameter = float(prefix_diameters(self.block, np.arange(self.n))[-1])
+        return self._diameter
 
     def min_positive_distance(self) -> float:
         """Smallest positive pairwise distance; inf if every distance is 0.
+        Computed on the first call and kept.
 
         On a line the distance is fl(|c_x - c_y|), which grows along the
         sort order away from each point, so the smallest positive gap
@@ -355,12 +382,16 @@ class FiniteMetricSpace:
         Every other space scans its distance blocks, about 4096 cells at a
         time, O(n^2).
         """
-        if self._spread and self._coords.shape[1] == 1:
-            gaps = np.diff(np.sort(self._coords[:, 0]))
-            return float(np.min(gaps, where=gaps > 0.0, initial=np.inf))
-        rows = max(1, 4096 // self.n)
-        blocks = (self.block(np.arange(lo, min(lo + rows, self.n))) for lo in range(0, self.n, rows))
-        return min(float(np.min(b, where=b > 0.0, initial=np.inf)) for b in blocks)
+        if self._spacing is None:
+            if self._spread and self._coords.shape[1] == 1:
+                gaps = np.diff(np.sort(self._coords[:, 0]))
+                self._spacing = float(np.min(gaps, where=gaps > 0.0, initial=np.inf))
+            else:
+                rows = max(1, 4096 // self.n)
+                blocks = (self.block(np.arange(lo, min(lo + rows, self.n)))
+                          for lo in range(0, self.n, rows))
+                self._spacing = min(float(np.min(b, where=b > 0.0, initial=np.inf)) for b in blocks)
+        return self._spacing
 
     # ------------------------------------------------------------------
     # validation
@@ -643,7 +674,7 @@ def space_from_json(desc: dict) -> FiniteMetricSpace:
         mat = params.get("matrix")
         if mat is None:
             raise ValueError("metric 'matrix' needs params.matrix")
-        space = FiniteMetricSpace.from_matrix(np.asarray(mat, dtype=np.float64))
+        space = FiniteMetricSpace.from_matrix(mat)
         space.validate()
         return space
     if kind == "grid1d":

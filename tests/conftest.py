@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from wellpose.instances import segment_instance
+from wellpose.spaces import FiniteMetricSpace
 
 settings.register_profile(
     "suite",
@@ -33,6 +34,20 @@ def accept_report():
         assert ok, line
 
     return _report
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Count every FiniteMetricSpace.block call while the test runs."""
+    calls = []
+    real = FiniteMetricSpace.block
+
+    def counting(space, idx, cols=None):
+        calls.append(len(idx))
+        return real(space, idx, cols)
+
+    monkeypatch.setattr(FiniteMetricSpace, "block", counting)
+    return calls
 
 
 @pytest.fixture

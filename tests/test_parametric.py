@@ -8,6 +8,7 @@ from wellpose.objectives import argmin_set, regularize
 from wellpose.parametric import (
     ParameterGrid,
     ParametricFamily,
+    _check_grid,
     _largest_delta,
     analytic_epi_delta,
     argmin_usc,
@@ -251,6 +252,48 @@ def test_largest_delta_against_a_radius_loop(k, ticks, per_radius, fill, data):
     good = np.array(data.draw(st.lists(cells, min_size=size, max_size=size)), dtype=bool)
     good = good.reshape((k, len(grid)) if per_radius else (k,))
     assert _largest_delta(grid, dist, good) == _radius_loop(grid, dist, good)
+
+
+def _numpy_check_grid(delta_grid):
+    """The grid check written on numpy arrays: the oracle."""
+    grid = tuple(float(d) for d in delta_grid)
+    if not grid:
+        raise ValueError("delta grid must be non-empty")
+    arr = np.asarray(grid)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"delta grid must be finite, got {list(grid)}")
+    if not np.all(arr > 0.0) or np.any(np.diff(arr) >= 0.0):
+        raise ValueError("delta grid must be positive and strictly decreasing")
+    return grid
+
+
+def _outcome(check, grid):
+    try:
+        return check(grid)
+    except ValueError as err:
+        return str(err)
+
+
+_radii = st.one_of(
+    st.floats(),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0, 0.5, 5e-324, 1e-310,
+                     2.2e-308, 1.7e308, -1.7e308]),
+)
+
+
+@given(st.lists(_radii, max_size=17), st.sampled_from(("as drawn", "descending", "tie", "ascending run")),
+       st.data())
+def test_check_grid_against_the_numpy_check(radii, shape, data):
+    if shape != "as drawn" and not any(np.isnan(radii)):
+        radii = sorted(radii, reverse=True)
+        if radii and shape == "tie":
+            k = data.draw(st.integers(0, len(radii) - 1))
+            radii.insert(k, radii[k])
+        elif radii and shape == "ascending run":
+            lo = data.draw(st.integers(0, len(radii) - 1))
+            hi = data.draw(st.integers(lo, len(radii)))
+            radii[lo:hi] = radii[lo:hi][::-1]
+    assert _outcome(_check_grid, radii) == _outcome(_numpy_check_grid, radii)
 
 
 class TestAnalyticDelta:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
 from wellpose.objectives import ObjectiveFunction, argmin_set
@@ -163,6 +165,20 @@ class TestMnMembership:
             mn_membership(f, g, n=0)
         with pytest.raises(ValueError):
             mn_membership(f, g, n=2, t_grid=(0.0, 0.1))
+
+    @given(st.one_of(st.floats(5e-324, 1e308), st.sampled_from(
+        [0.0, 5e-324, 1e-320, 3.2e-319, 6.5e-319, 2.2250738585072014e-308, 1e-300, 1.0, 1e308])))
+    def test_default_t_is_the_smallest_value_of_the_old_grid(self, top):
+        space = FiniteMetricSpace.pointcloud([[0.0], [top]], metric="linf")
+        f = ObjectiveFunction(space, np.array([0.0, np.inf]))  # {0} at every t
+        g = PerturbationFunction(space, np.zeros(2))
+        old = min(tuple((space.diameter() or 1.0) / (2.0**k) for k in range(17)))
+        if old > 0.0:
+            hit, t = mn_membership(f, g, 1)
+            assert hit and t.hex() == old.hex()
+        else:  # the diameter / 2^16 underflows
+            with pytest.raises(ValueError, match="t grid must be positive"):
+                mn_membership(f, g, 1)
 
 
 class TestOpenness:

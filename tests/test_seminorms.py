@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from wellpose import seminorms
@@ -342,6 +344,95 @@ def test_quotient_of_a_tiny_or_huge_direction(power, rng):
     assert checked > 20
     q = LineQuotient(linf_norm(2), [1e-300, 0.0])
     assert q([17.0, 2.0]) == pytest.approx(2.0, rel=1e-15)
+
+
+def _kappa_on_the_given_direction(base, direction):
+    """kappa with the kink search and the golden bracket run along the
+    given direction and its base value, unscaled: the oracle for
+    directions whose products stay in the normal range."""
+    bd = float(base.eval_many(direction[None, :])[0])
+    perp = np.array([-direction[1], direction[0]])
+    perp = np.ldexp(perp, -np.frexp(np.abs(perp).max())[1])
+    on_perp = base.eval_many(perp[None, :])
+    at_zero = float(on_perp[0])
+    rows = _linear_rows(base)
+    if isinstance(base, Euclidean):
+        value = at_zero
+    elif rows is None:
+        value = float(_golden_quotient(base, perp[None, :], direction, bd, on_perp)[0])
+    else:
+        a, b = rows @ perp, rows @ direction
+        i, j = np.triu_indices(rows.shape[0], 1)
+        num = np.concatenate([a, a[i] - a[j], a[i] + a[j]])
+        den = np.concatenate([b, b[i] - b[j], b[i] + b[j]])
+        keep = (den != 0.0) & (np.abs(num) <= 2.0 * at_zero / bd * np.abs(den))
+        t = num[keep] / den[keep]
+        value = float(base.eval_many(perp[None, :] - t[:, None] * direction[None, :]).min(initial=at_zero))
+    return value / float(perp @ perp)
+
+
+_NORMAL_BASES = list(_bases_2d().values()) + [
+    random_polyhedral_seminorm(np.random.default_rng(k), 2) for k in range(12)]
+
+
+@given(
+    st.sampled_from(range(len(_NORMAL_BASES))),
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+    st.sampled_from((None, 0.0, 1e-17, 1e-9)),
+    st.integers(0, 1),
+    st.integers(-100, 100),
+)
+def test_scaled_searches_keep_kappa_on_normal_range_directions(k, entries, off_axis, axis, power):
+    base = _NORMAL_BASES[k]
+    direction = np.array(entries)
+    if off_axis is not None:
+        direction[1 - axis] *= off_axis
+    direction *= 10.0 ** power
+    nonzero = np.abs(direction[direction != 0.0])
+    assume(nonzero.size and nonzero.min() >= 1e-150 and nonzero.max() <= 1e150)
+    try:
+        q = LineQuotient(base, direction)
+    except ValueError:  # base is 0 on the direction, or only by rounding above it
+        assume(False)
+    assert q._kappa.hex() == _kappa_on_the_given_direction(base, direction).hex()
+    pts = np.array([[1.0, -2.0], [0.3, 7.0], direction])
+    bracket = 2.0 * base.eval_many(pts) / q.dir_value
+    dir_mag = float(base.magnitude_many(direction[None])[0])
+    assert _bits(q.magnitude_many(pts)) == _bits(base.magnitude_many(pts) + bracket * dir_mag)
+
+
+@pytest.mark.parametrize("dim, directions", [
+    (2, [[0.0, 1.15e-309], [5e-324, 0.0], [3e-310, -1e-309], [-2.5e-320, 7e-321],
+         [1e150, 1e-200]]),
+    (3, [[0.0, 1.15e-309, 0.0], [1e-310, -3e-310, 5e-324], [5e-324, 5e-324, 0.0],
+         [1e150, 1e-200, 0.0]]),
+])
+def test_subnormal_directions_give_finite_values_at_most_base(dim, directions, rng):
+    """The searches run along the direction scaled to a largest entry in
+    [1/2, 1), so the bracket 2 base(x) / base(direction) stays finite.
+    The last direction spans 350 decades: its small entry is flushed to 0
+    by the scaling, and the values stay finite and at most base."""
+    mixed = SumOf((linf_norm(dim), Scale(0.5, Euclidean(dim)), AbsLinear(np.arange(1.0, dim + 1))))
+    bases = [linf_norm(dim), l1_norm(dim), euclidean_norm(dim), mixed]
+    bases += [random_polyhedral_seminorm(rng, dim) for _ in range(4)]
+    pts = np.vstack([rng.normal(size=(20, dim)) * 10.0 ** rng.integers(-5, 6, size=(20, 1)),
+                     np.zeros((1, dim)), np.array(directions)])
+    built = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in bases:
+            for d in directions:
+                try:
+                    q = LineQuotient(base, d)
+                except ValueError:  # base is 0 on the direction
+                    continue
+                vals = q.eval_many(pts)
+                assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+                assert np.all(vals <= base.eval_many(pts))
+                assert np.all(np.isfinite(q.magnitude_many(pts)))
+                assert np.array_equal(q.direction, d)  # stored as given
+                built += 1
+    assert built >= 2 * len(directions) * 3
 
 
 def _shared_tree(rng, dim):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wellpose import spaces as spaces_mod
 from wellpose.objectives import ObjectiveFunction, argmin_set
 from wellpose.spaces import (
     FiniteMetricSpace,
     _pairwise,
+    _ranges,
     PointSubset,
     ball,
     diam,
@@ -451,3 +454,97 @@ def test_ball_membership_matches_bruteforce(vals, eps):
     b = ball(sp, 0, eps)
     for j in range(sp.n):
         assert (j in b) == (sp.dist(0, j) <= eps)
+
+
+def _scale_case(name: str):
+    """(space, its all-pairs distances) for one kind of space; the
+    distances are computed here, with numpy's axis reduction."""
+    rng = np.random.default_rng(20261020)
+    kind, _, rest = name.partition(":")
+    if kind == "grid1d":
+        start, stop, steps = {"unit": (0.0, 1.0, 10), "wide": (-2.5, 7.0, 33), "two": (0.0, 1.0, 1)}[rest]
+        space = FiniteMetricSpace.grid1d(start, stop, steps)
+        return space, _reference_block(space._coords, space._coords, "linf")
+    if kind == "matrix":
+        pts = rng.normal(size=(25, 2))
+        m = {"l1": _reference_block(pts, pts, "l1"), "point": np.zeros((1, 1)),
+             "twins": np.zeros((3, 3))}[rest]
+        return FiniteMetricSpace.from_matrix(m), m
+    metric, d = rest.split("/")
+    if d == "subnormal":
+        coords = np.array([0.0, 5e-324, 1e-320, -2.5, 3.0, 7e-310, 5e-324])[:, None]
+    else:
+        coords = np.round(rng.normal(size=(50, int(d))) * 4) / 4  # ties in every column
+        coords[7] = coords[3]  # and a repeated point
+    # on a line every metric is |x - y|
+    ref = _reference_block(coords, coords, metric if coords.shape[1] > 1 else "linf")
+    return FiniteMetricSpace.pointcloud(coords, metric=metric), ref
+
+
+_SCALE_CASES = (
+    ["grid1d:unit", "grid1d:wide", "grid1d:two", "matrix:l1", "matrix:point", "matrix:twins"]
+    + [f"cloud:{m}/{d}" for m in ("linf", "l1", "euclidean") for d in ("1", "subnormal", "2", "3")]
+)
+
+
+class TestKeptScale:
+    """diameter() and min_positive_distance() are computed once per space,
+    and the space owns the array they are computed from."""
+
+    @pytest.mark.parametrize("name", _SCALE_CASES)
+    def test_kept_values_equal_a_fresh_computation(self, name, block_calls, monkeypatch):
+        reductions = []
+        real = spaces_mod._ranges
+        monkeypatch.setattr(spaces_mod, "_ranges", lambda c: reductions.append(c.shape) or real(c))
+        space, ref = _scale_case(name)
+        want = (float(ref.max()), float(np.min(ref, where=ref > 0.0, initial=np.inf)))
+        reductions.clear()
+        assert (space.diameter().hex(), space.min_positive_distance().hex()) == tuple(w.hex() for w in want)
+        seen = (len(block_calls), len(reductions))
+        for _ in range(2):
+            assert (space.diameter().hex(), space.min_positive_distance().hex()) == tuple(w.hex() for w in want)
+        assert (len(block_calls), len(reductions)) == seen  # nothing is recomputed
+        if space._spread:
+            assert reductions == [space._coords.shape]  # the one first diameter()
+
+    @given(st.data())
+    def test_column_ranges_equal_the_axis_formula(self, data):
+        coord = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, 1e-310,
+                             1.7e308, -1.7e308, 8e307, -8e307]),
+        )
+        d = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=12))
+        repeats = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+        coords = np.array(rows + [rows[i] for i in repeats])  # tied points
+        with np.errstate(over="ignore"):
+            want = (coords.max(axis=0) - coords.min(axis=0)).max()
+            got = _ranges(coords).max()
+        assert float(got).hex() == float(want).hex()
+        if np.isfinite(want):
+            space = FiniteMetricSpace.pointcloud(coords, metric="linf")
+            assert space.diameter().hex() == float(want).hex()
+
+    @pytest.mark.parametrize("kind", ["cloud", "line", "matrix"])
+    def test_a_write_through_the_callers_array_changes_nothing(self, kind, rng):
+        pts = rng.normal(size=(40, 2))
+        if kind == "matrix":
+            base = _reference_block(pts, pts, "linf")
+            build = FiniteMetricSpace.from_matrix
+        else:
+            base = pts if kind == "cloud" else np.ascontiguousarray(pts[:, :1])
+            build = functools.partial(FiniteMetricSpace.pointcloud, metric="l1")
+        space, ref = build(base[:]), build(base.copy())
+        eps = 0.5
+        kept = list(space._ball_table(eps))  # kept on the space: small enough
+        base *= 3.0  # a matrix stays symmetric and a valid metric
+        assert base.flags.writeable
+        idx = np.arange(space.n)
+        assert np.array_equal(space.block(idx), ref.block(idx))
+        assert space.dist(0, 1) == ref.dist(0, 1)
+        assert space.diameter() == ref.diameter()
+        assert space.min_positive_distance() == ref.min_positive_distance()
+        for got, want, before in zip(space._ball_table(eps), ref._ball_table(eps), kept):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[0], before[0])
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))

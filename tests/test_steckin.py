@@ -997,9 +997,9 @@ def _kernel_cases(draw):
     off_axis = draw(st.sampled_from((None, 0.0, 1e-17, 1e-9)))
     if off_axis is not None:
         direction = np.where(np.arange(dim) == axis, direction, off_axis * direction)
+    # down to subnormal: a quotient searches along its direction scaled to
+    # unit size, so its bracket 2 base(x) / base(direction) stays finite
     direction *= 10.0 ** draw(st.integers(-100, 100))
-    # a quotient's bracket 2 base(x) / base(direction) must stay finite
-    assume(np.abs(direction).max() >= 1e-120)
     n = 12 if dim == 3 else 40
     pts = rng.normal(size=(n, dim)) * 10.0 ** draw(st.integers(-60, 60))
     pts[0] = 0.0

@@ -194,20 +194,6 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-@pytest.fixture
-def block_calls(monkeypatch):
-    """Count every FiniteMetricSpace.block call while the test runs."""
-    calls = []
-    real = FiniteMetricSpace.block
-
-    def counting(space, idx, cols=None):
-        calls.append(len(idx))
-        return real(space, idx, cols)
-
-    monkeypatch.setattr(FiniteMetricSpace, "block", counting)
-    return calls
-
-
 class TestSpreadPath:
     """linf and 1-D l1 spaces take the running coordinate range; every
     result must equal the block path and the all-pairs maximum bit for bit."""
