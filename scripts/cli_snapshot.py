@@ -4,16 +4,20 @@
 Usage: python3 scripts/cli_snapshot.py OUTDIR [COMMAND ...]
 
 Each command (default: vime, vime_steps10, vime_steps11, modulus,
-perturb, steckin, steckin_l1, steckin_euclidean, verify) runs in a fresh
-interpreter against the ``src`` tree of the checkout this script belongs
-to, with OUTDIR as working directory and ``--out COMMAND``.  Its stdout,
-stderr and exit code go to COMMAND/console.txt beside the files it
-writes.  vime_steps10 and vime_steps11 run ``vime --steps 10`` and
+modulus_repeated_eps, perturb, steckin, steckin_l1, steckin_euclidean,
+steckin_tiny_eps, verify) runs in a fresh interpreter against the
+``src`` tree of the checkout this script belongs to, with OUTDIR as
+working directory and ``--out COMMAND``.  Its stdout, stderr and exit
+code go to COMMAND/console.txt beside the files it writes.
+vime_steps10 and vime_steps11 run ``vime --steps 10`` and
 ``--steps 11``, whose step counts leave remainders 1 and 2 mod 3, so the
 ends of the middle third fall between grid points.  steckin_l1 and
 steckin_euclidean run ``steckin`` on the instance files beside this
-script: an l1 polytope and a euclidean segment.  Paths in the outputs
-are relative, so two checkouts compare with one ``diff -r``:
+script: an l1 polytope and a euclidean segment.  modulus_repeated_eps
+(``--eps-grid 0.1,0.1``) and steckin_tiny_eps (``--eps-total 1e-320``,
+whose default delta grid underflows) exit 2, and keep those two
+messages under the comparison.  Paths in the outputs are relative, so
+two checkouts compare with one ``diff -r``:
 
     python3 A/scripts/cli_snapshot.py snapA
     python3 B/scripts/cli_snapshot.py snapB
@@ -34,10 +38,12 @@ RUNS = {
     "vime_steps10": ["vime", "--steps", "10"],
     "vime_steps11": ["vime", "--steps", "11"],
     "modulus": ["modulus"],
+    "modulus_repeated_eps": ["modulus", "--eps-grid", "0.1,0.1"],
     "perturb": ["perturb"],
     "steckin": ["steckin"],
     "steckin_l1": ["steckin", "--instance", str(HERE / "steckin_l1_polytope.json")],
     "steckin_euclidean": ["steckin", "--instance", str(HERE / "steckin_euclidean_segment.json")],
+    "steckin_tiny_eps": ["steckin", "--eps-total", "1e-320"],
     "verify": ["verify"],
 }
 

@@ -97,6 +97,19 @@ class ObjectiveFunction:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "low", float(low))
 
+    @classmethod
+    def _built(cls, space: FiniteMetricSpace, values: np.ndarray, low: float) -> "ObjectiveFunction":
+        """Adopt a fresh (n,) float64 table whose construction proves what
+        the constructor would check: its values are proper (finite, for a
+        perturbation) and low is their minimum.  The table is made
+        read-only; nothing is checked."""
+        values.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "values", values)
+        object.__setattr__(obj, "low", low)
+        return obj
+
     def __add__(self, other) -> "ObjectiveFunction":
         # +inf + finite = +inf, so perturbing never leaves the domain; the
         # sum is a fresh array, so the result adopts it
@@ -117,16 +130,25 @@ def argmin_set(f: ObjectiveFunction, eps: float) -> PointSubset:
     """Sublevel set {x : f(x) <= inf f + eps}, exact index subset.
 
     eps = 0 gives the exact argmin set; negative eps is a domain error.
+    Only eps is checked: the mask's indices are sorted, unique and in
+    range by construction, so PointSubset._where wraps them unchecked.
     """
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
-    bound = f.low + eps
-    return PointSubset(f.space, np.flatnonzero(f.values <= bound))
+    return PointSubset._where(f.space, f.values <= f.low + eps)
 
 
 @dataclass(frozen=True)
 class ModulusCurve:
-    """diam(argmin_set(f, eps)) sampled over an increasing eps grid."""
+    """diam(argmin_set(f, eps)) sampled over an increasing eps grid.
+
+    The constructor checks a caller's curve: aligned, non-empty, a
+    positive grid with positive steps, and non-decreasing diameters.
+    The library's own curves (wellposedness_modulus, the projection and
+    step curves of steckin) come from ModulusCurve._built instead: their
+    grid was checked where it entered, and their diameters are running
+    maxima read at non-decreasing cuts, which cannot decrease.
+    """
 
     eps_grid: tuple[float, ...]
     diam_values: tuple[float, ...]
@@ -142,6 +164,16 @@ class ModulusCurve:
         if any(b - a < 0.0 for a, b in zip(diam, diam[1:])):
             raise ValueError("modulus must be non-decreasing in eps")
 
+    @classmethod
+    def _built(cls, eps_grid: tuple[float, ...], diams: np.ndarray) -> "ModulusCurve":
+        """The curve of sublevel_diameters(values, eps_grid, prefix), for a
+        grid already checked positive and strictly increasing; nothing is
+        checked again."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "eps_grid", eps_grid)
+        object.__setattr__(curve, "diam_values", tuple(diams.tolist()))
+        return curve
+
     def to_csv(self, header: str = "eps,diam") -> str:
         """CSV text with shortest round-trip float formatting."""
         lines = [header]
@@ -151,10 +183,23 @@ class ModulusCurve:
 
 
 def wellposedness_modulus(f: ObjectiveFunction, eps_grid) -> ModulusCurve:
-    """Modulus curve eps -> diam(argmin_set(f, eps)) over a grid."""
+    """Modulus curve eps -> diam(argmin_set(f, eps)) over a grid.
+
+    The grid is checked once, here, with the curve's messages in its
+    order: no NaN or negative value, then non-empty, then positive and
+    strictly increasing (each value above the one before, so a repeated
+    +inf is refused).  The curve is then built without checks
+    (ModulusCurve._built).
+    """
     eps_grid = tuple(map(float, eps_grid))
-    diams = sublevel_diameters(f.values, eps_grid, f.space.prefix_diameters)
-    return ModulusCurve(eps_grid, tuple(diams.tolist()))
+    grid = np.array(eps_grid)
+    if not (grid >= 0.0).all():
+        raise ValueError("eps must be nonnegative")
+    if not eps_grid:
+        raise ValueError("grid and values must align and be non-empty")
+    if not (grid[0] > 0.0 and (grid[1:] > grid[:-1]).all()):
+        raise ValueError("eps grid must be positive and strictly increasing")
+    return ModulusCurve._built(eps_grid, sublevel_diameters(f.values, grid, f.space.prefix_diameters))
 
 
 def regularize(f: ObjectiveFunction, eps: float) -> ObjectiveFunction:

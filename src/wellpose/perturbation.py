@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .objectives import ObjectiveFunction, argmin_set, proper_table, sup_norm
-from .spaces import FiniteMetricSpace, ball, diam, sublevel_diameters
+from .spaces import FiniteMetricSpace, PointSubset, diam, sublevel_diameters
 
 __all__ = [
     "PerturbationFunction",
@@ -73,7 +73,13 @@ class PerturbationFamily:
 
 def cone_perturbation(space: FiniteMetricSpace, a: int, beta: float, gamma: float) -> PerturbationFunction:
     """Truncated cone u with u(a) = 0, linear ramp of slope beta/gamma on
-    B_gamma(a), and the ceiling value beta outside."""
+    B_gamma(a), and the ceiling value beta outside.
+
+    a, beta and gamma are the caller's, so the table is checked as every
+    perturbation's is (an infinite beta gives a NaN at the apex, and is
+    refused there).  buc_density_step builds its cone with
+    :func:`_step_cone` and no table check instead.
+    """
     if not (0 <= a < space.n):
         raise ValueError(f"cone apex index {a} out of range")
     if not (beta > 0.0 and gamma > 0.0):
@@ -81,6 +87,21 @@ def cone_perturbation(space: FiniteMetricSpace, a: int, beta: float, gamma: floa
     row = space.row(a)
     vals = np.where(row <= gamma, (beta / gamma) * row, beta)
     return PerturbationFunction(space, vals, owned=True)
+
+
+def _step_cone(space: FiniteMetricSpace, a: int, eps: float) -> tuple[PerturbationFunction, np.ndarray]:
+    """cone_perturbation(space, a, beta=eps, gamma=eps/2), as buc_density_step
+    builds it, and its ramp mask d(a, .) <= eps/2, which is the ball B_{eps/2}(a).
+
+    The caller has checked that eps is finite with eps/2 > 0, so the slope
+    is finite, every value is finite and nonnegative, and the apex, at
+    distance 0, holds the minimum 0: the table is adopted without its
+    checks.
+    """
+    row = space.row(a)
+    ramp = row <= eps / 2.0
+    vals = np.where(ramp, (eps / (eps / 2.0)) * row, eps)
+    return PerturbationFunction._built(space, vals, 0.0), ramp
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,19 +125,28 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
     point is eps/2-far from a; requiring eps <= diam(space) is the
     caller's cheapest way to ensure that.  achieved_diam <= eps and the
     reported delta = eps/2 makes (f+g', delta)-near-minimizers stay put.
+
+    eps is checked once, here: positive, finite, and with eps/2 > 0.
+    That proves what the cone's table checks would (every cone value is
+    finite, and the minimum is 0 at the apex), so the cone is built
+    without them (:func:`_step_cone`).  The apex row is read once: its
+    mask d(a, .) <= eps/2 is both the cone's ramp and the ball
+    B_{eps/2}(a).  The sums f + g, g + cone and f + g' keep their table
+    checks (a sum can overflow, and each keeps its minimum), and the
+    containment is replayed.
     """
     if g.space is not f.space:
         raise ValueError("perturbation lives on a different space")
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    if not (eps / 2.0 > 0.0 and eps < np.inf):  # NaN fails both
+        raise ValueError("eps must be positive and finite, with eps/2 > 0")
     fg = f + g
     # the first point of argmin_set(fg, eps/4), read off the kept minimum
     a = int(np.argmax(fg.values <= fg.low + eps / 4.0))
-    cone = cone_perturbation(f.space, a, beta=eps, gamma=eps / 2.0)
+    cone, near = _step_cone(f.space, a, eps)
     g_prime = g + cone
     fg2 = f + g_prime
     omega = argmin_set(fg2, eps / 2.0)
-    if not omega.issubset(ball(f.space, a, eps / 2.0)):
+    if not omega.issubset(PointSubset._where(f.space, near)):
         # the cone construction proves this containment; reaching here is a bug
         raise AssertionError("density step localization failed to replay")
     # the move is the cone itself; re-deriving it as (g + cone) - g would

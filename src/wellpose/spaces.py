@@ -447,6 +447,11 @@ class PointSubset:
     nor any array it shares memory with can change the subset later.  Set
     claims look one such array up in the other: exact integer comparisons,
     no float tolerance.
+
+    The constructor (and PointSubset.of) checks a caller's indices:
+    integer dtype, one strictly increasing array, inside the space.  The
+    library's own masks (argmin_set, ball) go through PointSubset._where,
+    whose np.flatnonzero proves all three, and skip the checks.
     """
 
     space: FiniteMetricSpace
@@ -464,6 +469,18 @@ class PointSubset:
             raise ValueError(f"point index {idx[0] if idx[0] < 0 else idx[-1]} out of range")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
+
+    @classmethod
+    def _where(cls, space: FiniteMetricSpace, mask: np.ndarray) -> "PointSubset":
+        """The points where an (n,) bool mask over the space holds.  Its
+        np.flatnonzero is a fresh intp array, strictly increasing and inside
+        [0, n), so the subset adopts it unchecked and uncopied."""
+        idx = np.flatnonzero(mask)
+        idx.setflags(write=False)
+        subset = object.__new__(cls)
+        object.__setattr__(subset, "space", space)
+        object.__setattr__(subset, "indices", idx)
+        return subset
 
     @classmethod
     def of(cls, space: FiniteMetricSpace, indices: Iterable[int]) -> "PointSubset":
@@ -497,12 +514,13 @@ def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
     """Closed ball {x : d(x, center) <= eps} as an index subset.
 
     The boundary is included via plain float <=; eps must be >= 0.
+    Only center and eps are checked; PointSubset._where wraps the mask.
     """
     if not (0 <= center < space.n):
         raise ValueError(f"center index {center} out of range")
     if not (eps >= 0.0):
         raise ValueError("ball radius must be nonnegative")
-    return PointSubset(space, np.flatnonzero(space.row(center) <= eps))
+    return PointSubset._where(space, space.row(center) <= eps)
 
 
 def prefix_diameters(dist, order=None, stop: float = np.inf) -> np.ndarray:

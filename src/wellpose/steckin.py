@@ -456,10 +456,14 @@ def _sweep(sample: np.ndarray, base: SeminormExpr):
     return lambda order, stop=np.inf: prefix_diameters(proj, order)
 
 
-def _sublevel_curve(values: np.ndarray, sweep, grid):
-    """Base diameter of {values <= min + t} for each t in grid (sweep from :func:`_sweep`)."""
-    diams = sublevel_diameters(values, grid, sweep)
-    return ModulusCurve(eps_grid=tuple(grid), diam_values=tuple(diams.tolist()))
+def _sublevel_curve(values: np.ndarray, sweep, grid: tuple[float, ...]):
+    """Base diameter of {values <= min + t} for each t in grid (sweep from :func:`_sweep`).
+
+    grid comes from :func:`_ascending_grid` or :func:`_step_grid`, positive
+    and strictly increasing, so the curve is built unchecked
+    (ModulusCurve._built).
+    """
+    return ModulusCurve._built(grid, sublevel_diameters(values, grid, sweep))
 
 
 def set_diameter(points: np.ndarray, nu: SeminormExpr) -> float:
@@ -592,14 +596,18 @@ def _step_grid(delta_grid, eps: float) -> tuple[float, ...]:
     eps * 2^-k is eps / 2^k bit for bit (both round the same real).
     While eps * 2^-32 is a finite normal float the products are exact,
     so they are distinct and ascending as built.  Otherwise (an infinite
-    eps, or halvings that round or underflow) they go through
-    _ascending_grid, which sorts, drops duplicates and rejects a zero.
+    eps, or halvings that round) they go through _ascending_grid, which
+    sorts and drops duplicates.  A positive eps whose eps / 2^32
+    underflows to 0 has no default grid, and the error names eps.
     """
     if delta_grid is None:
         eps = float(eps)
         delta_grid = tuple(eps * h for h in _HALVINGS)
         if _TINY <= delta_grid[0] and eps < np.inf:
             return delta_grid
+        if delta_grid[0] == 0.0 < eps:
+            raise ValueError(f"eps {eps!r} is too small for the default delta grid: "
+                             "eps / 2^32 must be positive")
     return _ascending_grid(delta_grid)
 
 
@@ -907,7 +915,9 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     for step, values in zip(steps, nu_off):
         tol = step.delta / 3.0
         grid = tuple(sorted({float(d) for d in (tol, 2.0 * tol, 3.0 * tol)}))
-        curve = _sublevel_curve(values, sweep, grid)
+        # a delta of one subnormal step makes tol 0, which the curve refuses
+        diams = sublevel_diameters(values, grid, sweep)
+        curve = ModulusCurve(eps_grid=grid, diam_values=tuple(diams.tolist()))
         dm = curve.diam_values[0]  # the claim: diameter at tolerance delta/3
         if not (dm < step.eps_step):
             raise ReplayError(

@@ -336,6 +336,17 @@ def test_steckin_budget_over_equivalence_margin(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+def test_steckin_tiny_budget_names_eps(tmp_path, capsys):
+    # the default delta grid's halvings eps / 2^k underflow to 0; the
+    # error used to blame a delta grid the user never gave
+    code = cli.main(["steckin", "--mesh", "5e-3", "--eps-total", "1e-320",
+                     "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: eps 5e-321 is too small for the default delta grid" in err
+    assert "delta grid must be positive" not in err
+
+
 def test_steckin_budget_exhaustion(tmp_path, capsys):
     inst = dict(COARSE_INSTANCE)
     inst["witness_points"] = [[0.1 * k, 2.0] for k in range(-6, 7)]

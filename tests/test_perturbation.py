@@ -135,6 +135,17 @@ class TestDensityStep:
         with pytest.raises(ValueError):
             buc_density_step(f, g2, 0.0)
 
+    # inf used to reach the cone's table ("values must avoid NaN and -inf"),
+    # and 5e-324 its gamma = eps/2 = 0 ("beta and gamma must be positive")
+    @pytest.mark.parametrize("eps", [np.inf, 5e-324, np.nan, -1.0, 0.0])
+    def test_a_bad_eps_is_named(self, eps):
+        sp = _line(2)
+        f = ObjectiveFunction(sp, np.zeros(2))
+        g = PerturbationFunction(sp, np.zeros(2))
+        with pytest.raises(ValueError) as err:
+            buc_density_step(f, g, eps)
+        assert str(err.value) == "eps must be positive and finite, with eps/2 > 0"
+
 
 class TestMnMembership:
     def test_strong_minimum_gives_smallest_grid_witness(self):
