@@ -180,8 +180,7 @@ def _cmd_perturb(args) -> int:
                      "achieved_diam": step.achieved_diam,
                      "distance_moved": step.distance_moved, "ok": ok})
     fam = vime_family(99, 99)
-    axioms = check_pert_axioms(fam.params.space, fam, sample_p=(0, 50, 99),
-                               eps_list=(0.1, 0.3))
+    axioms = check_pert_axioms(fam, sample_p=(0, 50, 99), eps_list=(0.1, 0.3))
     all_ok = all_ok and axioms["all_ok"]
     out = _out_dir(args)
     _write_json(out / "perturb_report.json",

@@ -113,12 +113,12 @@ def steckin_instance_from_json(desc: dict) -> SteckinInstance:
 # seeded generators
 
 
-def random_space(rng: np.random.Generator, max_n: int = 100, min_n: int = 2) -> FiniteMetricSpace:
+def random_space(rng: np.random.Generator, max_n: int = 100) -> FiniteMetricSpace:
     kind = int(rng.integers(0, 3))
     if kind == 0:
-        steps = int(rng.integers(max(min_n - 1, 1), max_n))
+        steps = int(rng.integers(1, max_n))
         return FiniteMetricSpace.grid1d(0.0, 1.0, steps)
-    n = int(rng.integers(min_n, max_n + 1))
+    n = int(rng.integers(2, max_n + 1))
     d = int(rng.integers(1, 4))
     pts = rng.uniform(-5.0, 5.0, size=(n, d))
     metric = ("euclidean", "linf", "l1")[int(rng.integers(0, 3))]
@@ -126,8 +126,8 @@ def random_space(rng: np.random.Generator, max_n: int = 100, min_n: int = 2) -> 
 
 
 def random_objective(rng: np.random.Generator, space: FiniteMetricSpace,
-                     inf_prob: float = 0.15, scale: float = 2.0) -> ObjectiveFunction:
-    vals = rng.normal(0.0, scale, size=space.n)
+                     inf_prob: float = 0.15) -> ObjectiveFunction:
+    vals = rng.normal(0.0, 2.0, size=space.n)
     if space.n > 1 and rng.uniform() < inf_prob:
         k = int(rng.integers(1, space.n))  # keep at least one finite value
         idx = rng.choice(space.n, size=k, replace=False)
@@ -172,10 +172,9 @@ def random_lipschitz_family(rng: np.random.Generator, *, max_params: int = 40,
                             lipschitz_in_p=c * peak, meta={"kind": "lipschitz_expr"}, owned=True)
 
 
-def random_polyhedral_seminorm(rng: np.random.Generator, dim: int,
-                               max_terms: int = 4) -> SeminormExpr:
-    """Max/sum/scale tree over random absolute linear functionals."""
-    t = int(rng.integers(1, max_terms + 1))
+def random_polyhedral_seminorm(rng: np.random.Generator, dim: int) -> SeminormExpr:
+    """Max/sum/scale tree over one to four random absolute linear functionals."""
+    t = int(rng.integers(1, 5))
     rows = rng.normal(0.0, 1.0, size=(t, dim))
     atoms = [AbsLinear(r) for r in rows]
     expr: SeminormExpr = MaxOf(tuple(atoms)) if len(atoms) > 1 else atoms[0]
@@ -187,9 +186,9 @@ def random_polyhedral_seminorm(rng: np.random.Generator, dim: int,
     return expr
 
 
-def random_norm(rng: np.random.Generator, dim: int, max_terms: int = 3) -> SeminormExpr:
-    """Definite by construction: the sup norm joins the random rows."""
-    t = int(rng.integers(1, max_terms + 1))
+def random_norm(rng: np.random.Generator, dim: int) -> SeminormExpr:
+    """Definite by construction: the sup norm joins one to three random rows."""
+    t = int(rng.integers(1, 4))
     rows = rng.normal(0.0, 1.0, size=(t, dim))
     eye = np.eye(dim)
     atoms = [AbsLinear(eye[i]) for i in range(dim)] + [AbsLinear(r) for r in rows]

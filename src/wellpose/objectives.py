@@ -24,7 +24,6 @@ __all__ = [
     "ObjectiveFunction",
     "ModulusCurve",
     "ContEpsReport",
-    "inf_value",
     "argmin_set",
     "wellposedness_modulus",
     "regularize",
@@ -120,12 +119,6 @@ def sup_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def inf_value(f: ObjectiveFunction) -> float:
-    """Exact minimum of the value table (finite by properness), as kept
-    by the objective when its table was checked."""
-    return f.low
-
-
 def argmin_set(f: ObjectiveFunction, eps: float) -> PointSubset:
     """Sublevel set {x : f(x) <= inf f + eps}, exact index subset.
 
@@ -157,11 +150,11 @@ class ModulusCurve:
         eps, diam = self.eps_grid, self.diam_values
         if len(eps) != len(diam) or not eps:
             raise ValueError("grid and values must align and be non-empty")
-        # the steps are compared as differences, as np.diff would give
-        # them: a NaN, or inf - inf, fails every comparison and passes
-        if any(e <= 0.0 for e in eps) or any(b - a <= 0.0 for a, b in zip(eps, eps[1:])):
+        # negated comparisons: a NaN fails every comparison, so it is
+        # refused, and so is a repeated +inf (inf > inf is false)
+        if any(not (e > 0.0) for e in eps) or any(not (b > a) for a, b in zip(eps, eps[1:])):
             raise ValueError("eps grid must be positive and strictly increasing")
-        if any(b - a < 0.0 for a, b in zip(diam, diam[1:])):
+        if any(not (b >= a) for a, b in zip(diam, diam[1:])):
             raise ValueError("modulus must be non-decreasing in eps")
 
     @classmethod

@@ -112,8 +112,8 @@ class ParametricFamily:
                                 meta={"kind": "sum"}, owned=True)
 
 
-def default_delta_grid(fam: ParametricFamily, eps: float, octaves: int = 16) -> tuple[float, ...]:
-    """Geometric grid {eps, eps/2, ..., eps/2^octaves}, decreasing.
+def default_delta_grid(fam: ParametricFamily, eps: float) -> tuple[float, ...]:
+    """Geometric grid {eps, eps/2, ..., eps/2^16}, decreasing.
 
     Capped below by the minimal positive pairwise parameter distance:
     radii below it only see the singleton ball.
@@ -121,7 +121,7 @@ def default_delta_grid(fam: ParametricFamily, eps: float, octaves: int = 16) -> 
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     spacing = fam.params.space.min_positive_distance()
-    vals = [eps / (2.0**k) for k in range(octaves + 1)]
+    vals = [eps / (2.0**k) for k in range(17)]
     kept = tuple(v for v in vals if not (v < spacing))
     return kept if kept else (float(spacing) if np.isfinite(spacing) else eps,)
 

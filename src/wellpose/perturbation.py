@@ -2,9 +2,8 @@
 
 A perturbation is a finite real-valued function on the domain space; a
 family holds one per parameter.  The divergence rho between two
-perturbations is the sup norm of their difference (only
-:func:`check_openness_contract` takes another value, as rho_value).  The
-central construction, :func:`buc_density_step`, replaces a given
+perturbations is the sup norm of their difference.  The central
+construction, :func:`buc_density_step`, replaces a given
 perturbation g by a nearby g' (at rho-distance exactly eps) whose
 perturbed problem localizes its near-minimizers inside a ball of radius
 eps/2 around a chosen anchor.
@@ -132,8 +131,13 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
     without them (:func:`_step_cone`).  The apex row is read once: its
     mask d(a, .) <= eps/2 is both the cone's ramp and the ball
     B_{eps/2}(a).  The sums f + g, g + cone and f + g' keep their table
-    checks (a sum can overflow, and each keeps its minimum), and the
-    containment is replayed.
+    checks (a sum can overflow, and each keeps its minimum).
+
+    The cone proves the containment in exact arithmetic only.  Where an
+    ulp of f + g near its minimum exceeds eps, the sums round the cone
+    away, and points outside the ball stay eps/2-minimal.  So the
+    containment is replayed, and a failed replay raises
+    PreconditionError naming eps and inf(f + g).
     """
     if g.space is not f.space:
         raise ValueError("perturbation lives on a different space")
@@ -147,8 +151,9 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
     fg2 = f + g_prime
     omega = argmin_set(fg2, eps / 2.0)
     if not omega.issubset(PointSubset._where(f.space, near)):
-        # the cone construction proves this containment; reaching here is a bug
-        raise AssertionError("density step localization failed to replay")
+        raise PreconditionError(
+            f"eps {eps!r} is below the rounding of f + g near its minimum "
+            f"inf(f + g) = {fg.low!r}: the density step's cone was rounded away")
     # the move is the cone itself; re-deriving it as (g + cone) - g would
     # pick up one rounding step per entry and can overshoot eps by an ulp
     return DensityStepResult(
@@ -160,33 +165,31 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
     )
 
 
-def mn_membership(f: ObjectiveFunction, g: PerturbationFunction, n: int,
-                  t_grid=None) -> tuple[bool, float | None]:
-    """Smallest grid t with diam(argmin_set(f + g, t)) < 1/n, if any.
+def mn_membership(f: ObjectiveFunction, g: PerturbationFunction, n: int) -> tuple[bool, float | None]:
+    """(True, t) if diam(argmin_set(f + g, t)) < 1/n at t = diameter / 2^16,
+    else (False, None).
 
-    diam is non-decreasing in t, so if any grid t succeeds the smallest
-    one does: the sweep reads the one cut at the smallest t.
-    Default grid: geometric from the space diameter (1 if it is 0) down
-    16 octaves, whose smallest t is diameter / 2^16 (a division by a
-    power of two is monotone); it is computed directly.
+    t is the smallest value of the geometric grid from the space diameter
+    (1 if it is 0) down 16 octaves: diam is non-decreasing in t, so if any
+    t of that grid succeeds this one does, and the sweep reads its one
+    cut.  A positive diameter whose quotient by 2^16 underflows to 0
+    (below about 3e-319) has no such t, and the error names the diameter.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if g.space is not f.space:
         raise ValueError("perturbation lives on a different space")
-    if t_grid is None:
-        grid = [(f.space.diameter() or 1.0) / 2.0**16]
-    else:
-        grid = [float(t) for t in t_grid]
-    if not grid or not all(t > 0.0 for t in grid):  # NaN is not > 0
-        raise ValueError("t grid must be positive")
-    t = min(grid)
+    diameter = f.space.diameter()
+    t = (diameter or 1.0) / 2.0**16
+    if not (t > 0.0):
+        raise ValueError(f"space diameter {diameter!r} is too small for mn_membership: "
+                         "diameter / 2^16 must be positive")
     fg = f + g
     d = sublevel_diameters(fg.values, (t,), f.space.prefix_diameters)[0]
     return (True, t) if d < 1.0 / n else (False, None)
 
 
-def openness_radius(f: ObjectiveFunction, g: PerturbationFunction, eps: float, c_p: float) -> float:
+def openness_radius(eps: float, c_p: float) -> float:
     """Stability radius eps / (3 c_p) for the localization property."""
     if not (eps > 0.0 and c_p > 0.0):
         raise ValueError("eps and c_p must be positive")
@@ -210,15 +213,13 @@ class OpennessReport:
 
 
 def check_openness_contract(f: ObjectiveFunction, g: PerturbationFunction,
-                            g2: PerturbationFunction, eps: float, c_p: float,
-                            rho_value: float | None = None) -> OpennessReport:
+                            g2: PerturbationFunction, eps: float, c_p: float) -> OpennessReport:
     """Check that localization survives a move from g to g2.
 
     Hypothesis (checked, PreconditionError on failure): argmin_set(f+g, eps)
-    has diameter < eps.  If rho(g, g2) < radius = eps/(3 c_p) the report
-    asserts diam(argmin_set(f+g2, eps/3)) < eps; rho defaults to the sup
-    norm of g - g2, with rho_value overriding for scaled divergences
-    (must then dominate the sup norm / c_p).
+    has diameter < eps.  If rho(g, g2), the sup norm of g - g2, is below
+    radius = eps/(3 c_p), the report asserts
+    diam(argmin_set(f+g2, eps/3)) < eps.
     """
     if g.space is not f.space or g2.space is not f.space:
         raise ValueError("perturbations live on a different space")
@@ -227,8 +228,8 @@ def check_openness_contract(f: ObjectiveFunction, g: PerturbationFunction,
         raise PreconditionError(
             f"hypothesis fails: diam at eps is {base}, not < {eps}"
         )
-    radius = openness_radius(f, g, eps, c_p)
-    rho = float(rho_value) if rho_value is not None else sup_norm(g.values - g2.values)
+    radius = openness_radius(eps, c_p)
+    rho = sup_norm(g.values - g2.values)
     if not (rho < radius):
         return OpennessReport(radius=radius, rho=rho, applicable=False, holds=None,
                               diam_before=base, diam_after=None)
@@ -241,10 +242,11 @@ def check_openness_contract(f: ObjectiveFunction, g: PerturbationFunction,
 # axiom battery
 
 
-def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list) -> dict:
+def check_pert_axioms(f_fam, sample_p, eps_list) -> dict:
     """Battery of structural checks on a parametric family's perturbations.
 
-    f_fam is a ParametricFamily; sample_p indexes parameters to probe.
+    f_fam is a ParametricFamily; sample_p indexes parameters of its space
+    f_fam.params.space to probe.
     Returns a JSON-ready report with one entry per axiom:
 
       translation: moving f_p by a constant never changes its eps-argmin;
@@ -257,6 +259,7 @@ def check_pert_axioms(param_space: FiniteMetricSpace, f_fam, sample_p, eps_list)
                    the "moves exactly eps" premise of buc_density_step;
       density:     buc_density_step succeeds at every (p, eps) probe.
     """
+    param_space = f_fam.params.space
     sample_p = [int(p) for p in sample_p]
     for p in sample_p:
         if not (0 <= p < param_space.n):

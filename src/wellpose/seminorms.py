@@ -12,9 +12,9 @@ kappa computed once per quotient: exactly for a euclidean or polyhedral
 tree.  Elsewhere the minimum, convex in t, is bracketed analytically and
 resolved by golden section at every point.  Either way reported values
 never exceed base(x).  A quotient also evaluates from base's values on
-the same points (LineQuotient.from_base, or from_columns on the points'
-coordinate columns), so a caller that keeps them does not pay for base
-again.
+the same points, given their coordinate columns
+(LineQuotient.from_columns), so a caller that keeps them does not pay
+for base again.
 
 Maxima and sums fold their children one at a time, left to right, into
 one running array (np.maximum and + in place), never a (k, N) stack.
@@ -27,8 +27,8 @@ keeps and reads again (a renorming step's carried arrays).
 
 A tree never changes once built, so what depends on the tree alone is
 computed on first use and kept on the node, read-only: its flattened
-linear rows (:func:`_linear_rows`) and their index pairs, which a line
-quotient's kink search reads (:func:`_perp_quotient`).
+linear rows (``expr._rows``) and their index pairs (``expr._row_pairs``),
+which a line quotient's kink search reads (:func:`_perp_quotient`).
 
 Every node also carries a magnitude majorant (an upper bound on the
 absolute values flowing through its evaluation) used to scale rounding
@@ -102,6 +102,10 @@ class SeminormExpr:
 
     @cached_property
     def _rows(self) -> np.ndarray | None:
+        """Rows L with self(z) = max_j |L_j . z|, when the tree permits
+        (see :func:`_flatten`), else None.  Flattened on first use and
+        kept on the node, read-only; the index pairs i < j of the r rows,
+        np.triu_indices(r, 1), are kept beside them (_row_pairs)."""
         rows = _flatten(self)
         if rows is not None:
             rows.flags.writeable = False
@@ -207,17 +211,6 @@ class Scale(SeminormExpr):
         return self.factor * self.child.magnitude_many(X)
 
 
-def _linear_rows(expr: SeminormExpr) -> np.ndarray | None:
-    """Rows L with expr(z) = max_j |L_j . z|, when the tree permits.
-
-    The rows are flattened (:func:`_flatten`) on the first call for a
-    tree and kept on its root, read-only, so every later call for the
-    same tree returns the same array.  The index pairs i < j of the r
-    rows, np.triu_indices(r, 1), are kept beside them (expr._row_pairs).
-    """
-    return expr._rows
-
-
 def _flatten(expr: SeminormExpr) -> np.ndarray | None:
     """Rows L with expr(z) = max_j |L_j . z|, computed afresh.
 
@@ -306,7 +299,7 @@ def _perp_quotient(base: SeminormExpr, perp: np.ndarray, direction: np.ndarray,
     at_zero = float(on_perp[0])
     if isinstance(base, Euclidean):
         return at_zero
-    rows = _linear_rows(base)
+    rows = base._rows
     if rows is None:
         return float(_golden_quotient(base, perp[None, :], direction, dir_value, on_perp)[0])
     a = rows @ perp
@@ -350,11 +343,10 @@ class LineQuotient(SeminormExpr):
     largest is rounded or flushed to 0 by the scaling, and the searches
     run along that rounded direction.  The bracket 2 base(x) /
     base(direction) stays finite for a subnormal direction.  The stored
-    direction and dir_value are the unscaled ones.  from_base
-    takes base's values on the points from the caller, and from_columns
-    the same on the points' coordinate columns; from_base is from_columns
-    of its rows' transpose, and eval_many is from_base applied to
-    base.eval_many of the same points.
+    direction and dir_value are the unscaled ones.  from_columns takes
+    base's values on the points from the caller, with the points'
+    coordinate columns; eval_many is from_columns applied to the points'
+    transpose and base.eval_many of the same points.
     """
 
     def __init__(self, base: SeminormExpr, direction):
@@ -380,15 +372,7 @@ class LineQuotient(SeminormExpr):
 
     def eval_many(self, X):
         pts = _as_points(X, self.dim)
-        return self.from_base(pts, self.base.eval_many(pts))
-
-    def from_base(self, pts, base_vals) -> np.ndarray:
-        """Values on the rows of pts, given base's values there."""
-        pts = _as_points(pts, self.dim)
-        base_vals = np.asarray(base_vals, dtype=np.float64)
-        if base_vals.shape != pts.shape[:1]:
-            raise ValueError("base_vals must hold one value per point")
-        return self.from_columns(pts.T, base_vals)
+        return self.from_columns(pts.T, self.base.eval_many(pts))
 
     def from_columns(self, cols: np.ndarray, base_vals: np.ndarray,
                      scratch: np.ndarray | None = None) -> np.ndarray:

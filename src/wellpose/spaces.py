@@ -396,15 +396,15 @@ class FiniteMetricSpace:
     # ------------------------------------------------------------------
     # validation
 
-    def validate(self, rng: np.random.Generator | None = None, tol: float | None = None) -> bool:
+    def validate(self, rng: np.random.Generator | None = None) -> bool:
         """Check metric axioms: zero diagonal, symmetry, triangle inequality.
 
         Exhaustive for n <= 200, on 200_000 random triples beyond.  The
         triangle check d(i, k) <= d(i, j) + d(j, k) allows float-noise
-        slack ``tol``, by default 64 ulps of the largest d(i, j) or d(j, k)
-        checked, because a+b may round below an exactly stored a+b
-        distance.  Returns True; raises ValueError naming the first
-        violated axiom otherwise.
+        slack of 64 ulps of the largest d(i, j) or d(j, k) checked,
+        because a+b may round below an exactly stored a+b distance.
+        Returns True; raises ValueError naming the first violated axiom
+        otherwise.
         """
         if self.n <= 200:
             m = self.block(np.arange(self.n))
@@ -427,8 +427,7 @@ class FiniteMetricSpace:
             largest = max(d_ij.max(), d_jk.max())
             lhs, rhs = self._pairs(i, k), d_ij + d_jk
             sampled = " (sampled)"
-        if tol is None:
-            tol = 64.0 * np.finfo(np.float64).eps * float(largest)
+        tol = 64.0 * np.finfo(np.float64).eps * float(largest)
         if np.any(lhs > rhs + tol):
             raise ValueError("metric violation: triangle inequality fails" + sampled)
         return True
@@ -523,7 +522,7 @@ def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
     return PointSubset._where(space, space.row(center) <= eps)
 
 
-def prefix_diameters(dist, order=None, stop: float = np.inf) -> np.ndarray:
+def prefix_diameters(dist, order, stop: float = np.inf) -> np.ndarray:
     """Running diameter of a sequence of points as each one enters.
 
     Entry j is the max distance among the first j + 1 points.  ``order``
@@ -541,10 +540,9 @@ def prefix_diameters(dist, order=None, stop: float = np.inf) -> np.ndarray:
       A caller that reads only whether entries lie below ``stop`` loses
       nothing, since the running diameter never decreases.
     - ``dist`` is an (n, c) spread array of per-point projections, for a
-      distance d(x, y) = max_k |s_k(x) - s_k(y)|; without ``order`` its
-      rows are the points in entry order.  The running diameter is then
-      the largest running range of a column, max_k (cummax s_k - cummin
-      s_k), in O(m c).  For finite projections it equals the pairwise
+      distance d(x, y) = max_k |s_k(x) - s_k(y)|.  The running diameter
+      is then the largest running range of a column, max_k (cummax s_k -
+      cummin s_k), in O(m c).  For finite projections it equals the pairwise
       maximum bit for bit: rounded subtraction is monotone, so fl(max -
       min) = max over pairs of fl(|s_i - s_j|).  The columns are gathered
       and folded one at a time: numpy reduces a short last axis slowly.
@@ -558,7 +556,7 @@ def prefix_diameters(dist, order=None, stop: float = np.inf) -> np.ndarray:
     if not callable(dist):
         out = None
         for col in np.asarray(dist).T:
-            col = col if order is None else col[order]
+            col = col[order]
             run = np.maximum.accumulate(col, axis=-1)
             run -= np.minimum.accumulate(col, axis=-1)
             out = run if out is None else np.maximum(out, run, out=out)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
-from .seminorms import Euclidean, LineQuotient, Scale, SeminormExpr, SumOf, _linear_rows
+from .seminorms import Euclidean, LineQuotient, Scale, SeminormExpr, SumOf
 from .spaces import _euclidean_prefix, _pairwise, prefix_diameters, sublevel_diameters
 
 __all__ = [
@@ -423,37 +423,32 @@ def polytope_body(vertices, n_samples: int = 2048, seed: int = 0) -> ConvexBody:
     return ConvexBody(vertices=verts, sample=sample, mesh=mesh)
 
 
-def _running_diameters(pts: np.ndarray, nu: SeminormExpr, stop: float = np.inf) -> np.ndarray:
-    """Running nu-diameter of the rows of pts as each one enters; the
-    block path may stop once it reaches stop (see prefix_diameters)."""
-    rows = _linear_rows(nu)
-    if rows is not None:
-        # nu(x - y) = max_j |L_j.x - L_j.y|: spread of each projection
-        return prefix_diameters(pts @ rows.T)
+def _sweep(sample: np.ndarray, base: SeminormExpr):
+    """sweep(order, stop=inf): the running base diameter of the (m, d)
+    points sample[order] as each one enters, for one (m,) order; the
+    block paths may stop once it reaches stop (see prefix_diameters).
 
-    if isinstance(nu, Euclidean):
-        return _euclidean_prefix(pts, stop)
+    The path is picked once, here.  For a polyhedral base, base(x - y) =
+    max_j |L_j.x - L_j.y|, so the sample is projected once, sample @
+    rows.T, and every sweep takes the spread of the projected rows
+    gathered by order.  A row of the product depends on that row of
+    sample alone, so the gathered rows are sample[order] @ rows.T bit for
+    bit.  A euclidean base sweeps sample[order] with
+    spaces._euclidean_prefix; any other tree evaluates the difference
+    rows, a block at a time.
+    """
+    rows = base._rows
+    if rows is not None:
+        proj = sample @ rows.T
+        return lambda order, stop=np.inf: prefix_diameters(proj, order)
+    if isinstance(base, Euclidean):
+        return lambda order, stop=np.inf: _euclidean_prefix(sample[order], stop)
 
     def block(i, j):
-        diffs = pts[i][:, None, :] - pts[j][None, :, :]
-        return nu.eval_many(diffs.reshape(-1, pts.shape[1])).reshape(len(i), len(j))
+        diffs = sample[i][:, None, :] - sample[j][None, :, :]
+        return base.eval_many(diffs.reshape(-1, sample.shape[1])).reshape(len(i), len(j))
 
-    return prefix_diameters(block, np.arange(pts.shape[0]), stop)
-
-
-def _sweep(sample: np.ndarray, base: SeminormExpr):
-    """sweep(order, stop=inf): _running_diameters(sample[order], base, stop).
-
-    For a polyhedral base the sample is projected once, sample @ rows.T,
-    and every sweep gathers the projected rows by order.  A row of the
-    product depends on that row of sample alone, so the gathered rows are
-    sample[order] @ rows.T bit for bit.
-    """
-    rows = _linear_rows(base)
-    if rows is None:
-        return lambda order, stop=np.inf: _running_diameters(sample[order], base, stop)
-    proj = sample @ rows.T
-    return lambda order, stop=np.inf: prefix_diameters(proj, order)
+    return lambda order, stop=np.inf: prefix_diameters(block, order, stop)
 
 
 def _sublevel_curve(values: np.ndarray, sweep, grid: tuple[float, ...]):
@@ -467,30 +462,29 @@ def _sublevel_curve(values: np.ndarray, sweep, grid: tuple[float, ...]):
 
 
 def set_diameter(points: np.ndarray, nu: SeminormExpr) -> float:
-    """max over pairs of nu(x - y), the last running diameter.
+    """max over pairs of nu(x - y): the last entry of one sweep
+    (:func:`_sweep`) over all the points, in their order.
 
-    For a polyhedral tree (max, sum and scale of absolute linear leaves),
-    nu(x - y) = max_j |L_j.x - L_j.y|, so the projections pts @ L.T go to
-    the spread path of :func:`~wellpose.spaces.prefix_diameters` (O(m j));
-    every other tree goes to its block path, pairwise by row chunk.  A
-    euclidean nu fills those blocks with the squares of the distance
-    kernel :func:`~wellpose.spaces._pairwise` and roots their running
-    maxima at the end (spaces._euclidean_prefix), bit for bit its
-    eval_many of the differences; any other tree evaluates the
-    difference rows.  The
+    For a polyhedral tree (max, sum and scale of absolute linear leaves)
+    the sweep takes the spread of the projections pts @ L.T, O(m j);
+    every other tree goes pairwise by row chunk.  A euclidean nu fills
+    those blocks with the squares of the distance kernel
+    :func:`~wellpose.spaces._pairwise` and roots their running maxima at
+    the end (spaces._euclidean_prefix), bit for bit its eval_many of the
+    differences; any other tree evaluates the difference rows.  The
     spread path rounds each L_j.x once, where eval_many rounds
     L_j.(x - y) (and a sum adds its terms' roundings), so the two can
     differ in the last bits.  A tree that flattens to more rows than
     seminorms._MAX_LINEAR_ROWS takes the block path.  The rows L are
-    flattened on the first call for a tree and kept on it
-    (seminorms._linear_rows), so repeated calls only project.
+    flattened on the first call for a tree and kept on it (nu._rows), so
+    repeated calls only project.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != nu.dim:
         raise ValueError("points must be (m, d) matching the seminorm")
     if pts.shape[0] == 0:
         raise ValueError("diameter of an empty set is undefined")
-    return float(_running_diameters(pts, nu)[-1])
+    return float(_sweep(pts, nu)(np.arange(pts.shape[0]))[-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -96,7 +96,7 @@ def run_all(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
         f = objectives.ObjectiveFunction(sp, 8.0 * sp.row(anchor))
         eps = float(rng.uniform(0.1, 1.0))
         g = instances.random_perturbation(rng, sp, eps / 2.0)
-        radius = perturbation.openness_radius(f, g, eps, 1.0)
+        radius = perturbation.openness_radius(eps, 1.0)
         for _ in range(10):
             g2 = g + instances.random_perturbation(rng, sp, radius)
             rep = perturbation.check_openness_contract(f, g, g2, eps, 1.0)

@@ -9,7 +9,6 @@ from wellpose.objectives import (
     ObjectiveFunction,
     argmin_set,
     check_cont_eps_lemma,
-    inf_value,
     proper_table,
     regularize,
     sup_norm,
@@ -120,7 +119,7 @@ class TestArgminSet:
         sp = FiniteMetricSpace.grid1d(0.0, 1.0, 30)
         f = ObjectiveFunction(sp, rng.normal(size=31))
         for eps in (0.0, 0.1, 0.7):
-            expected = {i for i, v in enumerate(f.values) if v <= inf_value(f) + eps}
+            expected = {i for i, v in enumerate(f.values) if v <= f.low + eps}
             assert set(argmin_set(f, eps)) == expected
 
     def test_negative_eps_raises(self):
@@ -133,7 +132,7 @@ class TestArgminSet:
         # left ramp 3x - 1 bottoms at -1; the 0.3-sublevel set is [0, 0.1]
         fam = vime_family(999, 999)
         f0 = fam.objective(0)
-        assert inf_value(f0) == -1.0
+        assert f0.low == -1.0
         omega = argmin_set(f0, 0.3)
         xs = np.arange(1000) / 999
         inside = set(np.flatnonzero(3.0 * xs - 1.0 <= -0.7).tolist())
@@ -170,22 +169,25 @@ class TestModulusCurve:
 
     @staticmethod
     def _numpy_verdict(eps_grid, diam_values):
-        """The numpy round-trip checks the curve used to make: the message
-        of the first failing check, or None if the curve is accepted."""
+        """The curve's checks as numpy array comparisons: the message of
+        the first failing check, or None if the curve is accepted.  A
+        value passes only a comparison that holds, so a NaN anywhere, or a
+        repeated +inf grid value, is refused."""
         if len(eps_grid) != len(diam_values) or not eps_grid:
             return "grid and values must align and be non-empty"
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails every check
-            eps = np.asarray(eps_grid)
-            if np.any(eps <= 0.0) or np.any(np.diff(eps) <= 0.0):
-                return "eps grid must be positive and strictly increasing"
-            if np.any(np.diff(diam_values) < 0.0):
-                return "modulus must be non-decreasing in eps"
+        eps, d = np.asarray(eps_grid), np.asarray(diam_values)
+        if not (np.all(eps > 0.0) and np.all(eps[1:] > eps[:-1])):
+            return "eps grid must be positive and strictly increasing"
+        if not np.all(d[1:] >= d[:-1]):
+            return "modulus must be non-decreasing in eps"
         return None
 
     @given(st.lists(_edge_floats, max_size=6), st.lists(_edge_floats, max_size=6),
            st.booleans())
-    @example([0.1, float("nan")], [0.0, 0.0], True)  # a NaN grid value is accepted
+    @example([0.1, float("nan")], [0.0, 0.0], True)  # a NaN grid value is refused
     @example([0.1, float("inf"), float("inf")], [0.0, 1.0, 2.0], True)
+    @example([0.1, 0.2], [0.0, float("nan")], True)
+    @example([0.1, 0.2], [float("inf"), float("inf")], True)
     @example([], [], True)
     @example([0.1], [0.0, 0.0], True)
     @example([-0.0, 0.1], [0.0, 0.0], True)

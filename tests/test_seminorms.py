@@ -16,7 +16,6 @@ from wellpose.seminorms import (
     SeminormExpr,
     SumOf,
     _golden_quotient,
-    _linear_rows,
     _perp_quotient,
     euclidean_norm,
     l1_norm,
@@ -265,7 +264,7 @@ def _kappa_directions(base, rng):
     perpendicular (L . direction = 0): the zero-denominator cases."""
     dirs = [rng.normal(size=2) for _ in range(4)]
     dirs += [np.array(v, dtype=np.float64) for v in ([1, 0], [0, -2], [1, 1], [1, -1])]
-    rows = _linear_rows(base)
+    rows = base._rows
     if rows is not None:
         dirs += [r for r in rows] + [np.array([-r[1], r[0]]) for r in rows]
     # a base that (nearly) vanishes on the direction leaves the quotient
@@ -355,7 +354,7 @@ def _kappa_on_the_given_direction(base, direction):
     perp = np.ldexp(perp, -np.frexp(np.abs(perp).max())[1])
     on_perp = base.eval_many(perp[None, :])
     at_zero = float(on_perp[0])
-    rows = _linear_rows(base)
+    rows = base._rows
     if isinstance(base, Euclidean):
         value = at_zero
     elif rows is None:
@@ -473,7 +472,7 @@ class TestSharedNodes:
 
 
 class TestQuotientFromBase:
-    """from_base takes base's values from the caller: eval_many bit for bit."""
+    """from_columns takes base's values from the caller: eval_many bit for bit."""
 
     def test_planar_quotients(self, rng):
         X = rng.normal(size=(300, 2)) * 3
@@ -486,7 +485,7 @@ class TestQuotientFromBase:
                     q = LineQuotient(base, d)
                 except ValueError:  # a base that vanishes on the direction
                     continue
-                got = q.from_base(X, base.eval_many(X))
+                got = q.from_columns(X.T, base.eval_many(X))
                 assert _bits(got) == _bits(q.eval_many(X))
                 rebuilt = seminorm_from_json(seminorm_to_json(q))
                 assert _bits(got) == _bits(rebuilt.eval_many(X))
@@ -497,17 +496,9 @@ class TestQuotientFromBase:
         base = SumOf((linf_norm(3), Scale(0.5, euclidean_norm(3))))
         q = LineQuotient(base, [1.0, -2.0, 0.5])
         X = rng.normal(size=(40, 3)) * 3
-        got = q.from_base(X, base.eval_many(X))
+        got = q.from_columns(X.T, base.eval_many(X))
         assert _bits(got) == _bits(q.eval_many(X))
         assert _bits(got) == _bits(_search(base, q.direction, X))
-
-    def test_one_base_value_per_point(self, rng):
-        q = LineQuotient(linf_norm(2), [1.0, 2.0])
-        X = rng.normal(size=(5, 2))
-        with pytest.raises(ValueError):
-            q.from_base(X, np.ones(4))
-        with pytest.raises(ValueError):
-            q.from_base(X[:, :1], np.ones(5))
 
 
 class TestFolds:
@@ -560,23 +551,22 @@ class TestLinearRows:
                  SumOf((linf_norm(2), Scale(0.3, l1_norm(2)), AbsLinear([1.0, -1.0])))]
         trees += [random_polyhedral_seminorm(rng, 2) for _ in range(20)]
         for tree in trees:
-            rows = _linear_rows(tree)
+            rows = tree._rows
             pts = rng.normal(size=(100, tree.dim)) * 3
             flat = np.abs(pts @ rows.T).max(axis=1)
             tol = 1e-13 * np.maximum(1.0, tree.magnitude_many(pts))
             assert np.all(np.abs(flat - tree.eval_many(pts)) <= tol)
 
     def test_other_leaves_and_large_expansions_give_none(self):
-        assert _linear_rows(Euclidean(2)) is None
-        assert _linear_rows(MaxOf((AbsLinear([1.0, 0.0]), Scale(0.3, Euclidean(2))))) is None
-        assert _linear_rows(LineQuotient(linf_norm(2), [1.0, 1.0])) is None
+        assert Euclidean(2)._rows is None
+        assert MaxOf((AbsLinear([1.0, 0.0]), Scale(0.3, Euclidean(2))))._rows is None
+        assert LineQuotient(linf_norm(2), [1.0, 1.0])._rows is None
         cap = seminorms._MAX_LINEAR_ROWS
         atoms = [AbsLinear([1.0, float(k)]) for k in range(8)]
         # a sum of k leaves expands to 2^(k-1) rows
-        assert _linear_rows(SumOf(atoms[:7])).shape[0] == 64 <= cap
-        assert _linear_rows(SumOf(atoms)) is None
-        assert _linear_rows(MaxOf(tuple(AbsLinear([1.0, float(k)])
-                                        for k in range(cap + 1)))) is None
+        assert SumOf(atoms[:7])._rows.shape[0] == 64 <= cap
+        assert SumOf(atoms)._rows is None
+        assert MaxOf(tuple(AbsLinear([1.0, float(k)]) for k in range(cap + 1)))._rows is None
 
 
 class TestKeptRows:
@@ -594,20 +584,20 @@ class TestKeptRows:
     def test_kept_rows_equal_a_fresh_flattening(self, rng):
         trees = self._trees(rng)
         for tree in trees:
-            rows = _linear_rows(tree)
-            assert rows is _linear_rows(tree)
+            rows = tree._rows
+            assert rows is tree._rows
             assert _bits(rows) == _bits(seminorms._flatten(tree))
             assert rows.shape[1] == tree.dim
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 1.0
         # read again after every other tree was flattened: each keeps its own
         for tree in trees:
-            assert _bits(_linear_rows(tree)) == _bits(seminorms._flatten(tree))
+            assert _bits(tree._rows) == _bits(seminorms._flatten(tree))
 
     def test_kept_row_pairs_equal_the_upper_triangle(self, rng):
         for tree in self._trees(rng):
             i, j = tree._row_pairs
-            ref_i, ref_j = np.triu_indices(_linear_rows(tree).shape[0], 1)
+            ref_i, ref_j = np.triu_indices(tree._rows.shape[0], 1)
             assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
             assert tree._row_pairs[0] is i
             for kept in (i, j):
@@ -619,8 +609,8 @@ class TestKeptRows:
         atoms = [AbsLinear([1.0, float(k)]) for k in range(8)]
         for tree in (Euclidean(2), MaxOf((AbsLinear([1.0, 0.0]), Scale(0.3, Euclidean(2)))),
                      LineQuotient(linf_norm(2), [1.0, 1.0]), SumOf(atoms)):
-            assert _linear_rows(tree) is None
-            assert _linear_rows(tree) is None
+            assert tree._rows is None
+            assert tree._rows is None
 
     def test_a_quotient_reads_the_kept_pairs(self, monkeypatch):
         base = linf_norm(2)

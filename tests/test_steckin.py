@@ -39,7 +39,6 @@ from wellpose.steckin import (
     _columns,
     _nearest_two,
     _quotient_terms,
-    _running_diameters,
     _step_grid,
     _sublevel_curve,
     _sweep,
@@ -56,6 +55,12 @@ from wellpose.steckin import (
     set_diameter,
     wellpose_point,
 )
+
+
+def _whole_sweep(pts, nu):
+    """Running nu-diameter of the rows of pts in their order: one sweep
+    over pts built afresh."""
+    return _sweep(pts, nu)(np.arange(len(pts)))
 
 
 class TestMakeSetting:
@@ -393,7 +398,7 @@ class TestEuclideanKernel:
                 return np.linalg.norm(diffs.reshape(-1, d), axis=1).reshape(len(i), len(j))
 
             expected = prefix_diameters(block, np.arange(len(pts)))
-            assert np.array_equal(_running_diameters(pts, Euclidean(d)), expected)
+            assert np.array_equal(_whole_sweep(pts, Euclidean(d)), expected)
 
     @pytest.mark.parametrize("cells", [1, 64, 1 << 15])
     def test_squared_sweep_equals_the_block_path(self, d, cells, rng, monkeypatch):
@@ -669,7 +674,7 @@ class TestBaireRenorm:
 def _plain_sweep(sample, base):
     """Running base diameters of sample[order], the rows gathered and
     projected afresh on every sweep."""
-    return lambda order: _running_diameters(sample[order], base)
+    return lambda order: _whole_sweep(sample[order], base)
 
 
 def _reference_renorm(nu0, body, witness_points, eps_total, n_target, setting,
@@ -1094,11 +1099,11 @@ class TestKeptValues:
                 sweep = _sweep(body.sample, base)
                 for length in range(1, m + 1):
                     order = rng.permutation(m)[:length]
-                    expected = _running_diameters(body.sample[order], base)
+                    expected = _whole_sweep(body.sample[order], base)
                     assert _bits(sweep(order)) == _bits(expected)
                 # a sweep that stops at a bound keeps a prefix of the full one
                 order = rng.permutation(m)
-                full = _running_diameters(body.sample[order], base)
+                full = _whole_sweep(body.sample[order], base)
                 stop = float(np.median(full))
                 short = sweep(order, stop)
                 assert _bits(short) == _bits(full[:short.size]) and short[-1] >= stop

@@ -35,7 +35,6 @@ from wellpose.spaces import (
 )
 from wellpose.steckin import (
     _largest_tolerance,
-    _running_diameters,
     _sublevel_curve,
     _sweep,
     make_setting,
@@ -44,6 +43,12 @@ from wellpose.steckin import (
     set_diameter,
     wellpose_point,
 )
+
+
+def _whole_sweep(pts, nu):
+    """Running nu-diameter of the rows of pts in their order: one sweep
+    over pts built afresh."""
+    return _sweep(pts, nu)(np.arange(len(pts)))
 
 
 def _pair_max(space: FiniteMetricSpace, members) -> float:
@@ -232,9 +237,9 @@ class TestSpreadPath:
             assert d == _pair_max(space, argmin_set(f, t).indices)
         finite = int(np.count_nonzero(np.isfinite(f.values)))
         assert len(argmin_set(f, 10.0)) == finite < space.n  # +inf never enters
-        hit, t = mn_membership(f, g, 1, grid)
-        first = next((t for t, d in zip(grid, curve.diam_values) if d < 1.0), None)
-        assert (hit, t) == (first is not None, first)
+        t = space.diameter() / 2.0**16
+        hit = _pair_max(space, argmin_set(f, t).indices) < 1.0
+        assert mn_membership(f, g, 1) == (hit, t if hit else None)
 
     def test_block_is_never_called_on_spread_spaces(self, rng, block_calls):
         for kind in SPREAD_KINDS:
@@ -248,7 +253,7 @@ class TestSpreadPath:
             mn_membership(f, g, 3)
             assert block_calls == [], kind
         fam = vime_family(59, 59)
-        grid = default_delta_grid(fam, 0.05, octaves=4)
+        grid = default_delta_grid(fam, 0.05)[:5]
         block_calls.clear()
         assert check_5r_lemma(fam, 10, 0.05, 0.2, grid).ok
         assert block_calls == []
@@ -492,7 +497,7 @@ class TestParametricSweeps:
         outcomes = set()
         for fam in _families():
             for eps in (0.05, 0.3):
-                grid = default_delta_grid(fam, eps, octaves=6)
+                grid = default_delta_grid(fam, eps)[:7]
                 for p in range(0, fam.params.space.n, 4):
                     base = _pair_max(fam.domain, argmin_set(fam.objective(p), eps).indices)
                     for r in (1.01 * base + 1e-3, 1.5 * base + 0.05):
@@ -518,7 +523,7 @@ class TestParametricSweeps:
 
         monkeypatch.setattr(parametric_mod, "sublevel_diameters", counting)
         for fam in _families():
-            grid = default_delta_grid(fam, 0.3, octaves=6)
+            grid = default_delta_grid(fam, 0.3)[:7]
             for p in range(0, fam.params.space.n, 5):
                 base = diam(argmin_set(fam.objective(p), 0.3))
                 calls.clear()
@@ -658,8 +663,9 @@ class TestStopBound:
 
     def test_the_spread_path_returns_every_entry(self, rng):
         coords = _tied_coords(rng, 30, 2)
-        full = prefix_diameters(coords)
-        assert _bits(prefix_diameters(coords, None, 0.0)) == _bits(full)
+        order = np.arange(len(coords))
+        full = prefix_diameters(coords, order)
+        assert _bits(prefix_diameters(coords, order, 0.0)) == _bits(full)
 
 
 STEP_BASES = {
@@ -673,7 +679,7 @@ STEP_BASES = {
 
 def _plain_sweep(sample, base):
     """Running base diameters of sample[order], the sample projected afresh."""
-    return lambda order: _running_diameters(sample[order], base)
+    return lambda order: _whole_sweep(sample[order], base)
 
 
 def _full_pick(values, sample, grid, base, eps):
@@ -706,7 +712,7 @@ class TestStepPick:
         sample = _tied_coords(rng, 80, 2)
 
         def prefix(order):
-            return _running_diameters(sample[order], base)
+            return _whole_sweep(sample[order], base)
 
         for grid in ((0.0,), (0.25, 0.5), (1.0, 0.0, 3.0), (20.0,)):
             values = _tied_values(rng, 80, inf_share=0.3)
@@ -766,8 +772,7 @@ def test_mn_membership_equals_the_full_curve_answer(kind, rng):
     for _ in range(10):
         f = ObjectiveFunction(space, _tied_values(rng, space.n, inf_share=0.3))
         g = PerturbationFunction(space, rng.integers(0, 4, size=space.n) / 8.0)
-        grid = tuple(rng.integers(1, 40, size=int(rng.integers(1, 6))) / 8.0)
-        curve = _space_curve(space, (f + g).values, sorted(grid))
+        t = (space.diameter() or 1.0) / 2.0**16
+        (d,) = _space_curve(space, (f + g).values, (t,))
         for n in (1, 2, 5, 50):
-            first = next((t for t, d in zip(sorted(grid), curve) if d < 1.0 / n), None)
-            assert mn_membership(f, g, n, grid) == (first is not None, first)
+            assert mn_membership(f, g, n) == ((True, t) if d < 1.0 / n else (False, None))
