@@ -11,9 +11,12 @@ epi-continuity condition holds:
 
 Certificates carry replayable witnesses.  Every "largest delta" search
 but check_sum_epi's is one _largest_delta call over the neighbours within
-the largest grid radius.  The searches rely on the checks being downward
-closed in delta: shrinking delta only shrinks both the parameter ball
-and the sublevel sets.
+the largest grid radius, whose rows it reads through _neighbour_rows: in
+place, as a view of the family's table, when the neighbours form one run
+of indices (always, on a sorted 1-D parameter grid), a gathered copy
+otherwise.  The searches rely on the checks being downward closed in
+delta: shrinking delta only shrinks both the parameter ball and the
+sublevel sets.
 """
 
 from __future__ import annotations
@@ -157,6 +160,19 @@ def _neighbours(fam: ParametricFamily, p: int, eps: float, delta_grid):
     return grid, qs, prow[qs]
 
 
+def _neighbour_rows(table: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """table[qs] for an ascending index array qs (as _neighbours gives it).
+
+    When qs is one run of consecutive indices, as it always is on a sorted
+    1-D parameter grid, this is the view table[qs[0]:qs[-1] + 1] of the
+    same rows, read in place; any other qs gathers a copy.  The searches
+    only read the rows, and a family's table is read-only.
+    """
+    if qs.size and qs[-1] - qs[0] == qs.size - 1:
+        return table[qs[0]:qs[-1] + 1]
+    return table[qs]
+
+
 def _largest_delta(grid: tuple[float, ...], dist: np.ndarray, good: np.ndarray) -> int | None:
     """Index of the largest grid radius whose closed ball holds no bad
     neighbour, or None.
@@ -214,7 +230,7 @@ def check_cond1(fam: ParametricFamily, p: int, x: int, eps: float, delta_grid) -
     if fp_x == np.inf:
         return EpiCertificate(1, p, eps, grid[0], anchor_x=x, witnesses={}, vacuous=True)
     ball_x = np.flatnonzero(fam.domain.row(x) <= eps)
-    sub = fam.values[np.ix_(qs, ball_x)]
+    sub = _neighbour_rows(fam.values, qs)[:, ball_x]
     best = np.argmin(sub, axis=1)  # first minimum = lowest index
     j = _largest_delta(grid, dist, sub[np.arange(qs.size), best] <= fp_x + eps)
     if j is None:
@@ -235,7 +251,8 @@ def check_cond2(fam: ParametricFamily, p: int, eps: float, delta_grid) -> EpiCer
     some cell falls below f_p - eps.
     """
     grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
-    return _cond2(p, eps, grid, qs, dist, _cond2_violations(fam, p, eps, fam.values[qs]))
+    viol = _cond2_violations(fam, p, eps, _neighbour_rows(fam.values, qs))
+    return _cond2(p, eps, grid, qs, dist, viol)
 
 
 def _cond2_violations(fam, p, eps, vals) -> np.ndarray:
@@ -302,7 +319,7 @@ def certify_uniform_epi(fam: ParametricFamily, p: int, eps: float, delta_grid) -
     no open cell there is no call.
     """
     grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
-    vals = fam.values[qs]
+    vals = _neighbour_rows(fam.values, qs)
     cap = fam.values[p] + eps
     open1 = (vals > cap).any(axis=1)  # the rows with an open condition-1 cell
     viol = vals < fam.values[p] - eps  # the open condition-2 cells
@@ -342,7 +359,7 @@ def recheck_certificate(fam: ParametricFamily, cert: EpiCertificate) -> bool:
                     and np.all(fam.values[qs, xq] <= fp_x + cert.eps))
     if not (cert.eps >= 0.0):
         raise ValueError("eps must be nonnegative")
-    return not _cond2_violations(fam, cert.p, cert.eps, fam.values[qs]).any()
+    return not _cond2_violations(fam, cert.p, cert.eps, _neighbour_rows(fam.values, qs)).any()
 
 
 def analytic_epi_delta(fam: ParametricFamily, eps: float) -> float | None:
@@ -390,7 +407,8 @@ def check_5r_lemma(fam: ParametricFamily, p: int, eps: float, r: float, delta_gr
             f"hypothesis fails: diam(argmin_set(f_p, eps)) = {base_diam} >= r = {r}"
         )
     # one sweep over the neighbour rows: diams[i, j] = diam(argmin_set(f_qs[i], grid[j]))
-    diams = sublevel_diameters(fam.values[qs], grid, fam.domain.prefix_diameters)
+    vals = _neighbour_rows(fam.values, qs)
+    diams = sublevel_diameters(vals, grid, fam.domain.prefix_diameters)
     j = _largest_delta(grid, dist, diams < 5.0 * r)
     if j is None:
         return FiveRReport(p=p, eps=eps, r=r, delta=None, q_diams={})
@@ -424,10 +442,11 @@ def argmin_usc(fam: ParametricFamily, p: int, eps: float, delta_grid) -> UscRepo
     if len(exact) != 1:
         raise PreconditionError("argmin_usc needs a unique exact minimizer")
     x_p = int(exact.indices[0])
-    vals = fam.values[qs]
+    vals = _neighbour_rows(fam.values, qs)
     # argmin_set(f_q, delta) ⊆ B_eps(x_p) iff f_q > inf f_q + delta off the ball
     outside = vals[:, fam.domain.row(x_p) > eps].min(axis=1, initial=np.inf)
-    j = _largest_delta(grid, dist, outside[:, None] > fam.row_min[qs, None] + np.asarray(grid))
+    low = _neighbour_rows(fam.row_min, qs)
+    j = _largest_delta(grid, dist, outside[:, None] > low[:, None] + np.asarray(grid))
     return UscReport(p=p, eps=eps, x_p=x_p, delta=None if j is None else grid[j])
 
 

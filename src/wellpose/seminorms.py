@@ -37,11 +37,12 @@ tolerances in exactness tests.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .spaces import _count, _pairwise
+from .spaces import _count
 
 __all__ = [
     "SeminormExpr",
@@ -64,6 +65,10 @@ _MAX_LINEAR_ROWS = 64
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 _GOLDEN_ITERS = 72  # bracket width shrinks below 1e-15 of its start
+# a line quotient's base must exceed this multiple of its magnitude on the
+# direction: 8 ulps of the rounding scale
+_BEYOND_ROUNDING = 8.0 * np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 
 
 def _as_points(X, dim: int) -> np.ndarray:
@@ -147,11 +152,60 @@ class Euclidean(SeminormExpr):
         self.dim = int(dim)
 
     def eval_many(self, X):
-        # the distance kernel's column loop, bit for bit numpy's norm for d <= 7
-        return _pairwise(_as_points(X, self.dim), np.zeros(self.dim), "euclidean")
+        """The root of each row's sum of squares, summed column by column as
+        the distance kernel does (_pairwise), bit for bit numpy's norm for
+        d <= 7.
+
+        A row whose sum of squares overflows or falls below the normal
+        range (an entry above about 1e154, or a nonzero row whose entries
+        all lie below about 1e-154) is summed again, scaled by the power of
+        two that puts its largest entry in [1/2, 1), and its root scaled
+        back (:func:`_rescaled_norms`).  Every other row keeps its bits;
+        the check costs one pass of min and max over the sums.
+        """
+        pts = _as_points(X, self.dim)
+        with np.errstate(over="ignore"):
+            sq = _sum_squares(pts)
+        if not (sq.min(initial=np.inf) >= _TINY and sq.max(initial=0.0) < np.inf):
+            return _rescaled_norms(pts, sq)
+        return np.sqrt(sq, out=sq)
 
     def magnitude_many(self, X):
         return self.eval_many(X)
+
+
+def _sum_squares(pts: np.ndarray) -> np.ndarray:
+    """Sum of squares of each (N, d) row, folded column by column in place:
+    _pairwise's "sqeuclidean" against the origin, without its subtractions
+    of 0 (x - 0 is x exactly)."""
+    out = np.square(pts[:, 0])
+    if pts.shape[1] > 1:
+        col = np.empty_like(out)
+        for k in range(1, pts.shape[1]):
+            out += np.square(pts[:, k], out=col)
+    return out
+
+
+def _rescaled_norms(pts: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of pts, given their sums of squares sq.
+
+    A row whose sum is not a normal float (an overflow to inf, or a
+    subnormal or zero sum) is summed again at 2^-e times itself, e the
+    np.frexp exponent of its largest |entry|: the scaled entries are at
+    most 1 and the largest at least 1/2, so the sum lies in [1/4, d).  The
+    scalings by powers of two are exact (an entry more than 2^1022 below
+    the row's largest may round, far below the sum's last bit), so the
+    root 2^e sqrt(sum) is off only by the roundings of the squares, the
+    sum and the root, and by one more where the result is subnormal.
+    """
+    redo = np.flatnonzero(~(sq >= _TINY) | (sq == np.inf))
+    rows = pts[redo]
+    exponent = np.frexp(np.abs(rows).max(axis=1))[1]
+    scaled = np.sqrt(_sum_squares(np.ldexp(rows, -exponent[:, None])))
+    out = np.sqrt(sq, out=sq)
+    with np.errstate(over="ignore"):  # a norm above the largest float is inf
+        out[redo] = np.ldexp(scaled, exponent)
+    return out
 
 
 def _combine(children) -> tuple[tuple, int]:
@@ -177,7 +231,7 @@ class MaxOf(SeminormExpr):
         return _fold(np.maximum, (c.eval_many(X) for c in self.children))
 
     def magnitude_many(self, X):
-        return np.max([c.magnitude_many(X) for c in self.children], axis=0)
+        return _fold(np.maximum, (c.magnitude_many(X) for c in self.children))
 
 
 class SumOf(SeminormExpr):
@@ -320,11 +374,12 @@ class LineQuotient(SeminormExpr):
     base(direction) must exceed 8 ulps of base.magnitude_many(direction),
     the rounding scale of a base value: a base that is positive on the
     direction only by rounding (a true 0) is rejected, since kappa would
-    then be noise.
+    then be noise.  The direction is copied once and kept read-only; its
+    scale is taken on Python floats (math.frexp, math.ldexp).
 
     In R^2 the quotient vanishes on span(direction), so it equals
     kappa |perp . x| with perp = 2^-e (-d2, d1) and kappa = q(perp) /
-    |perp|^2.  The power of two, e from np.frexp of the largest |d_k|,
+    |perp|^2.  The power of two, e from math.frexp of the largest |d_k|,
     puts perp's largest entry in [1/2, 1), so |perp|^2 cannot underflow
     or overflow.  It scales kappa by exactly 2^e and perp . x by exactly
     2^-e, so every value is the unscaled one bit for bit while no
@@ -350,21 +405,21 @@ class LineQuotient(SeminormExpr):
     """
 
     def __init__(self, base: SeminormExpr, direction):
-        direction = np.asarray(direction, dtype=np.float64)
+        direction = np.array(direction, dtype=np.float64)  # a copy, kept read-only
         if direction.shape != (base.dim,) or not np.all(np.isfinite(direction)):
             raise ValueError(f"direction must be a finite vector of length {base.dim}")
-        bd = float(base.eval_many(direction.reshape(1, -1))[0])
-        if not (bd > 8.0 * np.finfo(float).eps * float(base.magnitude_many(direction[None])[0])):
+        row = direction[None]
+        bd = float(base.eval_many(row)[0])
+        if not (bd > _BEYOND_ROUNDING * float(base.magnitude_many(row)[0])):
             raise ValueError("base must be positive on the direction, beyond rounding")
-        direction = direction.copy()
         direction.flags.writeable = False
         self.base = base
         self.direction = direction
         self.dir_value = bd
         self.dim = base.dim
-        shift = -np.frexp(np.abs(direction).max())[1]
+        shift = -math.frexp(float(np.abs(direction).max()))[1]
         self._unit = np.ldexp(direction, shift)
-        self._unit_value = float(np.ldexp(bd, shift))
+        self._unit_value = math.ldexp(bd, shift)
         if self.dim == 2:
             perp = np.array([-self._unit[1], self._unit[0]])
             self._perp = perp

@@ -31,6 +31,8 @@ __all__ = [
 
 # cells per row chunk when a distance block is filled piecewise
 _CHUNK_CELLS = 1 << 15
+# the most rows a block sweep fills before it tests its stop
+_SWEEP_ROWS = 64
 # cells per chunk of sweep rows when their coordinates are gathered
 _GATHER_CELLS = 1 << 20
 # cells of the (centres, n) mask of one ball-table chunk, and the most
@@ -537,6 +539,8 @@ def prefix_diameters(dist, order, stop: float = np.inf) -> np.ndarray:
       returns after the first chunk whose running diameter reaches
       ``stop``: the result is then a prefix of the running diameter that
       holds its first entry >= stop, and no later distance is computed.
+      A chunk holds at most 64 rows (:func:`_sweep_rows`), so a stopped
+      sweep computes at most 63 rows past the one that reaches ``stop``.
       A caller that reads only whether entries lie below ``stop`` loses
       nothing, since the running diameter never decreases.
     - ``dist`` is an (n, c) spread array of per-point projections, for a
@@ -564,7 +568,7 @@ def prefix_diameters(dist, order, stop: float = np.inf) -> np.ndarray:
     order = np.asarray(order)
     if order.ndim == 2:
         return np.array([prefix_diameters(dist, row) for row in order]).reshape(order.shape)
-    step = max(1, _CHUNK_CELLS // max(order.size, 1))
+    step = _sweep_rows(order.size)
     row_max = np.zeros(order.size)
     for lo in range(0, order.size, step):
         d = dist(order[lo:lo + step], order[:lo + step])
@@ -578,11 +582,22 @@ def prefix_diameters(dist, order, stop: float = np.inf) -> np.ndarray:
     return np.maximum.accumulate(row_max)
 
 
+def _sweep_rows(m: int) -> int:
+    """Rows per chunk of a block sweep over m points, the one schedule of
+    prefix_diameters's block path and _euclidean_prefix: _SWEEP_ROWS, or
+    fewer where _SWEEP_ROWS rows of m cells would pass _CHUNK_CELLS (one
+    row at least).  A stopped sweep has computed the whole chunk that
+    holds the row reaching its stop, so shorter chunks stop sooner."""
+    return max(1, min(_SWEEP_ROWS, _CHUNK_CELLS // max(m, 1)))
+
+
 def _euclidean_prefix(pts: np.ndarray, stop: float = np.inf) -> np.ndarray:
     """Running euclidean diameter of the rows of pts, with prefix_diameters's
     ``stop``: its block path over _pairwise blocks, on squared distances.
 
-    Each chunk of rows fills one reused block with the kernel's squares
+    The chunks of rows are the block path's (:func:`_sweep_rows`, at most
+    64 rows), so a stopped sweep returns the same prefix.  Each chunk of
+    rows fills one reused block with the kernel's squares
     (metric "sqeuclidean") and keeps running maxima of them.  sqrt is
     monotone and correctly rounded, so the root of a maximum is the
     maximum of the roots: rooted at the end, the result is the block
@@ -592,7 +607,7 @@ def _euclidean_prefix(pts: np.ndarray, stop: float = np.inf) -> np.ndarray:
     i of the diagonal of that square's running column maximum.
     """
     m = pts.shape[0]
-    step = min(m, max(1, _CHUNK_CELLS // max(m, 1)))
+    step = min(m, _sweep_rows(m))
     pts = np.asfortranarray(pts)  # the kernel reads one coordinate column at a time
     buf, col = np.empty(step * m), np.empty(step * m)
     row_max = np.empty(m)

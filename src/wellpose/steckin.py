@@ -290,8 +290,10 @@ class ConvexBody:
 
     mesh records the sample spacing (euclidean); membership queries use
     the exact hull, while projection estimates range over the sample.
-    The hull's facet table is built on the first membership query, and
-    whether the sample repeats a point on the first step that asks.
+    The hull's facet table is built on the first membership query,
+    whether the sample repeats a point on the first step that asks, and
+    the sample's coordinate columns (:func:`_columns`) on the first
+    offsets taken from it (:func:`_offsets`).
     """
 
     vertices: np.ndarray
@@ -351,6 +353,10 @@ class ConvexBody:
                 reason = str(exc).partition("\n")[0]
                 raise ValueError(f"qhull cannot hull the vertices: {reason}") from None
         return centre, basis, equations
+
+    @cached_property
+    def _sample_columns(self) -> np.ndarray:
+        return _columns(self.sample)
 
     @cached_property
     def _repeats(self) -> bool:
@@ -569,12 +575,12 @@ def wellpose_point(nu: SeminormExpr, body: ConvexBody, p, eps: float,
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     grid = _step_grid(delta_grid, eps)
-    offsets = _offsets(body, p)
+    offsets, off_cols = _offsets(body, p)
     base_off = setting.base.eval_many(offsets)
     vals0 = base_off if nu is setting.base else nu.eval_many(offsets)
     sweep = _sweep(body.sample, setting.base)
     # nu's own values on the sphere are never read: only moved is
-    report, values, _ = _localize(nu, vals0, 0.0, base_off, _columns(offsets), body, p, eps,
+    report, values, _ = _localize(nu, vals0, 0.0, base_off, off_cols, body, p, eps,
                                   setting, grid, sweep)
     return replace(report, curve=_sublevel_curve(values, sweep, grid))
 
@@ -605,12 +611,24 @@ def _step_grid(delta_grid, eps: float) -> tuple[float, ...]:
     return _ascending_grid(delta_grid)
 
 
-def _offsets(body: ConvexBody, p: np.ndarray) -> np.ndarray:
-    """p - x for every sample point x, read-only: nu and base are evaluated
-    on these rows, and every step reads their columns (:func:`_columns`)."""
-    offsets = p[None, :] - body.sample
-    offsets.flags.writeable = False
-    return offsets
+def _offsets(body: ConvexBody, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): p - x for every sample point x, as C-contiguous (N, d)
+    rows and as their coordinate columns, one contiguous (d, N) array,
+    both read-only.  nu and base are evaluated on the rows, and every step
+    reads the columns (:func:`_add_terms`).
+
+    The columns are p[:, None] minus the body's kept sample columns, and
+    the rows are written from them one column at a time: the numbers of
+    p[None, :] - sample and of its transpose, each subtraction done once
+    and no short axis broadcast.
+    """
+    cols = p[:, None] - body._sample_columns
+    rows = np.empty(cols.shape[::-1])
+    for k, col in enumerate(cols):
+        rows[:, k] = col
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def _nearest_two(vals: np.ndarray, body: ConvexBody) -> tuple[int, int | None]:
@@ -653,8 +671,9 @@ def _add_terms(carried, terms, cols: np.ndarray, base_vals: np.ndarray,
     is not evaluated again.  The sum node adds (carried + T1) + T2; a
     rounded sum does not depend on its operands' order, so T1 += carried
     and T2 += that are the same numbers.  One fresh result and one
-    scratch array hold every step: nothing else of size N is allocated
-    (a 3-D quotient's golden search aside), and carried is never written.
+    scratch array hold every step, and with ``moved`` a third array holds
+    T1 + T2: nothing else of size N is allocated (a 3-D quotient's golden
+    search aside), and carried is never written.
     """
     head, *quotient = terms
     if not quotient:
@@ -666,10 +685,7 @@ def _add_terms(carried, terms, cols: np.ndarray, base_vals: np.ndarray,
     out = quotient[0].child.from_columns(cols, base_vals, scratch)
     out *= quotient[0].factor
     np.multiply(base_vals, head.factor, out=scratch)  # T1
-    top = None
-    if moved:  # T1 + T2 takes the scratch array, so T1 is formed again
-        top = float(np.add(scratch, out, out=scratch).max())
-        np.multiply(base_vals, head.factor, out=scratch)
+    top = float(np.add(scratch, out).max()) if moved else None
     scratch += carried
     out += scratch
     return out, top
@@ -699,7 +715,7 @@ def _localize(nu: SeminormExpr, vals0: np.ndarray, nu_sphere, base_off: np.ndarr
               setting: NormedSetting, grid, sweep) -> tuple:
     """The step body of :func:`wellpose_point` and :func:`baire_renorm`.
 
-    off_cols are the coordinate columns (:func:`_columns`) of the offsets
+    off_cols are the coordinate columns (:func:`_offsets`) of the offsets
     p - sample, vals0 and base_off nu's and base's values on them,
     nu_sphere nu's values on the setting's sphere (0.0 when only moved is
     read) and sweep the sample's (:func:`_sweep`); base's values on the
@@ -812,17 +828,23 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     setting's (NormedSetting.base_sphere), and nu0 is evaluated there
     once unless it is base; both are evaluated once on each witness's
     offsets p - sample, whose coordinate columns are also kept, one
-    contiguous (d, N) array per witness (the sphere's are the setting's,
-    NormedSetting.sphere_columns).  The loop carries the current nu's
-    values on each of these point sets, and a step computes only its
-    own terms, from base's values and the columns of the same points,
-    and adds them to every carried array in the tree's left-to-right
-    order, one fused pass per point set (:func:`_add_terms`, which on
-    the sphere also gives the step's move).  Every carried array
-    therefore equals the current tree's eval_many bit for bit, and the
-    strategy pick, moved, c_p, the final replay, rho_total and a_final
-    all read them.  Every sweep of the call, the steps' and the final
-    replay's, reads one projection of the body's sample (:func:`_sweep`).
+    contiguous (d, N) array per witness (:func:`_offsets`; the sphere's
+    are the setting's, NormedSetting.sphere_columns).  The loop carries
+    nu's values on each of these point sets, and a step computes only
+    its own terms, from base's values and the columns of the same
+    points, and adds them in the tree's left-to-right order, one fused
+    pass per point set (:func:`_add_terms`, which on the sphere also
+    gives the step's move).  The sphere's array is brought up to date at
+    every step.  A witness's array is brought up to date only when it is
+    read: at its own step, and at the final replay.  It then receives
+    every ledger step it has not yet received, in ledger order, so it
+    equals the current tree's eval_many bit for bit, and the strategy
+    pick, moved, c_p, the final replay, rho_total and a_final all read
+    such arrays.  A successful run with W witnesses makes W(W - 1) of
+    these catch-ups, as many as updating every witness at every step;
+    a run that stops early makes only those of the steps it reached.
+    Every sweep of the call, the steps' and the final replay's, reads
+    one projection of the body's sample (:func:`_sweep`).
 
     Precondition: eps_total must stay below the certified equivalence
     margin of nu0, or the budget could destroy definiteness.
@@ -851,7 +873,7 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
 
     offsets = [_offsets(body, p) for p in points]
     with np.errstate(over="ignore"):  # an overflowing distance makes c_p inf, rejected below
-        base_off = [base.eval_many(x) for x in offsets]
+        base_off = [base.eval_many(rows) for rows, _ in offsets]
     for p, v in zip(points, base_off):
         # the protection radius delta / (3 c_p) needs 0 < 3 c_p < inf
         cp = float(v.max())
@@ -861,8 +883,11 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         if not (3.0 * cp < np.inf):
             raise ValueError(f"witness point {p.tolist()} is too far from the body: "
                              f"c_p = {cp}, and 3 c_p overflows")
-    nu_off = list(base_off) if nu0 is base else [nu0.eval_many(x) for x in offsets]
-    off_cols = [_columns(x) for x in offsets]
+    nu_off = list(base_off) if nu0 is base else [nu0.eval_many(rows) for rows, _ in offsets]
+    off_cols = [cols for _, cols in offsets]
+    # nu_off[j] holds the values of nu0 plus the terms of the first
+    # applied[j] ledger steps
+    applied = [0] * len(points)
     sweep = _sweep(body.sample, base)
     nu = nu0
     nu_sphere = nu0_sphere
@@ -879,12 +904,19 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
         return RenormReport(success=False, reason=reason, nu_final=nu,
                             ledger=ledger, per_point=(), rho_total=None, a_final=None)
 
+    def _catch_up(j: int) -> np.ndarray:
+        # witness j receives the ledger steps it has not yet received, in order
+        for step in steps[applied[j]:]:
+            nu_off[j] = _add_terms(nu_off[j], step.added_exprs, off_cols[j], base_off[j])[0]
+        applied[j] = len(steps)
+        return nu_off[j]
+
     for i, p in enumerate(points):
         allowance = min([remaining, 1.0 / n_target] + protect)
         eps_i = 0.5 * allowance
         if not (eps_i > floor):
             return _fail("budget_exhausted")
-        wp, values, nu_sphere = _localize(nu, nu_off[i], nu_sphere, base_off[i], off_cols[i],
+        wp, values, nu_sphere = _localize(nu, _catch_up(i), nu_sphere, base_off[i], off_cols[i],
                                           body, p, eps_i, setting, _step_grid(delta_grid, eps_i),
                                           sweep)
         if wp.delta is None:
@@ -900,13 +932,13 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
             added_exprs=wp.added_exprs,
         ))
         nu = wp.nu_prime
-        nu_off = [values if j == i else _add_terms(v, wp.added_exprs, off_cols[j], base_off[j])[0]
-                  for j, v in enumerate(nu_off)]
+        nu_off[i], applied[i] = values, len(steps)
         remaining -= eps_i
         spent += eps_i
 
     per_point = []
-    for step, values in zip(steps, nu_off):
+    for step in steps:
+        values = _catch_up(step.index)
         tol = step.delta / 3.0
         grid = tuple(sorted({float(d) for d in (tol, 2.0 * tol, 3.0 * tol)}))
         # a delta of one subnormal step makes tol 0, which the curve refuses

@@ -199,7 +199,8 @@ def test_steckin_witness_at_distance_0_from_the_body(tmp_path, capsys):
     ({"a": [0.0, 0.0], "b": [1e308, 0.0]}, "is too long: its length overflows"),
     ({"a": [-1e308, 0.0], "b": [1e308, 0.0]}, "is too long: its length overflows"),
     ({"a": [0.0, 0.0], "b": [1.0, 0.0], "p": [1e308, 0.0]}, "3 c_p overflows"),
-    ({"a": [0.0, 0.0], "b": [1.0, 0.0], "p": [1e200, 0.0], "base": "euclidean"},
+    # a euclidean distance of about 1.41e308 is finite, three times it is not
+    ({"a": [0.0, 0.0], "b": [1.0, 0.0], "p": [1e308, 1e308], "base": "euclidean"},
      "3 c_p overflows"),
 ])
 def test_steckin_huge_segment_or_witness(inst, message, tmp_path, capsys):
@@ -209,6 +210,21 @@ def test_steckin_huge_segment_or_witness(inst, message, tmp_path, capsys):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_steckin_euclidean_witness_at_a_finite_huge_distance_runs(tmp_path, capsys):
+    # its squared distance, 1e400, overflows a float, but c_p = 1e200 does
+    # not: the witness is not rejected as too far, and its step runs
+    inst_file = tmp_path / "instance.json"
+    inst_file.write_text(json.dumps({"kind": "segment", "n_samples": 11, "mesh": 0.05,
+                                     "a": [0.0, 0.0], "b": [1.0, 0.0], "p": [1e200, 0.0],
+                                     "base": "euclidean"}))
+    out = tmp_path / "s"
+    code = cli.main(["steckin", "--instance", str(inst_file), "--out", str(out)])
+    assert code == 4
+    assert "step_failed" in capsys.readouterr().err
+    ledger = _read(out / "ledger.json")
+    assert ledger["reason"] == "step_failed" and ledger["steps"] == []
 
 
 def test_steckin_far_off_hull_witness_fails_without_a_warning(tmp_path, capsys):

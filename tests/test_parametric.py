@@ -10,6 +10,7 @@ from wellpose.parametric import (
     ParametricFamily,
     _check_grid,
     _largest_delta,
+    _neighbour_rows,
     analytic_epi_delta,
     argmin_usc,
     certify_uniform_epi,
@@ -533,3 +534,80 @@ class TestFamilyFromJson:
             family_from_json({"kind": "mystery"})
         with pytest.raises(ValueError):
             family_from_json("not a dict")
+
+
+def _param_space(kind: str, n: int, order) -> FiniteMetricSpace:
+    """A sorted 1-D grid, the same points shuffled into a 1-D cloud, or a
+    2-D grid of about n points."""
+    if kind == "sorted grid":
+        return FiniteMetricSpace.grid1d(0.0, 1.0, n - 1)
+    if kind == "shuffled cloud":
+        return FiniteMetricSpace.pointcloud((np.asarray(order, float) / (n - 1))[:, None],
+                                            metric="linf")
+    side = max(1, int(np.sqrt(n)) - 1)
+    return FiniteMetricSpace.grid2d((0.0, 1.0, side), (0.0, 1.0, side), metric="euclidean")
+
+
+def _outcome_of(search):
+    """A search's report as plain fields, or the error it raised."""
+    try:
+        report = search()
+    except (PreconditionError, ValueError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(report, bool):
+        return report
+    plain = dict(vars(report))
+    if "cond2" in plain:
+        plain["cond2"] = vars(plain["cond2"])
+    return plain
+
+
+class TestNeighbourRows:
+    """The searches read their neighbours' rows as a view when the
+    neighbours form one run of indices (always, on a sorted 1-D grid);
+    a test-local gathering copy is the oracle."""
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(["sorted grid", "shuffled cloud", "2-D grid"]),
+           n=st.integers(2, 16), data=st.data())
+    def test_searches_equal_the_gathering_copy(self, kind, n, data):
+        import wellpose.parametric as parametric_mod
+
+        pspace = _param_space(kind, n, data.draw(st.permutations(range(n))))
+        domain = FiniteMetricSpace.grid1d(0.0, 1.0, data.draw(st.integers(1, 9)))
+        cells = st.one_of(st.integers(0, 8).map(lambda k: k / 4.0), st.just(np.inf))
+        rows = [data.draw(st.lists(cells, min_size=domain.n, max_size=domain.n))
+                for _ in range(pspace.n)]
+        for row in rows:
+            row[data.draw(st.integers(0, domain.n - 1))] = data.draw(st.integers(0, 4)) / 4.0
+        fam = ParametricFamily(ParameterGrid(pspace), domain, np.array(rows))
+        eps = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+        grid = default_delta_grid(fam, eps)
+        p = data.draw(st.integers(0, pspace.n - 1))
+        x = data.draw(st.integers(0, domain.n - 1))
+
+        qs = np.flatnonzero(pspace.row(p) <= grid[0])
+        got = _neighbour_rows(fam.values, qs)
+        is_run = bool(np.array_equal(qs, np.arange(qs[0], qs[0] + qs.size)))
+        assert np.array_equal(got, fam.values[qs])
+        assert np.shares_memory(got, fam.values) == is_run
+        if kind == "sorted grid":
+            assert is_run
+
+        def searches():
+            cert1 = check_cond1(fam, p, x, eps, grid)
+            cert2 = check_cond2(fam, p, eps, grid)
+            return [
+                lambda: certify_uniform_epi(fam, p, eps, grid),
+                lambda: cert1,
+                lambda: cert2,
+                *(lambda c=c: recheck_certificate(fam, c) for c in (cert1, cert2) if c.ok),
+                lambda: check_5r_lemma(fam, p, eps, 1.0, grid),
+                lambda: argmin_usc(fam, p, eps, grid),
+            ]
+
+        viewed = [_outcome_of(search) for search in searches()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parametric_mod, "_neighbour_rows", lambda table, qs: table[qs])
+            gathered = [_outcome_of(search) for search in searches()]
+        assert viewed == gathered

@@ -1,5 +1,8 @@
 import functools
 import itertools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
+from wellpose.objectives import ModulusCurve
 from wellpose.instances import (
     acceptance_witness_points,
     necessity_witness_points,
@@ -31,14 +35,18 @@ from wellpose.seminorms import (
 from wellpose import seminorms
 from wellpose.errors import ReplayError
 from wellpose import spaces
-from wellpose.spaces import _euclidean_prefix, _pairwise, prefix_diameters
+from wellpose.spaces import _euclidean_prefix, _pairwise, prefix_diameters, sublevel_diameters
 from wellpose.steckin import (
     ConvexBody,
     NormedSetting,
     _add_terms,
     _columns,
+    _inf_estimate,
+    _localize,
     _nearest_two,
+    _offsets,
     _quotient_terms,
+    _rho_estimate,
     _step_grid,
     _sublevel_curve,
     _sweep,
@@ -387,8 +395,15 @@ class TestEuclideanKernel:
     numpy's norm (and the difference-array block it replaced) for d <= 7."""
 
     def test_eval_many_is_the_numpy_norm(self, d, rng):
+        """Bit for bit numpy's norm on every row whose sum of squares is a
+        normal float; the rows whose sum underflows (zeros aside) are
+        rescaled, and their oracle is math.hypot (TestEuclideanRange)."""
         X = _awkward_rows(rng, d)
-        assert np.array_equal(Euclidean(d).eval_many(X), np.linalg.norm(X, axis=1))
+        got = Euclidean(d).eval_many(X)
+        normal = _pairwise(X, np.zeros(d), "sqeuclidean") >= np.finfo(np.float64).tiny
+        assert np.array_equal(got[normal], np.linalg.norm(X[normal], axis=1))
+        for value, row in zip(got[~normal], X[~normal]):
+            assert abs(value - math.hypot(*row)) <= 2.0 * math.ulp(math.hypot(*row))
 
     def test_running_diameters_match_the_difference_block(self, d, rng):
         X = _awkward_rows(rng, d)
@@ -416,6 +431,57 @@ class TestEuclideanKernel:
             for stop in (0.0, float(full[0]), float(np.median(full)), float(full[-1]), np.inf):
                 expected = prefix_diameters(block, np.arange(len(pts)), stop)
                 assert _bits(_euclidean_prefix(pts, stop)) == _bits(expected)
+
+
+def _hypot_rows(d):
+    """(k, d) rows of one scale each, from subnormal to near the overflow
+    of a square: entries 2^(e - o) m with |m| <= 1, o >= 0 per entry."""
+    mantissa = st.floats(-1.0, 1.0)
+    return st.lists(st.tuples(st.integers(-1074, 1020),
+                              st.lists(st.tuples(mantissa, st.integers(0, 60)),
+                                       min_size=d, max_size=d)),
+                    min_size=1, max_size=6).map(
+        lambda rows: np.array([[math.ldexp(m, max(e - o, -1100)) for m, o in row]
+                               for e, row in rows]))
+
+
+class TestEuclideanRange:
+    """A row whose sum of squares overflows or leaves the normal range is
+    summed again at a power-of-two scale; every other row keeps its bits."""
+
+    def test_the_huge_and_tiny_examples(self):
+        e = euclidean_norm(2)
+        assert e.eval_many([[1e155, 0.0]]).tolist() == [1e155]
+        assert e.eval_many([[1e-170, 0.0]]).tolist() == [1e-170]
+        assert e.eval_many([[0.0, 0.0], [5e-324, 0.0]]).tolist() == [0.0, 5e-324]
+        # a norm above the largest float is inf, without a warning
+        assert e.eval_many([[1.5e308, 1.5e308]]).tolist() == [np.inf]
+
+    def test_a_quotient_along_a_huge_direction(self):
+        q = LineQuotient(euclidean_norm(2), [1e155, 0.0])
+        assert q.dir_value == 1e155
+        # flattened along the first axis: |x_2|
+        assert q.eval_many([[3.0, -2.0], [1e155, 4.0]]).tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_within_2_ulps_of_hypot(self, d, data):
+        X = data.draw(_hypot_rows(d))
+        got = Euclidean(d).eval_many(X)
+        for value, row in zip(got, X):
+            exact = math.hypot(*row)
+            assert abs(value - exact) <= 2.0 * math.ulp(exact)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    @given(data=st.data())
+    def test_normal_rows_keep_the_numpy_norm(self, d, data):
+        X = data.draw(_hypot_rows(d))
+        with np.errstate(over="ignore"):
+            sq = _pairwise(X, np.zeros(d), "sqeuclidean")
+        normal = (sq >= np.finfo(np.float64).tiny) & (sq < np.inf)
+        got = Euclidean(d).eval_many(X)
+        assert _bits(got[normal]) == _bits(np.linalg.norm(X[normal], axis=1))
 
 
 class TestMetricProjection:
@@ -850,7 +916,7 @@ class TestCarriedValues:
 
         _, nu0, body, witnesses, setting, grid = case
         seen = {"curve": [], "inf": []}
-        for name, key in (("_sublevel_curve", "curve"), ("_inf_estimate", "inf")):
+        for name, key in (("sublevel_diameters", "curve"), ("_inf_estimate", "inf")):
             def record(values, *args, _real=getattr(steckin_mod, name), _key=key):
                 seen[_key].append(values)
                 return _real(values, *args)
@@ -858,6 +924,7 @@ class TestCarriedValues:
         rep = baire_renorm(nu0, body, witnesses, 0.3, 5, setting, delta_grid=grid)
         assert rep.success
         replayed = seen["curve"][-len(witnesses):]
+        assert len(replayed) == len(witnesses)
         for w, values in zip(witnesses, replayed):
             offsets = np.asarray(w, dtype=np.float64) - body.sample
             assert _bits(values) == _bits(rep.nu_final.eval_many(offsets))
@@ -942,6 +1009,219 @@ class TestCarriedValues:
                         if not np.array_equal(rows[k], rows[order[0]])), None)
             body = ConvexBody(vertices=rows, sample=rows, mesh=0.0)
             assert _nearest_two(vals, body) == (int(order[0]), alt)
+
+
+def _eager_renorm(nu0, body, witness_points, eps_total, n_target, setting):
+    """baire_renorm as it carried values before lazy carrying: after each
+    step every other witness's array receives the step's terms at once.
+    The offsets and their columns are computed by plain broadcasting."""
+    base = setting.base
+    points = [np.asarray(p, dtype=np.float64) for p in witness_points]
+    nu0_sphere = setting.base_sphere if nu0 is base else nu0.eval_many(setting.sphere)
+    offsets = [p[None, :] - body.sample for p in points]
+    base_off = [base.eval_many(x) for x in offsets]
+    nu_off = list(base_off) if nu0 is base else [nu0.eval_many(x) for x in offsets]
+    off_cols = [_columns(x) for x in offsets]
+    sweep = _sweep(body.sample, base)
+    nu, nu_sphere, remaining, protect, steps, spent = nu0, nu0_sphere, eps_total, [], [], 0.0
+
+    def result(success, reason, per_point=(), rho_total=None, a_final=None, replayed=()):
+        return dict(success=success, reason=reason, nu_final=nu, steps=steps, spent=spent,
+                    per_point=per_point, rho_total=rho_total, a_final=a_final,
+                    replayed=list(replayed))
+
+    for i, p in enumerate(points):
+        eps_i = 0.5 * min([remaining, 1.0 / n_target] + protect)
+        if not (eps_i > eps_total * 2.0**-40):
+            return result(False, "budget_exhausted")
+        wp, values, nu_sphere = _localize(nu, nu_off[i], nu_sphere, base_off[i], off_cols[i],
+                                          body, p, eps_i, setting, _step_grid(None, eps_i), sweep)
+        if wp.delta is None:
+            return result(False, "step_failed")
+        cp = float(base_off[i].max())
+        protect = [t - eps_i for t in protect] + [wp.delta / (3.0 * cp)]
+        steps.append(dict(
+            index=i, point=tuple(float(v) for v in p), eps_step=eps_i, status=wp.status,
+            delta=wp.delta, achieved_diam=wp.achieved_diam, c_p=cp,
+            radius=wp.delta / (3.0 * cp), moved=wp.moved, x_star=wp.x_star,
+            added_exprs=wp.added_exprs))
+        nu = wp.nu_prime
+        nu_off = [values if j == i else _add_terms(v, wp.added_exprs, off_cols[j], base_off[j])[0]
+                  for j, v in enumerate(nu_off)]
+        remaining -= eps_i
+        spent += eps_i
+    per_point = []
+    for step, values in zip(steps, nu_off):
+        tol = step["delta"] / 3.0
+        grid = tuple(sorted({tol, 2.0 * tol, 3.0 * tol}))
+        curve = ModulusCurve(eps_grid=grid,
+                             diam_values=tuple(sublevel_diameters(values, grid, sweep).tolist()))
+        per_point.append({"index": step["index"], "point": step["point"], "delta_over_3": tol,
+                          "diam": curve.diam_values[0], "eps_step": step["eps_step"],
+                          "bound": 1.0 / n_target, "curve": curve})
+    return result(True, None, tuple(per_point),
+                  vars(_rho_estimate(nu_sphere, nu0_sphere, setting)),
+                  vars(_inf_estimate(nu_sphere, setting)), [v.tolist() for v in nu_off])
+
+
+def _report_fields(rep, replayed):
+    """Every ledger, per_point and estimate field of a RenormReport, and the
+    carried arrays its final replay read."""
+    return dict(success=rep.success, reason=rep.reason, nu_final=rep.nu_final,
+                steps=[vars(s) for s in rep.ledger.steps], spent=rep.ledger.spent,
+                per_point=rep.per_point,
+                rho_total=None if rep.rho_total is None else vars(rep.rho_total),
+                a_final=None if rep.a_final is None else vars(rep.a_final),
+                replayed=[v.tolist() for v in replayed])
+
+
+def _sweep_spy(monkeypatch):
+    """Record the values of every steckin.sublevel_diameters call.  A
+    successful run's last len(steps) calls are its final replay's, one per
+    witness in ledger order."""
+    import wellpose.steckin as steckin_mod
+
+    swept = []
+    real = steckin_mod.sublevel_diameters
+
+    def record(values, grid, prefix):
+        swept.append(values.copy())
+        return real(values, grid, prefix)
+
+    monkeypatch.setattr(steckin_mod, "sublevel_diameters", record)
+    return swept
+
+
+def _replayed(rep, swept):
+    return swept[len(swept) - len(rep.ledger.steps):] if rep.success else []
+
+
+@functools.lru_cache(maxsize=None)
+def _lazy_instances():
+    """linf, l1 and euclidean instances at 201-301 samples."""
+    seg = segment_instance(n_samples=201, mesh=5e-3)
+    poly = steckin_instance_from_json(
+        {"kind": "polytope", "vertices": [[-1.0, -0.5], [1.0, -0.6], [0.8, 0.7], [-0.6, 0.9]],
+         "base": "l1", "n_samples": 301, "mesh": 5e-3})
+    euc = steckin_instance_from_json(
+        {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "base": "euclidean",
+         "n_samples": 201, "mesh": 5e-3})
+    return {"linf": seg, "l1": poly, "euclidean": euc}
+
+
+def _lazy_witnesses(base, count):
+    """count witnesses as the benchmark draws them: around the polytope for
+    l1, above and below the segment otherwise."""
+    rng = np.random.default_rng([count, len(base)])
+    if base == "l1":
+        ang = rng.uniform(0.0, 2.0 * np.pi, size=count)
+        rad = rng.uniform(1.6, 3.0, size=count)
+        return tuple(zip(rad * np.cos(ang), rad * np.sin(ang)))
+    return tuple(zip(rng.uniform(-2.0, 2.0, size=count),
+                     rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.5, 3.0, size=count)))
+
+
+# the sup-norm segment with ten witnesses that run out the default budget
+TEN_WITNESSES = Path(__file__).resolve().parents[1] / "scripts" / "steckin_linf_ten_witnesses.json"
+
+
+def _catch_up_spy(monkeypatch):
+    """Record the cols argument of every _add_terms call that baire_renorm
+    makes outside a step (_localize): its catch-ups."""
+    import wellpose.steckin as steckin_mod
+
+    catch_ups, depth = [], [0]
+    real_add, real_localize = steckin_mod._add_terms, steckin_mod._localize
+
+    def add(carried, terms, cols, *args, **kwargs):
+        if depth[0] == 0:
+            catch_ups.append(cols)
+        return real_add(carried, terms, cols, *args, **kwargs)
+
+    def localize(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_localize(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(steckin_mod, "_add_terms", add)
+    monkeypatch.setattr(steckin_mod, "_localize", localize)
+    return catch_ups
+
+
+def _per_witness(catch_ups, body, witnesses):
+    """How many catch-ups each witness received, by its offsets' columns."""
+    counts = []
+    for w in witnesses:
+        cols = _columns(np.asarray(w, dtype=np.float64) - body.sample)
+        counts.append(sum(c.shape == cols.shape and _bits(c) == _bits(cols) for c in catch_ups))
+    return counts
+
+
+class TestLazyCarrying:
+    """A witness's carried values are brought up to date only when read,
+    with the same additions in the same order as updating every witness
+    at every step."""
+
+    def test_an_early_stop_skips_the_witnesses_it_never_reads(self, monkeypatch):
+        inst = steckin_instance_from_json(json.loads(TEN_WITNESSES.read_text()))
+        catch_ups = _catch_up_spy(monkeypatch)
+        rep = baire_renorm(inst.nu0, inst.body, inst.witness_points, 0.3, 5, inst.setting)
+        assert (rep.reason, len(rep.ledger.steps)) == ("budget_exhausted", 8)
+        # witness i catches up on the i steps before its own; updating all
+        # ten at each of the 8 steps would make 8 * 9 = 72 calls
+        assert len(catch_ups) == 28
+        assert _per_witness(catch_ups, inst.body, inst.witness_points) == \
+            [0, 1, 2, 3, 4, 5, 6, 7, 0, 0]
+
+    @pytest.mark.parametrize("base", ["linf", "l1", "euclidean"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_a_successful_run_catches_every_witness_up(self, base, count, monkeypatch):
+        inst = _lazy_instances()[base]
+        witnesses = _lazy_witnesses(base, count)
+        catch_ups = _catch_up_spy(monkeypatch)
+        rep = baire_renorm(inst.nu0, inst.body, witnesses, 0.3, 5, inst.setting)
+        assert rep.success
+        assert len(catch_ups) == count * (count - 1)
+        # each witness receives every step but its own
+        assert _per_witness(catch_ups, inst.body, witnesses) == [count - 1] * count
+
+    @pytest.mark.parametrize("base", ["linf", "l1", "euclidean"])
+    def test_lazy_and_eager_reports_are_equal_bit_for_bit(self, base, monkeypatch):
+        """Every report field, and every array the final replay reads."""
+        inst = _lazy_instances()[base]
+        outcomes = set()
+        swept = _sweep_spy(monkeypatch)
+        for count in range(1, 11):
+            witnesses = _lazy_witnesses(base, count)
+            swept.clear()
+            rep = baire_renorm(inst.nu0, inst.body, witnesses, 0.3, 5, inst.setting)
+            got = _report_fields(rep, _replayed(rep, swept))
+            ref = _eager_renorm(inst.nu0, inst.body, witnesses, 0.3, 5, inst.setting)
+            _assert_same_bits(got, ref)
+            outcomes.add(rep.reason)
+        assert {None, "budget_exhausted"} <= outcomes
+
+    def test_the_ten_witness_instance_equals_the_eager_loop(self):
+        inst = steckin_instance_from_json(json.loads(TEN_WITNESSES.read_text()))
+        rep = baire_renorm(inst.nu0, inst.body, inst.witness_points, 0.3, 5, inst.setting)
+        ref = _eager_renorm(inst.nu0, inst.body, inst.witness_points, 0.3, 5, inst.setting)
+        _assert_same_bits(_report_fields(rep, []), ref)
+
+
+class TestOffsets:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_and_columns_are_the_broadcast_differences(self, dim, rng):
+        for body in (polytope_body(rng.normal(size=(dim + 2, dim)), n_samples=50, seed=1),
+                     segment_body(rng.normal(size=dim), rng.normal(size=dim), n_samples=31)):
+            p = rng.normal(size=dim) * 3.0
+            rows, cols = _offsets(body, p)
+            expected = p[None, :] - body.sample
+            assert _bits(rows) == _bits(expected)
+            assert _bits(cols) == _bits(expected.T.copy())
+            assert rows.flags.c_contiguous and cols.flags.c_contiguous
+            assert not rows.flags.writeable and not cols.flags.writeable
 
 
 def _mask_pick(vals, sample):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
@@ -28,6 +28,8 @@ from wellpose.seminorms import AbsLinear, MaxOf, Scale, SumOf, euclidean_norm, l
 from wellpose.spaces import (
     FiniteMetricSpace,
     PointSubset,
+    _euclidean_prefix,
+    _pairwise,
     ball,
     diam,
     prefix_diameters,
@@ -666,6 +668,34 @@ class TestStopBound:
         order = np.arange(len(coords))
         full = prefix_diameters(coords, order)
         assert _bits(prefix_diameters(coords, order, 0.0)) == _bits(full)
+
+
+@settings(max_examples=40)
+@given(m=st.sampled_from([1, 63, 64, 65, 200]), d=st.integers(1, 3),
+       metric=st.sampled_from(["euclidean", "l1", "linf"]), data=st.data())
+def test_a_stopped_block_sweep_stops_within_64_rows(m, d, metric, data):
+    """Both block sweeps, prefix_diameters over a distance block and the
+    squared euclidean sweep, return a bit-for-bit prefix of the unstopped
+    sweep that holds its first entry >= stop, and stop at the end of the
+    64-row chunk that holds that entry."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = _tied_coords(rng, m, d)
+    order = np.arange(m)
+
+    def block(i, j):
+        return _pairwise(pts[i][:, None], pts[j][None], metric)
+
+    sweeps = [lambda stop: prefix_diameters(block, order, stop)]
+    if metric == "euclidean":
+        sweeps.append(lambda stop: _euclidean_prefix(pts, stop))
+    full = prefix_diameters(block, order)
+    interior = full[data.draw(st.integers(0, m - 1))]
+    for stop in (0.0, interior, np.nextafter(interior, np.inf), np.inf):
+        first = _first_at_least(full, stop)
+        for sweep in sweeps:
+            short = sweep(stop)
+            assert _bits(short) == _bits(full[:short.size])
+            assert short.size == (m if first is None else min(m, (first // 64 + 1) * 64))
 
 
 STEP_BASES = {
