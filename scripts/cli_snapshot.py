@@ -5,16 +5,20 @@ Usage: python3 scripts/cli_snapshot.py OUTDIR [COMMAND ...]
 
 Each command (default: vime, vime_steps10, vime_steps11, modulus,
 modulus_repeated_eps, perturb, steckin, steckin_l1, steckin_euclidean,
-steckin_linf_ten, steckin_tiny_eps, verify) runs in a fresh interpreter against the
-``src`` tree of the checkout this script belongs to, with OUTDIR as
-working directory and ``--out COMMAND``.  Its stdout, stderr and exit
+steckin_polygon_awkward, steckin_linf_ten, steckin_tiny_eps, verify) runs
+in a fresh interpreter against the ``src`` tree of the checkout this
+script belongs to, with OUTDIR as working directory and ``--out
+COMMAND``.  Its stdout, stderr and exit
 code go to COMMAND/console.txt beside the files it writes.
 vime_steps10 and vime_steps11 run ``vime --steps 10`` and
 ``--steps 11``, whose step counts leave remainders 1 and 2 mod 3, so the
 ends of the middle third fall between grid points.  steckin_l1 and
 steckin_euclidean run ``steckin`` on the instance files beside this
-script: an l1 polytope and a euclidean segment.  steckin_linf_ten runs
-the sup-norm segment with the ten witnesses of
+script: an l1 polytope and a euclidean segment.  steckin_polygon_awkward
+runs a euclidean polygon whose vertex list repeats a vertex, puts three
+vertices on one edge and one inside, with witnesses outside, inside
+and exactly on an edge.  steckin_linf_ten runs the sup-norm segment
+with the ten witnesses of
 steckin_linf_ten_witnesses.json, which run out the default budget after
 eight steps: it exits 4 and writes only ledger.json, so the early-stop
 path is compared too.  modulus_repeated_eps
@@ -47,6 +51,8 @@ RUNS = {
     "steckin": ["steckin"],
     "steckin_l1": ["steckin", "--instance", str(HERE / "steckin_l1_polytope.json")],
     "steckin_euclidean": ["steckin", "--instance", str(HERE / "steckin_euclidean_segment.json")],
+    "steckin_polygon_awkward": ["steckin", "--instance",
+                                str(HERE / "steckin_polygon_awkward.json")],
     "steckin_linf_ten": ["steckin", "--instance", str(HERE / "steckin_linf_ten_witnesses.json")],
     "steckin_tiny_eps": ["steckin", "--eps-total", "1e-320"],
     "verify": ["verify"],

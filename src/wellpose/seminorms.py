@@ -349,10 +349,13 @@ def _perp_quotient(base: SeminormExpr, perp: np.ndarray, direction: np.ndarray,
     kept on base.  Any other tree is searched.  dir_value is base's value
     on direction, which LineQuotient passes scaled as it scales perp.
     """
+    if isinstance(base, Euclidean):
+        # |perp| from the squares, sum and root that eval_many forms; the
+        # largest entry of LineQuotient's perp lies in [1/2, 1), so the sum
+        # is normal and needs no rescaling
+        return math.sqrt(perp[0] * perp[0] + perp[1] * perp[1])
     on_perp = base.eval_many(perp[None, :])
     at_zero = float(on_perp[0])
-    if isinstance(base, Euclidean):
-        return at_zero
     rows = base._rows
     if rows is None:
         return float(_golden_quotient(base, perp[None, :], direction, dir_value, on_perp)[0])
@@ -410,7 +413,9 @@ class LineQuotient(SeminormExpr):
             raise ValueError(f"direction must be a finite vector of length {base.dim}")
         row = direction[None]
         bd = float(base.eval_many(row)[0])
-        if not (bd > _BEYOND_ROUNDING * float(base.magnitude_many(row)[0])):
+        # a euclidean base is its own magnitude
+        magnitude = bd if isinstance(base, Euclidean) else float(base.magnitude_many(row)[0])
+        if not (bd > _BEYOND_ROUNDING * magnitude):
             raise ValueError("base must be positive on the direction, beyond rounding")
         direction.flags.writeable = False
         self.base = base

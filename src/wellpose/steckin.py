@@ -327,24 +327,31 @@ class ConvexBody:
         basis (d, r) spans the vertices' affine hull, from an SVD of the
         centred vertices; directions in which no vertex leaves the centre
         by more than _CONTAINS_TOL are dropped.  Each row (n, c) of
-        equations is a unit normal and offset in hull coordinates y, with
-        n . y + c <= 0 on the hull: none for a point, the two ends of an
-        interval on a line, qhull's facets in two or more dimensions.
+        equations is a unit outward normal and offset in hull coordinates
+        y, with n . y + c <= 0 on the hull: none for a point, the two ends
+        of an interval on a line, the edges of a polygon in closed form
+        (:func:`_polygon_edges`) when r = 2, qhull's facets when r = 3.
+        A polygon whose width lies within the rounding of its hull
+        coordinates is refused (ValueError), as qhull refuses a flat
+        simplex.
         """
         # the mean of the offsets from the first vertex stays finite where
         # the vertices' own sum overflows (a body near the edge of the range)
         first = self.vertices[0]
         centre = first + (self.vertices - first).mean(axis=0)
-        u, s, vt = np.linalg.svd(self.vertices - centre, full_matrices=False)
+        offsets = self.vertices - centre
+        u, s, vt = np.linalg.svd(offsets, full_matrices=False)
         basis = vt[np.abs(u * s).max(axis=0) > _CONTAINS_TOL].T
-        coords = (self.vertices - centre) @ basis
+        coords = offsets @ basis
         if basis.shape[1] == 0:
             equations = np.zeros((0, 1))
         elif basis.shape[1] == 1:
             equations = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
+        elif basis.shape[1] == 2:
+            equations = _polygon_edges(coords, _coordinate_rounding(offsets, basis))
         else:
-            # imported here, its one use: scipy.spatial takes about half a
-            # second to import, and a segment or a point never needs it
+            # imported here, its one use: scipy.spatial takes 0.32 s and
+            # 36 MB to import, and only a 3-dimensional hull needs it
             from scipy.spatial import ConvexHull, QhullError
 
             try:
@@ -375,12 +382,113 @@ class ConvexBody:
         centre, basis, equations = self._facets
         offset = p - centre
         y = offset @ basis
-        residual = offset - basis @ y
-        # the largest entry bounds the norm from below: a point far off the
-        # hull is outside before the squares can overflow
-        return bool(np.abs(residual).max() <= _CONTAINS_TOL
-                    and np.sqrt(residual @ residual) <= _CONTAINS_TOL
-                    and np.all(equations[:, :-1] @ y + equations[:, -1] <= _CONTAINS_TOL))
+        if basis.shape[1] < self.dim:
+            # only a flat hull has points off its affine hull; for a full one
+            # the residual is rounding alone, which grows with the coordinates
+            residual = offset - basis @ y
+            # the largest entry bounds the norm from below: a point far off
+            # the hull is outside before the squares can overflow
+            if not (np.abs(residual).max() <= _CONTAINS_TOL
+                    and np.sqrt(residual @ residual) <= _CONTAINS_TOL):
+                return False
+        return bool(np.all(equations[:, :-1] @ y + equations[:, -1] <= _CONTAINS_TOL))
+
+
+def _coordinate_rounding(offsets: np.ndarray, basis: np.ndarray) -> float:
+    """How far (euclidean) a vertex's computed 2-D hull coordinates,
+    offsets @ basis, may lie from the exact ones.
+
+    Each offset v - centre carries one rounding, each basis entry one
+    (against the exact orthonormal basis it stands for), and the inner
+    product of length d rounds within gamma_d (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.1).  So
+    coordinate j lies within gamma_{d+2} (|v - centre| @ |basis|)_j of
+    the exact one, and the vertex within the norm of that row.
+    """
+    d = offsets.shape[1]
+    u = np.finfo(np.float64).eps / 2  # the unit roundoff
+    gamma = (d + 2) * u / (1.0 - (d + 2) * u)
+    row = np.abs(offsets) @ np.abs(basis)
+    return gamma * float(np.hypot(row[:, 0], row[:, 1]).max())
+
+
+def _turn(o: list, a: list, b: list) -> float:
+    """Twice the signed area of the triangle o, a, b: positive when o ->
+    a -> b turns counter-clockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _monotone_chain(coords: np.ndarray) -> list[int]:
+    """Rows of coords (k, 2) that are vertices of their convex hull,
+    counter-clockwise from the lexicographically least.
+
+    Andrew's monotone chain (Andrew, "Another efficient algorithm for
+    convex hulls in two dimensions", IPL 1979): one lexicographic sort,
+    then, for the lower and the upper half of the hull, a stack that
+    drops its top while the turn to the next point is not
+    counter-clockwise.  A repeated point or a point on an edge makes no
+    turn, so it is never a vertex.
+    """
+    pts = coords.tolist()
+    order = np.lexsort((coords[:, 1], coords[:, 0])).tolist()
+
+    def half(indices: list[int]) -> list[int]:
+        chain = []
+        for i in indices:
+            while len(chain) >= 2 and _turn(pts[chain[-2]], pts[chain[-1]], pts[i]) <= 0:
+                chain.pop()
+            chain.append(i)
+        return chain
+
+    lower, upper = half(order), half(order[::-1])
+    return lower[:-1] + upper[:-1]
+
+
+def _least_width(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> float:
+    """Least width of a convex polygon with counter-clockwise vertices pts
+    and edges i from pts[i] to pts[i + 1] (unit outward normals and
+    offsets): over the edges, the least depth behind the edge's line of
+    the vertex farthest from it (rotating calipers: Shamos, 1978).
+
+    The outward normals turn counter-clockwise, so their unwrapped angles
+    increase, and the vertex farthest behind edge i is the one whose
+    normal cone holds -n_i: the start of the first edge whose angle
+    reaches angle_i + pi.  Its two neighbours are read as well, so an
+    angle off by a rounding cannot miss it; every depth read is a
+    vertex's, so the result never exceeds the exact width by more than
+    the rounding of a depth.
+    """
+    angle = np.unwrap(np.arctan2(normals[:, 1], normals[:, 0]))
+    far = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]), angle + np.pi)
+    near_far = pts[(far[:, None] + np.arange(-1, 2)) % len(pts)]
+    depth = -(np.einsum("ik,ijk->ij", normals, near_far) + offsets[:, None])
+    return float(depth.max(axis=1).min())
+
+
+def _polygon_edges(coords: np.ndarray, rounding: float) -> np.ndarray:
+    """Rows (n, c) of the hull edges of 2-D points: n the unit outward
+    normal of an edge, c = -n . y at its first vertex y
+    (:func:`_monotone_chain`).
+
+    A point may lie up to rounding from its exact place, which moves the
+    hull's least width (:func:`_least_width`) by up to twice that.  A
+    hull no wider than this could be a segment in exact arithmetic, and
+    is refused with a ValueError.
+    """
+    pts = coords[_monotone_chain(coords)]
+    width = 0.0
+    if len(pts) >= 3:
+        edge = np.roll(pts, -1, axis=0) - pts
+        normals = np.column_stack([edge[:, 1], -edge[:, 0]])
+        normals /= np.hypot(edge[:, 0], edge[:, 1])[:, None]
+        offsets = -(normals * pts).sum(axis=1)
+        width = _least_width(pts, normals, offsets)
+    if not width > 2.0 * rounding:
+        spread = float(np.hypot(coords[:, 0], coords[:, 1]).max())
+        raise ValueError(f"the vertices are too thin to hull: their width {width:.3g} lies "
+                         f"within the rounding {2.0 * rounding:.3g} of hull coordinates that "
+                         f"spread {spread:.3g} from their centre")
+    return np.column_stack([normals, offsets])
 
 
 def segment_body(a, b, n_samples: int = 2001) -> ConvexBody:

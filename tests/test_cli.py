@@ -263,8 +263,8 @@ def test_steckin_segment_at_the_edge_of_the_float_range(tmp_path):
 @pytest.mark.parametrize("verts, message", [
     # the squared width overflows
     ([[0, 0], [1e200, 0], [0, 1]], "the vertex spread is too wide"),
-    # finite but thin: qhull finds its initial simplex flat
-    ([[0, 0], [1e150, 0], [0, 1]], "qhull cannot hull the vertices"),
+    # finite but thin: its width lies within the rounding of its hull coordinates
+    ([[0, 0], [1e150, 0], [0, 1]], "too thin to hull"),
 ])
 def test_steckin_polytope_qhull_cannot_hull(verts, message, tmp_path, capsys):
     inst_file = tmp_path / "instance.json"
@@ -470,9 +470,25 @@ def test_building_bodies_loads_no_hull_code():
              "segment_body([0.0, 0.0], [1.0, 0.0])\n"
              "polytope_body([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], n_samples=64)")
     assert _loaded_after(build, "scipy.spatial") == [False]
-    # the first membership query of a full-dimensional body builds its facets
+    # the first membership query builds the facets: in closed form for a
+    # polygon, by qhull for a 3-dimensional hull
     query = build.replace("n_samples=64)", "n_samples=64).contains([0.2, 0.2])")
+    assert _loaded_after(query, "scipy.spatial") == [False]
+    query = build + ("\npolytope_body([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],"
+                     " [0.0, 0.0, 1.0]], n_samples=64).contains([0.2, 0.2, 0.2])")
     assert _loaded_after(query, "scipy.spatial") == [True]
+
+
+def test_renorming_on_a_polygon_loads_no_hull_code():
+    root = Path(__file__).resolve().parent.parent
+    instance = root / "scripts" / "steckin_l1_polytope.json"
+    run = ("import json, pathlib\n"
+           "from wellpose.instances import steckin_instance_from_json\n"
+           "from wellpose.steckin import baire_renorm\n"
+           f"inst = steckin_instance_from_json(json.loads(pathlib.Path({str(instance)!r}).read_text()))\n"
+           "rep = baire_renorm(inst.nu0, inst.body, inst.witness_points, 0.3, 5, inst.setting)\n"
+           "assert rep.success and inst.body.contains(inst.body.vertices.mean(axis=0))")
+    assert _loaded_after(run, "scipy.optimize", "scipy.spatial") == [False, False]
 
 
 def _run_script(name, *args):

@@ -434,6 +434,52 @@ def test_subnormal_directions_give_finite_values_at_most_base(dim, directions, r
     assert built >= 2 * len(directions) * 3
 
 
+def _euclidean_quotient_by_three_evaluations(direction):
+    """(dir_value, kappa) of a euclidean line quotient in R^2, built by
+    evaluating the base three times: on the direction, for its magnitude,
+    and on perp.  None where that build refuses the direction."""
+    base = euclidean_norm(2)
+    row = direction[None]
+    bd = float(base.eval_many(row)[0])
+    if not (bd > seminorms._BEYOND_ROUNDING * float(base.magnitude_many(row)[0])):
+        return None
+    unit = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
+    perp = np.array([-unit[1], unit[0]])
+    return bd, float(base.eval_many(perp[None])[0]) / float(perp @ perp)
+
+
+class _CountingEuclidean(Euclidean):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.calls = 0
+
+    def eval_many(self, X):
+        self.calls += 1
+        return super().eval_many(X)
+
+
+_DIRECTION_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(-1e300, 1e300),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-323, 300)),
+)
+
+
+@given(st.tuples(_DIRECTION_ENTRIES, _DIRECTION_ENTRIES))
+def test_a_euclidean_quotient_evaluates_its_base_once(entries):
+    direction = np.array(entries)
+    base = _CountingEuclidean(2)
+    expected = _euclidean_quotient_by_three_evaluations(direction)
+    try:
+        q = LineQuotient(base, direction)
+    except ValueError:
+        assert expected is None
+        return
+    assert base.calls == 1
+    bd, kappa = expected
+    assert q.dir_value == bd and q._kappa.hex() == kappa.hex()
+
+
 def _shared_tree(rng, dim):
     """Random combinations that reuse earlier nodes: polyhedral and
     euclidean leaves, sums, maxima, scales and quotients of leaves."""

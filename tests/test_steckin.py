@@ -43,8 +43,10 @@ from wellpose.steckin import (
     _columns,
     _inf_estimate,
     _localize,
+    _monotone_chain,
     _nearest_two,
     _offsets,
+    _polygon_edges,
     _quotient_terms,
     _rho_estimate,
     _step_grid,
@@ -216,9 +218,10 @@ class TestConvexBody:
             polytope_body([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]], n_samples=16)
 
     def test_a_hull_qhull_cannot_build_is_a_value_error(self):
-        # finite but so thin that qhull finds the initial simplex flat
+        # finite but so thin that its width lies within the rounding of its
+        # hull coordinates
         body = polytope_body([[0.0, 0.0], [1e150, 0.0], [0.0, 1.0]], n_samples=16)
-        with pytest.raises(ValueError, match="qhull cannot hull the vertices"):
+        with pytest.raises(ValueError, match="too thin to hull"):
             body.contains([0.0, 0.5])
 
 
@@ -288,6 +291,113 @@ def test_contains_matches_the_lp(name, rng):
     if name in ("quadrilateral", "tetrahedron"):
         # a flat body has no interior: its members are all within the band
         assert any(verdicts)
+
+
+_SQUARE_WITH_EXTRAS = np.array([
+    [0, 0], [4, 0], [4, 4], [0, 4],  # the corners
+    [1, 0], [2, 0], [3, 0], [4, 2],  # on the bottom and right edges
+    [0, 0], [4, 4], [4, 0],  # repeated corners
+    [2, 2], [1, 3],  # inside
+], dtype=np.float64)
+
+
+def test_the_chain_keeps_only_corners():
+    chain = _monotone_chain(_SQUARE_WITH_EXTRAS)
+    assert _SQUARE_WITH_EXTRAS[chain].tolist() == [[0, 0], [4, 0], [4, 4], [0, 4]]
+
+
+def test_polygon_edges_face_outward():
+    rows = _polygon_edges(_SQUARE_WITH_EXTRAS, 0.0)
+    # n . y + c <= 0 inside: bottom, right, top, left
+    assert rows.tolist() == [[0, -1, 0], [1, 0, -4], [0, 1, -4], [-1, 0, 0]]
+
+
+@pytest.mark.parametrize("verts", [
+    *_HULL_CASES.values(),
+    [[1e8, 1e8], [1e8 + 3.0, 1e8 + 1.0], [1e8 + 1.0, 1e8 + 2.0]],  # small, far out
+    [[0.0, 0.0], [1e8, 0.0], [0.0, 1e8]],  # large
+    [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5 + 1e-6]],  # width 7e-7 in the unit box
+], ids=[*_HULL_CASES, "near_1e8", "size_1e8", "width_1e-6"])
+def test_the_rounding_bound_accepts(verts):
+    verts = np.array(verts)
+    body = polytope_body(verts, n_samples=32)
+    centroid = verts.mean(axis=0)
+    assert body.contains(centroid)
+    assert not body.contains(centroid + 2.0 * (verts.max(axis=0) - verts.min(axis=0)) + 1.0)
+
+
+def _segment_gap(verts, p) -> float:
+    """_simplex_gap for d = 2, over every vertex and every segment between
+    two vertices at once: the least distance from p to any of them."""
+    a = verts[:, None, :]
+    ab = verts[None, :, :] - a
+    length2 = (ab * ab).sum(axis=-1)
+    t = ((p - a) * ab).sum(axis=-1) / np.where(length2 > 0.0, length2, 1.0)
+    nearest = a + np.clip(t, 0.0, 1.0)[..., None] * ab
+    return float(np.sqrt(((p - nearest) ** 2).sum(axis=-1)).min())
+
+
+@st.composite
+def _awkward_polygons(draw):
+    """3-40 vertices of a polygon: an edge of three or more collinear
+    grid points, free grid points on one side of it, repeats, and
+    midpoints inside, then turned, scaled by 1e-6 to 1e6 and moved."""
+    run = draw(st.integers(2, 6))  # points 0, 1, ..., run steps along the edge
+    step = draw(st.integers(1, 4))
+    free = draw(st.lists(st.tuples(st.integers(-16, 16), st.integers(1, 16)),
+                         min_size=1, max_size=18))
+    pts = [(j * step, 0) for j in range(run + 1)] + free
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=6))]
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(pts) - 1), st.integers(0, len(pts) - 1)),
+                          max_size=6))
+    grid = np.array(pts, dtype=np.float64)
+    grid = np.vstack([grid, *((grid[i] + grid[j]) / 2.0 for i, j in pairs)])
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    turn = np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    shift = np.array(draw(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))) * scale
+    return (grid @ turn) * scale + shift, scale
+
+
+@settings(max_examples=40)
+@given(_awkward_polygons(), st.integers(0, 2**32 - 1))
+def test_polygon_facets_match_qhull_and_the_lp(polygon, seed):
+    from scipy.spatial import ConvexHull  # the oracle only
+
+    verts, scale = polygon
+    assert 3 <= len(verts) <= 40
+    body = ConvexBody(vertices=verts, sample=verts, mesh=1.0)
+    centre, basis, rows = body._facets
+    assert basis.shape == (2, 2)
+    oracle = ConvexHull((verts - centre) @ basis).equations
+    # the same edges as a set: each row of either table matches a row of the other
+    size = np.abs(verts - centre).max()
+    tol = 64.0 * np.finfo(np.float64).eps
+    for mine, theirs in ((rows, oracle), (oracle, rows)):
+        gap = np.maximum(np.abs(mine[:, None, :2] - theirs[None, :, :2]).max(axis=-1),
+                         np.abs(mine[:, None, 2] - theirs[None, :, 2]) / size)
+        assert gap.min(axis=1).max() <= tol
+    rng = np.random.default_rng(seed)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    probes = np.vstack([rng.uniform(lo - (hi - lo) / 2, hi + (hi - lo) / 2, size=(8, 2)),
+                        rng.dirichlet(np.ones(len(verts)), size=4) @ verts])
+    assert _segment_gap(verts, probes[0]) == pytest.approx(_simplex_gap(verts, probes[0]),
+                                                           rel=1e-9, abs=1e-12 * size)
+    probes = [x for x in probes if _segment_gap(verts, x) > 1e-7]
+    assert [body.contains(x) for x in probes] == [_lp_contains(verts, x) for x in probes]
+
+
+def test_a_full_hull_has_no_residual_to_round():
+    # a point well inside a polygon whose coordinates reach 9e6: its residual
+    # offset - basis @ y, 0 in exact arithmetic, rounds to 1.9e-9, above the
+    # membership tolerance
+    verts = np.array([[0.0, 0.0], [960170.2866503659, -279415.49819892587],
+                      [1920340.5733007318, -558830.9963978517],
+                      *[[279415.49819892587, 960170.2866503659]] * 3,
+                      [2514739.483790333, 8641532.579853294]])
+    body = ConvexBody(vertices=verts, sample=verts, mesh=1.0)
+    probe = np.array([2115521.6469525415, 6749744.833915575])
+    assert body.contains(probe) and _lp_contains(verts, probe)
 
 
 def test_contains_rejects_non_finite_points():
