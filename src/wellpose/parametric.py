@@ -54,6 +54,9 @@ __all__ = [
     "family_from_json",
 ]
 
+# rows in certify_uniform_epi's first ball_min call; each later call takes twice as many
+_FIRST_CHUNK = 8
+
 
 @dataclass(frozen=True, eq=False)
 class ParameterGrid:
@@ -314,24 +317,38 @@ def certify_uniform_epi(fam: ParametricFamily, p: int, eps: float, delta_grid) -
     open, the cell-wise form of analytic_epi_delta's centre argument:
     (f)_eps <= f bit for bit, so a cell with f_q(x) <= f_p(x) + eps
     satisfies condition 1 and one with f_q(x) >= f_p(x) - eps condition
-    2.  One ball_min call covers the neighbour rows with an open
-    condition-1 cell, plus row p if some condition-2 cell is open; with
-    no open cell there is no call.
+    2.  The neighbour rows with an open condition-1 cell are visited
+    nearest first (a stable sort, so ties go by index), in ball_min calls
+    over chunks of 8, 16, 32, ... rows, and the visit ends with the
+    first chunk that holds a bad row: _largest_delta reads only the
+    distance of the nearest bad neighbour, and every row not visited
+    lies at least as far away, so it is left bad.  Row p rides in the
+    first call if some condition-2 cell is open; with no open cell there
+    is no call.
     """
     grid, qs, dist = _neighbours(fam, p, eps, delta_grid)
     vals = _neighbour_rows(fam.values, qs)
     cap = fam.values[p] + eps
     open1 = (vals > cap).any(axis=1)  # the rows with an open condition-1 cell
     viol = vals < fam.values[p] - eps  # the open condition-2 cells
-    open2 = bool(viol.any())
+    with_p = bool(viol.any())  # row p rides in the first call
     good = ~open1
-    rows = np.append(qs[open1], p) if open2 else qs[open1]
-    if rows.size:
+    near = np.flatnonzero(open1)
+    near = near[np.argsort(dist[near], kind="stable")]
+    lo, size = 0, _FIRST_CHUNK
+    while lo < near.size or with_p:
+        chunk = near[lo:lo + size]
+        rows = np.append(qs[chunk], p) if with_p else qs[chunk]
         reg = ball_min(fam.domain, fam.values[rows], eps)
         # (f_q)_eps <= f_p + eps everywhere == condition 1 at every anchor
-        good[open1] = np.all(reg[:np.count_nonzero(open1)] <= cap, axis=1)
-        if open2:
+        ok = np.all(reg[:chunk.size] <= cap, axis=1)
+        good[chunk] = ok
+        if with_p:
             viol = vals < reg[-1] - eps
+            with_p = False
+        if not ok.all():
+            break
+        lo, size = lo + size, 2 * size
     j = _largest_delta(grid, dist, good)
     cond2 = _cond2(p, eps, grid, qs, dist, viol)
     return UniformEpiReport(p=p, eps=eps, cond1_delta=None if j is None else grid[j], cond2=cond2)

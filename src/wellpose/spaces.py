@@ -40,6 +40,8 @@ _GATHER_CELLS = 1 << 20
 _BALL_CELLS = 1 << 20
 
 _METRICS = ("euclidean", "linf", "l1")
+# why sublevel_diameters refuses a row
+_NO_SETS = "min v + max(grid) is NaN, from a NaN value or from -inf with an infinite threshold"
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str, out: np.ndarray | None = None,
@@ -636,7 +638,9 @@ def sublevel_diameters(values, grid, prefix) -> np.ndarray:
     block, for a (k, m) block of orders, as
     FiniteMetricSpace.prefix_diameters takes them.  Each cut uses the
     float sum and the <= of argmin_set, so each set is exactly
-    argmin_set(f, t) and each diameter exactly its diam.
+    argmin_set(f, t) and each diameter exactly its diam.  A row whose
+    min v + max(grid) is NaN, from a NaN value or from -inf with an
+    infinite threshold, has no sublevel sets and raises ValueError.
 
     The sort need not be stable.  A diameter is read only at a cut, and
     there the sorted prefix is exactly the set {v <= min v + t}: tied
@@ -644,12 +648,19 @@ def sublevel_diameters(values, grid, prefix) -> np.ndarray:
     at a cut depends on that set only (see prefix_diameters), so the
     order among tied values is never read.
 
-    One row sorts only its candidates, the values <= min v + max(grid):
+    Every row sorts only its candidates, the values <= min v + max(grid):
     rounded addition is monotone, so every other value lies above every
     cut, and each cut counts the same members as in a sort of the whole
-    row.  Its prefix may return a shortened running diameter (one that
-    stopped at a bound, as prefix_diameters does with ``stop``); a cut
-    past its end reads +inf.
+    row.  One row's prefix may return a shortened running diameter (one
+    that stopped at a bound, as prefix_diameters does with ``stop``); a
+    cut past its end reads +inf.  A block lists its candidates with one
+    mask and one flat np.nonzero, lays them out as a (k, m) block for m
+    the largest count of a row, sorts that block row by row, and counts
+    each cut on it; a row's spare slots repeat its last candidate, which
+    never moves a running diameter.  It goes a chunk of at most
+    _GATHER_CELLS // (n G) rows at a time, for n points and G thresholds,
+    so that no temporary outgrows its chunk, however many values are
+    candidates.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if not np.all(grid >= 0.0):
@@ -657,21 +668,51 @@ def sublevel_diameters(values, grid, prefix) -> np.ndarray:
     values = np.asarray(values)
     if values.ndim == 1:
         low = values.min()
-        cand = np.flatnonzero(values <= low + grid.max(initial=0.0))
+        top = low + grid.max(initial=0.0)
+        if np.isnan(top):
+            raise ValueError(f"values: {_NO_SETS}")
+        cand = np.flatnonzero(values <= top)
         order = cand[np.argsort(values[cand])]
         cuts = np.searchsorted(values[order], low + grid, side="right")
         running = prefix(order)
         return np.where(cuts <= running.size, running[np.minimum(cuts, running.size) - 1], np.inf)
     if values.ndim != 2:
         raise ValueError(f"values must be one (n,) row or a (k, n) block, got shape {values.shape}")
-    order = np.argsort(values, axis=1)
-    # a cut is the count of members, so it needs no sorted copy of the rows
     low = values.min(axis=1)
-    cuts = np.empty((len(values), grid.size), dtype=np.intp)
-    for j, t in enumerate(grid):
-        cuts[:, j] = np.count_nonzero(values <= (low + t)[:, None], axis=1)
-    running = prefix(order[:, :cuts.max(initial=1)])
-    return np.take_along_axis(running, cuts - 1, axis=1)
+    top = low + grid.max(initial=0.0)
+    nan = np.isnan(top)
+    if nan.any():
+        raise ValueError(f"values row {int(np.argmax(nan))}: {_NO_SETS}")
+    out = np.empty((len(values), grid.size))
+    step = max(1, _GATHER_CELLS // max(values.shape[1] * grid.size, 1))
+    for lo in range(0, len(values), step):
+        chunk = slice(lo, lo + step)
+        out[chunk] = _block_sweep(values[chunk], low[chunk], top[chunk], grid, prefix)
+    return out
+
+
+def _block_sweep(values, low, top, grid, prefix) -> np.ndarray:
+    """sublevel_diameters on a (k, n) block with row minima low and
+    largest thresholds top = low + max(grid)."""
+    # a 2-D np.nonzero costs several times a flat one
+    flat = np.flatnonzero(values <= top[:, None])
+    rows, cols = np.divmod(flat, values.shape[1])
+    count = np.bincount(rows, minlength=len(values))  # every row holds its minimum
+    start = np.cumsum(count) - count
+    slots = np.arange(count.max())
+    # row i's candidates fill slots 0..count_i - 1 and +inf the rest.  A
+    # row with fewer candidates than another has none at +inf (its
+    # threshold min v + max(grid) is below +inf, or every value would
+    # be one), so its pads sort last and lie above every cut
+    ranked = np.full((len(values), slots.size), np.inf)
+    ranked[rows, np.arange(flat.size) - start[rows]] = values.take(flat)
+    cuts = (ranked[:, None, :] <= (low[:, None] + grid)[:, :, None]).sum(axis=2)
+    by = np.argsort(ranked, axis=1)
+    # a pad repeats its row's last candidate: a repeated point never
+    # moves a running diameter, and no cut reaches a pad
+    each = np.arange(len(values))[:, None]
+    by = by[each, np.minimum(slots, count[:, None] - 1)]
+    return prefix(cols[by + start[:, None]])[each, cuts - 1]
 
 
 def diam(subset: PointSubset) -> float:

@@ -64,11 +64,12 @@ class NormedSetting:
     adjacent sample points.  All estimate error bounds scale with it.
 
     sphere is a read-only copy of the given points, sphere_columns its
-    coordinate columns as one contiguous (d, N) array, and base_sphere
-    base's values on it, all computed once here and read-only: every
-    renorming step and :func:`wellpose_point` on the setting reads them
-    instead of evaluating base on the sphere again, and adds its terms
-    there column by column (see :func:`_add_terms`).
+    coordinate columns as one contiguous (d, N) array, base_sphere
+    base's values on it and base_bounds their (min, max), all computed
+    once here and read-only: every renorming step and
+    :func:`wellpose_point` on the setting reads them instead of
+    evaluating base on the sphere again, and adds its terms there column
+    by column (see :func:`_add_terms`).
     """
 
     dim: int
@@ -77,6 +78,7 @@ class NormedSetting:
     mesh: float
     sphere_columns: np.ndarray = field(init=False, repr=False)
     base_sphere: np.ndarray = field(init=False, repr=False)
+    base_bounds: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         sphere = np.array(self.sphere, dtype=np.float64)
@@ -86,6 +88,11 @@ class NormedSetting:
         object.__setattr__(self, "sphere", sphere)
         object.__setattr__(self, "sphere_columns", _columns(sphere))
         object.__setattr__(self, "base_sphere", values)
+        object.__setattr__(self, "base_bounds", _bounds(values))
+
+
+def _bounds(vals: np.ndarray) -> tuple[float, float]:
+    return float(vals.min()), float(vals.max())
 
 
 def _columns(points: np.ndarray) -> np.ndarray:
@@ -208,17 +215,20 @@ def _sup_estimate(vals: np.ndarray, setting: NormedSetting) -> MeshEstimate:
     return MeshEstimate(value=M, error_bound=M * setting.mesh * factor)
 
 
-def _inf_estimate(vals: np.ndarray, setting: NormedSetting) -> ANuEstimate:
-    m = float(vals.min())
-    M = float(vals.max())
+def _inf_estimate(vals: np.ndarray, setting: NormedSetting, bounds=None) -> ANuEstimate:
+    """bounds, when given, are vals' (min, max), as _bounds computes them."""
+    m, M = _bounds(vals) if bounds is None else bounds
     err = M * _sup_factor(setting) * setting.mesh
     return ANuEstimate(value=m, error_bound=err, equivalent=bool(m - err > 0.0))
 
 
-def _rho_estimate(v1: np.ndarray, v2: np.ndarray, setting: NormedSetting) -> MeshEstimate:
+def _rho_estimate(v1: np.ndarray, v2: np.ndarray, setting: NormedSetting,
+                  tops=None) -> MeshEstimate:
+    """tops, when given, are (v1.max(), v2.max()) as floats."""
     value = float(np.abs(v1 - v2).max())
     factor = _sup_factor(setting)
-    err = (float(v1.max()) + float(v2.max())) * factor * setting.mesh
+    top1, top2 = (float(v1.max()), float(v2.max())) if tops is None else tops
+    err = (top1 + top2) * factor * setting.mesh
     return MeshEstimate(value=value, error_bound=err)
 
 
@@ -969,8 +979,12 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     if nu0.dim != setting.dim:
         raise ValueError("dimension mismatch")
     base = setting.base
-    nu0_sphere = setting.base_sphere if nu0 is base else nu0.eval_many(setting.sphere)
-    a0 = _inf_estimate(nu0_sphere, setting)
+    if nu0 is base:
+        nu0_sphere, nu0_bounds = setting.base_sphere, setting.base_bounds
+    else:
+        nu0_sphere = nu0.eval_many(setting.sphere)
+        nu0_bounds = _bounds(nu0_sphere)
+    a0 = _inf_estimate(nu0_sphere, setting, nu0_bounds)
     if not (eps_total < a0.value - a0.error_bound):
         raise PreconditionError(
             "budget reaches the equivalence margin: "
@@ -1068,12 +1082,13 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
             "curve": curve,
         })
 
-    rho_total = _rho_estimate(nu_sphere, nu0_sphere, setting)
+    final_bounds = _bounds(nu_sphere)
+    rho_total = _rho_estimate(nu_sphere, nu0_sphere, setting, (final_bounds[1], nu0_bounds[1]))
     if rho_total.value > eps_total * (1.0 + 1e-12) + 1e-15:
         raise ReplayError(
             f"total move {rho_total.value} exceeds the budget {eps_total}"
         )
-    a_final = _inf_estimate(nu_sphere, setting)
+    a_final = _inf_estimate(nu_sphere, setting, final_bounds)
     if not (a_final.value - a_final.error_bound > 0.0):
         raise ReplayError("final seminorm lost certified equivalence")
     ledger = BudgetLedger(eps_total=eps_total, spent=spent, steps=tuple(steps))

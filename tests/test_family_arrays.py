@@ -7,6 +7,7 @@ certificates must agree exactly: deltas, witness dicts, violation
 tuples and bad parameter lists.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
+from wellpose import parametric
 from wellpose.instances import random_lipschitz_family
 from wellpose.objectives import ObjectiveFunction, argmin_set, ball_min, regularize
 from wellpose.parametric import (
@@ -512,6 +514,28 @@ class TestAgainstTheLoops:
         def blocks(fam, rows):
             return [fam.values[rows].tolist()] if rows else []
 
+        def nearest_first(fam, p, eps, radius):
+            """The blocks of certify_uniform_epi's calls: the open condition-1
+            rows by distance, ties by index, in chunks of 8, 16, 32, ...,
+            with p in the first if a condition-2 cell is open, up to the
+            first chunk holding a row with (f_q)_eps > f_p + eps somewhere."""
+            prow = fam.params.space.row(p)
+            qs = np.flatnonzero(prow <= radius)
+            fp = fam.values[p]
+            ranked = sorted((int(q) for q in qs if np.any(fam.values[q] > fp + eps)),
+                            key=lambda q: (prow[q], q))
+            with_p = bool(np.any(fam.values[qs] < fp - eps))
+            out, lo, size = [], 0, 8
+            while lo < len(ranked) or with_p:
+                chunk = ranked[lo:lo + size]
+                out += blocks(fam, chunk + [p] * with_p)
+                with_p = False
+                if any(np.any(_ref_ball_min(fam.domain, fam.values[q], eps) > fp + eps)
+                       for q in chunk):
+                    break
+                lo, size = lo + size, 2 * size
+            return out
+
         monkeypatch.setattr(parametric, "ball_min", counting)
         fams = [vime_family(99, 99), *_families(),
                 *(_dyadic_family(seed, kind) for seed in range(3) for kind in ("cond1", "cond2"))]
@@ -524,7 +548,7 @@ class TestAgainstTheLoops:
                     assert not (want and fam.meta.get("kind") == "vime")
                     calls.clear()
                     rep = certify_uniform_epi(fam, p, eps, grid)
-                    assert calls == blocks(fam, want)
+                    assert calls == nearest_first(fam, p, eps, grid[0])
                     called += bool(want)
                     calls.clear()
                     cert = check_cond2(fam, p, eps, grid)
@@ -826,6 +850,137 @@ def test_the_ball_table_equals_the_enumeration_call_after_call(metric, points, d
         want = _enumerated_ball_min(space, rows, eps)
         for _ in range(2):
             assert np.array_equal(ball_min(space, rows, eps), want), (eps, k)
+
+
+# ----------------------------------------------------------------------
+# certify_uniform_epi's nearest-first ball infima against the single call
+
+
+def _ref_certify(fam, p, eps, delta_grid):
+    """certify_uniform_epi with one ball_min call over every row with an
+    open condition-1 cell (plus p when a condition-2 cell is open)."""
+    grid, qs, dist = parametric._neighbours(fam, p, eps, delta_grid)
+    vals = parametric._neighbour_rows(fam.values, qs)
+    cap = fam.values[p] + eps
+    open1 = (vals > cap).any(axis=1)
+    viol = vals < fam.values[p] - eps
+    open2 = bool(viol.any())
+    good = ~open1
+    rows = np.append(qs[open1], p) if open2 else qs[open1]
+    if rows.size:
+        reg = ball_min(fam.domain, fam.values[rows], eps)
+        good[open1] = np.all(reg[:np.count_nonzero(open1)] <= cap, axis=1)
+        if open2:
+            viol = vals < reg[-1] - eps
+    j = parametric._largest_delta(grid, dist, good)
+    return None if j is None else grid[j], parametric._cond2(p, eps, grid, qs, dist, viol)
+
+
+def _planted_family(pcoords, metric, p, rank, rng, n=6, after=("closed", "good", "bad", "any")):
+    """A family on the integer points 0..n-1 of a line whose rows with an
+    open condition-1 cell at p (eps in [1, 2)), taken by distance from p
+    and then by index, are good up to rank - 1 and bad at ``rank``; the
+    rows past it are of the kinds ``after``.  rank None plants no bad row.
+
+    f_p has quarter values and +inf cells.  A closed row lies at or below
+    f_p, often more than eps below (an open condition-2 cell).  A good
+    open row is f_p with one finite cell x0 raised to +inf and a line
+    neighbour y lowered to min(f_p(y), f_p(x0)), so its ball infimum stays
+    at or below f_p.  A bad row is constant at max f_p + 2 over the finite
+    cells.  "any" draws quarter values with +inf cells.
+    """
+    pspace = FiniteMetricSpace.pointcloud(pcoords, metric=metric)
+    domain = FiniteMetricSpace.pointcloud(np.arange(n, dtype=np.float64)[:, None], metric="linf")
+    fp = rng.integers(0, 17, size=n) / 4.0
+    fp[rng.uniform(size=n) < 0.2] = np.inf
+    fp[0] = 0.0
+    finite = np.flatnonzero(np.isfinite(fp))
+    prow = pspace.row(p)
+    values = np.empty((pspace.n, n))
+    values[p] = fp
+    opened = 0
+    for q in sorted(set(range(pspace.n)) - {p}, key=lambda q: (prow[q], q)):
+        if rank is None or opened < rank - 1:
+            kind = rng.choice(["closed", "good"])
+        elif opened == rank - 1:
+            kind = "bad"
+        else:
+            kind = rng.choice(after)
+        row = fp.copy()
+        if kind == "closed":
+            row -= rng.integers(0, 9, size=n) / 4.0
+        elif kind == "good":
+            x0 = int(rng.choice(finite))
+            y = x0 + 1 if x0 + 1 < n and (x0 == 0 or rng.uniform() < 0.5) else x0 - 1
+            row[y] = min(fp[y], fp[x0])
+            row[x0] = np.inf
+        elif kind == "bad":
+            row[:] = fp[finite].max() + 2.0
+        else:
+            row = rng.integers(-4, 21, size=n) / 4.0
+            row[rng.uniform(size=n) < 0.2] = np.inf
+            row[rng.integers(n)] = 1.0
+        opened += kind != "closed"
+        values[q] = row
+    return ParametricFamily(ParameterGrid(pspace), domain, values)
+
+
+def _param_coords(rng, layout, nx, ny):
+    """Integer points of an nx-by-ny grid, x-major, or the grid shuffled."""
+    coords = np.array([(i, j) for i in range(nx) for j in range(ny)], dtype=np.float64)
+    return coords if layout == "grid" else coords[rng.permutation(len(coords))]
+
+
+def _distance_grid(fam, p, rng):
+    """Decreasing radii drawn from the distances at p, the largest always
+    in: every parameter is a neighbour, and radii sit on distances."""
+    dists = np.unique(fam.params.space.row(p))
+    dists = dists[dists > 0.0]
+    keep = dists[rng.uniform(size=dists.size) < 0.5]
+    return tuple(sorted({float(dists[-1]), *keep.tolist()}, reverse=True))
+
+
+@given(layout=st.sampled_from(["grid", "cloud"]),
+       metric=st.sampled_from(["linf", "l1", "euclidean"]),
+       nx=st.integers(1, 9), ny=st.integers(2, 9),
+       rank=st.sampled_from([None, 1, 2, 9, 30]),
+       eps=st.sampled_from([1.0, 1.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_nearest_first_visit_equals_the_single_call(layout, metric, nx, ny, rank, eps, seed):
+    rng = np.random.default_rng(seed)
+    coords = _param_coords(rng, layout, nx, ny)
+    p = int(rng.integers(len(coords)))
+    fam = _planted_family(coords, metric, p, rank, rng)
+    grid = _distance_grid(fam, p, rng)
+    rep = certify_uniform_epi(fam, p, eps, grid)
+    cond1_delta, cond2 = _ref_certify(fam, p, eps, grid)
+    assert rep.cond1_delta == cond1_delta
+    assert vars(rep.cond2) == vars(cond2)
+
+
+@pytest.mark.parametrize("rank", [1, 9, 30])
+def test_ball_infima_stop_at_the_nearest_bad_row(rank, monkeypatch):
+    seen = []
+
+    def counting(space, rows, eps):
+        seen.append(len(rows))
+        return ball_min(space, rows, eps)
+
+    rng = np.random.default_rng(rank)
+    coords = np.arange(301, dtype=np.float64)[:, None]  # p = 150: distances tie in pairs
+    fam = _planted_family(coords, "linf", 150, rank, rng, after=("good", "bad"))
+    grid = (150.0, 100.0, 40.0, 15.0, 4.0, 1.0)
+    open1 = np.any(fam.values > fam.values[150] + 1.0, axis=1)
+    assert np.count_nonzero(open1) >= 200
+    assert np.any(fam.values < fam.values[150] - 1.0)  # p rides in the first call
+    monkeypatch.setattr(parametric, "ball_min", counting)
+    rep = certify_uniform_epi(fam, 150, 1.0, grid)
+    cond1_delta, cond2 = _ref_certify(fam, 150, 1.0, grid)
+    assert (rep.cond1_delta, vars(rep.cond2)) == (cond1_delta, vars(cond2))
+    # chunks of 8, 16, 32, ... up to the one holding rank r, and p once
+    assert seen == [9, 16, 32, 64][:len(seen)]
+    assert sum(seen[:-1]) - 1 < rank <= sum(seen) - 1
+    assert sum(seen) <= 8 * 2 ** math.ceil(math.log2(rank / 8 + 1)) + 1
 
 
 # ----------------------------------------------------------------------

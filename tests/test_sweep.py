@@ -434,6 +434,101 @@ def test_tie_order_is_never_read(data, n, k, seed, metric):
         assert _bits(curve) == _bits(_stable_sweep(space.prefix_diameters, values, grid))
 
 
+def _ref_block_sweep(values, grid, prefix):
+    """The block sweep on a sort of every whole row, one count per cut."""
+    grid = np.asarray(grid, dtype=np.float64)
+    order = np.argsort(values, axis=1)
+    low = values.min(axis=1)
+    cuts = np.empty((len(values), grid.size), dtype=np.intp)
+    for j, t in enumerate(grid):
+        cuts[:, j] = np.count_nonzero(values <= (low + t)[:, None], axis=1)
+    running = prefix(order[:, :cuts.max(initial=1)])
+    return np.take_along_axis(running, cuts - 1, axis=1)
+
+
+def _shaped_row(kind, row, top, rng):
+    """row reshaped so that it has one candidate below min v + top, every
+    value a candidate, +inf everywhere, a -inf minimum, or as drawn."""
+    n = row.size
+    if kind == "one":
+        row = np.full(n, top + 1.0)
+        row[rng.integers(n)] = 0.0
+    elif kind == "all":
+        row = np.minimum(row, top)
+        row[rng.integers(n)] = 0.0
+    elif kind == "inf":
+        row = np.full(n, np.inf)
+    elif kind == "neginf":
+        row[rng.integers(n)] = -np.inf
+    return row
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 30),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    metric=st.sampled_from([("linf", 1), ("linf", 2), ("linf", 3), ("l1", 2), ("euclidean", 2)]),
+    budget=st.sampled_from([1, 40, 1 << 20]),
+)
+def test_the_candidate_sweep_equals_the_whole_row_sort(data, n, k, seed, metric, budget):
+    from unittest import mock
+
+    import wellpose.spaces as spaces_mod
+
+    rows = np.array(data.draw(st.lists(st.lists(QUARTER_OR_INF, min_size=n, max_size=n),
+                                       min_size=k, max_size=k)))
+    rows[np.arange(k), 0] = 1.0
+    grid = data.draw(st.lists(st.integers(0, 12).map(lambda j: j / 4.0), min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        grid.append(0.0)
+    rng = np.random.default_rng(seed)
+    kinds = data.draw(st.lists(st.sampled_from(["drawn", "one", "all", "inf", "neginf"]),
+                               min_size=k, max_size=k))
+    rows = np.array([_shaped_row(kind, row, max(grid), rng) for kind, row in zip(kinds, rows)])
+    space = FiniteMetricSpace.pointcloud(_tied_coords(rng, n, metric[1]), metric=metric[0])
+    with mock.patch.object(spaces_mod, "_GATHER_CELLS", budget):  # one row, a few, all
+        curves = _space_curve(space, rows, grid)
+    assert _bits(curves) == _bits(_ref_block_sweep(rows, grid, space.prefix_diameters))
+    for values, curve in zip(rows, curves):
+        assert _bits(curve) == _bits(_space_curve(space, values, grid))
+
+
+class TestNoSublevelSets:
+    """A row holding NaN, or -inf under an infinite threshold, has no
+    sublevel sets; -inf under finite thresholds is an ordinary minimum."""
+
+    SPACE = FiniteMetricSpace.grid1d(0.0, 1.0, 4)
+    GRID = (0.25, 0.5)
+    NO_SETS = r"min v \+ max\(grid\) is NaN"
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0, 2.0, 3.0, 4.0], [np.nan] * 5])
+    def test_a_block_names_the_row(self, bad):
+        rows = np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0, 0.0], bad])
+        with pytest.raises(ValueError, match="values row 2: " + self.NO_SETS):
+            _space_curve(self.SPACE, rows, self.GRID)
+        with pytest.raises(ValueError, match="values row 0: " + self.NO_SETS):
+            _space_curve(self.SPACE, rows[::-1], self.GRID)
+
+    def test_one_row(self):
+        with pytest.raises(ValueError, match="values: " + self.NO_SETS):
+            _space_curve(self.SPACE, np.array([0.0, np.nan, 1.0, 2.0, 3.0]), self.GRID)
+
+    def test_minus_inf_reads_zero(self):
+        row = np.array([-np.inf, 1.0, 2.0, 3.0, 4.0])
+        assert _space_curve(self.SPACE, row, self.GRID).tolist() == [0.0, 0.0]
+        assert _space_curve(self.SPACE, np.array([row, row[::-1]]), self.GRID).tolist() == \
+            [[0.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_minus_inf_under_an_infinite_threshold_raises(self):
+        row = np.array([1.0, -np.inf, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="values: " + self.NO_SETS):
+            _space_curve(self.SPACE, row, (0.5, np.inf))
+        with pytest.raises(ValueError, match="values row 1: " + self.NO_SETS):
+            _space_curve(self.SPACE, np.array([np.arange(5.0), row]), (np.inf,))
+
+
 # ----------------------------------------------------------------------
 # argmin_usc and check_5r_lemma against the per-threshold loops they replaced
 
@@ -583,6 +678,23 @@ def test_batched_sweep_memory_stays_bounded():
     assert used < limit
     for i in (0, k - 1):
         assert _bits(curves[i]) == _bits(sublevel_diameters(rows[i], grid, space.prefix_diameters))
+
+
+def test_a_block_sorts_only_its_candidates():
+    n, k = 20_000, 200
+    rng = np.random.default_rng(6)
+    space = FiniteMetricSpace.pointcloud(rng.uniform(-1.0, 1.0, size=(n, 2)), metric="linf")
+    rows = rng.uniform(1.0, 2.0, size=(k, n))
+    rows[np.arange(k), rng.integers(n, size=k)] = 0.0  # one candidate per row
+    tracemalloc.start()
+    try:
+        curves = sublevel_diameters(rows, (0.0, 0.25, 0.5), space.prefix_diameters)
+        used = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not curves.any()
+    # a sort of the whole block would hold a (k, n) order array, 32 MB
+    assert used < k * n * 8 / 16
 
 
 # ----------------------------------------------------------------------
