@@ -5,7 +5,8 @@ Usage: python3 scripts/cli_snapshot.py OUTDIR [COMMAND ...]
 
 Each command (default: vime, vime_steps10, vime_steps11, modulus,
 modulus_repeated_eps, perturb, steckin, steckin_l1, steckin_euclidean,
-steckin_polygon_awkward, steckin_linf_ten, steckin_tiny_eps, verify) runs
+steckin_polygon_awkward, steckin_linf_ten, steckin_tiny_eps,
+steckin_subnormal_delta, verify) runs
 in a fresh interpreter against the ``src`` tree of the checkout this
 script belongs to, with OUTDIR as working directory and ``--out
 COMMAND``.  Its stdout, stderr and exit
@@ -24,7 +25,10 @@ eight steps: it exits 4 and writes only ledger.json, so the early-stop
 path is compared too.  modulus_repeated_eps
 (``--eps-grid 0.1,0.1``) and steckin_tiny_eps (``--eps-total 1e-320``,
 whose default delta grid underflows) exit 2, and keep those two
-messages under the comparison.  Paths in the outputs are relative, so
+messages under the comparison.  So does steckin_subnormal_delta: the
+one-witness sup-norm segment of steckin_linf_one_witness.json with
+``--delta-grid 5e-324``, whose step succeeds at delta 5e-324 and whose
+replay tolerance delta/3 rounds to 0.  Paths in the outputs are relative, so
 two checkouts compare with one ``diff -r``:
 
     python3 A/scripts/cli_snapshot.py snapA
@@ -55,6 +59,9 @@ RUNS = {
                                 str(HERE / "steckin_polygon_awkward.json")],
     "steckin_linf_ten": ["steckin", "--instance", str(HERE / "steckin_linf_ten_witnesses.json")],
     "steckin_tiny_eps": ["steckin", "--eps-total", "1e-320"],
+    "steckin_subnormal_delta": ["steckin", "--instance",
+                                str(HERE / "steckin_linf_one_witness.json"),
+                                "--delta-grid", "5e-324"],
     "verify": ["verify"],
 }
 

@@ -28,28 +28,19 @@ __all__ = ["main"]
 _MAX_TABLE_CELLS = 1 << 24
 
 
-def _jsonable(obj):
+def _numpy_value(obj):
+    """json.dumps's hook for what it cannot write itself: a numpy scalar or
+    array becomes Python numbers (a float64 is a float, so it never gets
+    here)."""
     import numpy as np
 
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, str):
-        return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_numpy_value) + "\n")
 
 
 def _float_list(text: str) -> tuple[float, ...]:

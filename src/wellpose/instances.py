@@ -59,7 +59,7 @@ def necessity_witness_points() -> tuple[tuple[float, float], ...]:
 def segment_instance(n_samples: int = 2001, mesh: float = 1e-3) -> SteckinInstance:
     """Sup-norm plane, horizontal unit segment, apex point two above."""
     base = linf_norm(2)
-    setting = make_setting(2, base, mesh)
+    setting = make_setting(base, mesh)
     body = segment_body(np.array([-1.0, 0.0]), np.array([1.0, 0.0]), n_samples)
     p = np.array([0.0, 2.0])
     return SteckinInstance(setting=setting, body=body, nu0=base, p=p,
@@ -96,7 +96,9 @@ def steckin_instance_from_json(desc: dict) -> SteckinInstance:
         base = named[base_desc](dim_hint)
     else:
         base = seminorm_from_json(base_desc)
-    setting = make_setting(dim_hint, base, float(desc.get("mesh", 1e-3)))
+    if base.dim != dim_hint:
+        raise ValueError("base dimension mismatch")
+    setting = make_setting(base, float(desc.get("mesh", 1e-3)))
     nu0 = seminorm_from_json(desc["nu0"]) if "nu0" in desc else base
     witnesses = desc.get("witness_points", [desc.get("p", [0.0] * dim_hint)])
     if not witnesses:

@@ -137,10 +137,11 @@ class ModulusCurve:
 
     The constructor checks a caller's curve: aligned, non-empty, a
     positive grid with positive steps, and non-decreasing diameters.
-    The library's own curves (wellposedness_modulus, the projection and
-    step curves of steckin) come from ModulusCurve._built instead: their
-    grid was checked where it entered, and their diameters are running
-    maxima read at non-decreasing cuts, which cannot decrease.
+    The library's own curves (wellposedness_modulus, the projection,
+    step and replay curves of steckin) come from ModulusCurve._built
+    instead: their grid was checked where it entered or built ascending,
+    and their diameters are running maxima read at non-decreasing cuts,
+    which cannot decrease.
     """
 
     eps_grid: tuple[float, ...]

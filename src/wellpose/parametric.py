@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .objectives import ObjectiveFunction, argmin_set, ball_min, proper_table
-from .spaces import FiniteMetricSpace, _count, diam, sublevel_diameters
+from .spaces import FiniteMetricSpace, _count, _integer, diam, sublevel_diameters
 
 __all__ = [
     "ParameterGrid",
@@ -484,6 +484,7 @@ def vime_family(x_steps: int = 999, p_steps: int = 999) -> ParametricFamily:
     """
     if x_steps < 3 or p_steps < 3:
         raise ValueError("steps must be >= 3")
+    x_steps, p_steps = _integer(x_steps, "x_steps"), _integer(p_steps, "p_steps")
     X = FiniteMetricSpace.grid1d(0.0, 1.0, x_steps)
     P = FiniteMetricSpace.grid1d(0.0, 1.0, p_steps)
     xs = np.arange(x_steps + 1, dtype=np.float64) / x_steps

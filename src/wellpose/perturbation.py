@@ -76,31 +76,24 @@ def cone_perturbation(space: FiniteMetricSpace, a: int, beta: float, gamma: floa
 
     a, beta and gamma are the caller's, so the table is checked as every
     perturbation's is (an infinite beta gives a NaN at the apex, and is
-    refused there).  buc_density_step builds its cone with
-    :func:`_step_cone` and no table check instead.
+    refused there).  buc_density_step builds its cone from the same
+    values (:func:`_cone_values`) and no table check instead.
     """
     if not (0 <= a < space.n):
         raise ValueError(f"cone apex index {a} out of range")
     if not (beta > 0.0 and gamma > 0.0):
         raise ValueError("beta and gamma must be positive")
-    row = space.row(a)
-    vals = np.where(row <= gamma, (beta / gamma) * row, beta)
+    vals, _ = _cone_values(space, a, beta, gamma)
     return PerturbationFunction(space, vals, owned=True)
 
 
-def _step_cone(space: FiniteMetricSpace, a: int, eps: float) -> tuple[PerturbationFunction, np.ndarray]:
-    """cone_perturbation(space, a, beta=eps, gamma=eps/2), as buc_density_step
-    builds it, and its ramp mask d(a, .) <= eps/2, which is the ball B_{eps/2}(a).
-
-    The caller has checked that eps is finite with eps/2 > 0, so the slope
-    is finite, every value is finite and nonnegative, and the apex, at
-    distance 0, holds the minimum 0: the table is adopted without its
-    checks.
-    """
+def _cone_values(space: FiniteMetricSpace, a: int, beta: float,
+                 gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The values of cone_perturbation(space, a, beta, gamma), unchecked,
+    and its ramp mask d(a, .) <= gamma, which is the ball B_gamma(a)."""
     row = space.row(a)
-    ramp = row <= eps / 2.0
-    vals = np.where(ramp, (eps / (eps / 2.0)) * row, eps)
-    return PerturbationFunction._built(space, vals, 0.0), ramp
+    ramp = row <= gamma
+    return np.where(ramp, (beta / gamma) * row, beta), ramp
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +121,7 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
     eps is checked once, here: positive, finite, and with eps/2 > 0.
     That proves what the cone's table checks would (every cone value is
     finite, and the minimum is 0 at the apex), so the cone is built
-    without them (:func:`_step_cone`).  The apex row is read once: its
+    without them (:func:`_cone_values`).  The apex row is read once: its
     mask d(a, .) <= eps/2 is both the cone's ramp and the ball
     B_{eps/2}(a).  The sums f + g, g + cone and f + g' keep their table
     checks (a sum can overflow, and each keeps its minimum).
@@ -146,7 +139,8 @@ def buc_density_step(f: ObjectiveFunction, g: PerturbationFunction, eps: float) 
     fg = f + g
     # the first point of argmin_set(fg, eps/4), read off the kept minimum
     a = int(np.argmax(fg.values <= fg.low + eps / 4.0))
-    cone, near = _step_cone(f.space, a, eps)
+    vals, near = _cone_values(f.space, a, eps, eps / 2.0)
+    cone = PerturbationFunction._built(f.space, vals, 0.0)
     g_prime = g + cone
     fg2 = f + g_prime
     omega = argmin_set(fg2, eps / 2.0)

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import _count
+from .spaces import _count, _pairwise
 
 __all__ = [
     "SeminormExpr",
@@ -152,9 +152,9 @@ class Euclidean(SeminormExpr):
         self.dim = int(dim)
 
     def eval_many(self, X):
-        """The root of each row's sum of squares, summed column by column as
-        the distance kernel does (_pairwise), bit for bit numpy's norm for
-        d <= 7.
+        """The root of each row's sum of squares: the distance kernel
+        (_pairwise) against the origin, where x - 0 is x exactly, bit for
+        bit numpy's norm for d <= 7.
 
         A row whose sum of squares overflows or falls below the normal
         range (an entry above about 1e154, or a nonzero row whose entries
@@ -165,25 +165,13 @@ class Euclidean(SeminormExpr):
         """
         pts = _as_points(X, self.dim)
         with np.errstate(over="ignore"):
-            sq = _sum_squares(pts)
+            sq = _pairwise(pts, np.zeros(self.dim), "sqeuclidean")
         if not (sq.min(initial=np.inf) >= _TINY and sq.max(initial=0.0) < np.inf):
             return _rescaled_norms(pts, sq)
         return np.sqrt(sq, out=sq)
 
     def magnitude_many(self, X):
         return self.eval_many(X)
-
-
-def _sum_squares(pts: np.ndarray) -> np.ndarray:
-    """Sum of squares of each (N, d) row, folded column by column in place:
-    _pairwise's "sqeuclidean" against the origin, without its subtractions
-    of 0 (x - 0 is x exactly)."""
-    out = np.square(pts[:, 0])
-    if pts.shape[1] > 1:
-        col = np.empty_like(out)
-        for k in range(1, pts.shape[1]):
-            out += np.square(pts[:, k], out=col)
-    return out
 
 
 def _rescaled_norms(pts: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -201,7 +189,8 @@ def _rescaled_norms(pts: np.ndarray, sq: np.ndarray) -> np.ndarray:
     redo = np.flatnonzero(~(sq >= _TINY) | (sq == np.inf))
     rows = pts[redo]
     exponent = np.frexp(np.abs(rows).max(axis=1))[1]
-    scaled = np.sqrt(_sum_squares(np.ldexp(rows, -exponent[:, None])))
+    scaled = np.ldexp(rows, -exponent[:, None])
+    scaled = np.sqrt(_pairwise(scaled, np.zeros(scaled.shape[1]), "sqeuclidean"))
     out = np.sqrt(sq, out=sq)
     with np.errstate(over="ignore"):  # a norm above the largest float is inf
         out[redo] = np.ldexp(scaled, exponent)

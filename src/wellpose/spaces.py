@@ -82,14 +82,30 @@ def _ranges(coords: np.ndarray) -> np.ndarray:
     return np.array([c.max() - c.min() for c in coords.T])
 
 
+def _integer(val, name: str) -> int:
+    """A count or an index: a fraction is an error, not truncated."""
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"{name} must be an integer, got {val}")
+    return int(val)
+
+
 def _count(val, name: str) -> int:
     """A count field of a descriptor: a fraction or a negative number is
     an error, not truncated or clamped."""
-    if isinstance(val, float) and not val.is_integer():
-        raise ValueError(f"{name} must be an integer, got {val}")
-    if int(val) < 0:
+    n = _integer(val, name)
+    if n < 0:
         raise ValueError(f"{name} must be nonnegative, got {val}")
-    return int(val)
+    return n
+
+
+def _span(coords: np.ndarray, metric: str) -> float:
+    """The metric's distance across the per-column ranges of coords (n, d),
+    inf where it overflows.  Rounding is monotone and a range minus 0 is
+    exact, so no distance between points of their bounding box exceeds it;
+    it is the diameter for linf, and may exceed it for l1 and euclidean."""
+    with np.errstate(over="ignore"):
+        ranges = _ranges(coords)
+        return float(_pairwise(ranges[None], np.zeros((1, ranges.size)), metric)[0])
 
 
 def _check_bounds(start: float, stop: float) -> None:
@@ -139,15 +155,8 @@ class FiniteMetricSpace:
             coords.setflags(write=False)
             self._coords = coords
             self.n = coords.shape[0]
-            # rounding is monotone, so no pairwise distance exceeds the
-            # distance across the per-column span, and where that is finite
-            # no block can overflow; the bound is the diameter for linf but
-            # may exceed it for l1 and Euclidean in d >= 2 (a range minus 0
-            # is exact, so this is the kernel on column maxima and minima)
-            with np.errstate(over="ignore"):
-                ranges = _ranges(coords)
-                span = _pairwise(ranges[None], np.zeros((1, ranges.size)), metric)
-            if not np.isfinite(span[0]):
+            # where the span is finite, no block can overflow
+            if not _span(coords, metric) < np.inf:
                 raise ValueError("coordinate distances may overflow: the point spread is too wide")
         else:
             matrix = np.array(matrix, dtype=np.float64)
@@ -187,6 +196,7 @@ class FiniteMetricSpace:
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
+        steps = _integer(steps, "steps")
         _check_bounds(start, stop)
         frac = np.arange(steps + 1, dtype=np.float64) / steps
         if start == 0.0 and stop == 1.0:
@@ -207,6 +217,7 @@ class FiniteMetricSpace:
         y0, y1, ny = y
         if nx < 1 or ny < 1:
             raise ValueError("steps must be >= 1")
+        nx, ny = _integer(nx, "x steps"), _integer(ny, "y steps")
         _check_bounds(x0, x1)
         _check_bounds(y0, y1)
         xs = x0 + (np.arange(nx + 1, dtype=np.float64) / nx) * (x1 - x0)
@@ -521,6 +532,7 @@ def ball(space: FiniteMetricSpace, center: int, eps: float) -> PointSubset:
     """
     if not (0 <= center < space.n):
         raise ValueError(f"center index {center} out of range")
+    center = _integer(center, "center index")
     if not (eps >= 0.0):
         raise ValueError("ball radius must be nonnegative")
     return PointSubset._where(space, space.row(center) <= eps)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import PreconditionError, ReplayError
 from .objectives import ModulusCurve
 from .seminorms import Euclidean, LineQuotient, Scale, SeminormExpr, SumOf
-from .spaces import _euclidean_prefix, _pairwise, prefix_diameters, sublevel_diameters
+from .spaces import _euclidean_prefix, _integer, _span, prefix_diameters, sublevel_diameters
 
 __all__ = [
     "NormedSetting",
@@ -58,7 +58,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NormedSetting:
-    """Ambient dimension, reference norm, and its sampled unit sphere.
+    """Reference norm and its sampled unit sphere, in the base's dimension.
 
     mesh is the achieved covering fineness: the largest base-gap between
     adjacent sample points.  All estimate error bounds scale with it.
@@ -72,7 +72,6 @@ class NormedSetting:
     by column (see :func:`_add_terms`).
     """
 
-    dim: int
     base: SeminormExpr
     sphere: np.ndarray
     mesh: float
@@ -89,6 +88,10 @@ class NormedSetting:
         object.__setattr__(self, "sphere_columns", _columns(sphere))
         object.__setattr__(self, "base_sphere", values)
         object.__setattr__(self, "base_bounds", _bounds(values))
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
 
 
 def _bounds(vals: np.ndarray) -> tuple[float, float]:
@@ -110,12 +113,11 @@ def _normalize_rows(base: SeminormExpr, u: np.ndarray) -> np.ndarray:
     return u / b[:, None]
 
 
-def make_setting(dim: int, base: SeminormExpr, mesh: float) -> NormedSetting:
+def make_setting(base: SeminormExpr, mesh: float) -> NormedSetting:
     """Sample the base unit sphere finely enough for the requested mesh."""
-    if base.dim != dim:
-        raise ValueError("base dimension mismatch")
     if not (mesh > 0.0):
         raise ValueError("mesh must be positive")
+    dim = base.dim
     if dim == 1:
         u = np.array([[1.0], [-1.0]])
         sphere = _normalize_rows(base, u)
@@ -145,7 +147,7 @@ def make_setting(dim: int, base: SeminormExpr, mesh: float) -> NormedSetting:
             raise ValueError("requested mesh is too fine for the sphere sampler")
     else:
         raise ValueError("only dimensions 1, 2, 3 are supported")
-    return NormedSetting(dim=dim, base=base, sphere=sphere, mesh=achieved)
+    return NormedSetting(base=base, sphere=sphere, mesh=achieved)
 
 
 def _icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,17 +300,15 @@ _CONTAINS_TOL = 1e-9
 class ConvexBody:
     """Convex hull of vertices, probed through a finite boundary sample.
 
-    mesh records the sample spacing (euclidean); membership queries use
-    the exact hull, while projection estimates range over the sample.
-    The hull's facet table is built on the first membership query,
-    whether the sample repeats a point on the first step that asks, and
-    the sample's coordinate columns (:func:`_columns`) on the first
-    offsets taken from it (:func:`_offsets`).
+    Membership queries use the exact hull, while projection estimates
+    range over the sample.  The hull's facet table is built on the first
+    membership query, whether the sample repeats a point on the first
+    step that asks, and the sample's coordinate columns (:func:`_columns`)
+    on the first offsets taken from it (:func:`_offsets`).
     """
 
     vertices: np.ndarray
     sample: np.ndarray
-    mesh: float
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=np.float64)
@@ -509,6 +509,7 @@ def segment_body(a, b, n_samples: int = 2001) -> ConvexBody:
         raise ValueError("endpoints must be vectors of equal length")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    n_samples = _integer(n_samples, "n_samples")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("body data must be finite")
     with np.errstate(over="ignore"):
@@ -519,7 +520,7 @@ def segment_body(a, b, n_samples: int = 2001) -> ConvexBody:
                          "its length overflows")
     ts = np.linspace(0.0, 1.0, n_samples)
     sample = a[None, :] + ts[:, None] * span[None, :]
-    return ConvexBody(vertices=np.stack([a, b]), sample=sample, mesh=length / (n_samples - 1))
+    return ConvexBody(vertices=np.stack([a, b]), sample=sample)
 
 
 def polytope_body(vertices, n_samples: int = 2048, seed: int = 0) -> ConvexBody:
@@ -529,22 +530,15 @@ def polytope_body(vertices, n_samples: int = 2048, seed: int = 0) -> ConvexBody:
         raise ValueError("vertices must be a non-empty (k, d) array")
     if not np.all(np.isfinite(verts)):
         raise ValueError("body data must be finite")
-    # every sample lies in the vertices' bounding box, so, as for a
-    # FiniteMetricSpace, a finite distance across it keeps the mesh finite
-    with np.errstate(over="ignore"):
-        span = _pairwise(verts.max(axis=0)[None], verts.min(axis=0)[None], "euclidean")
-    if not np.isfinite(span[0]):
+    # the hull's centre and every sample lie in the vertices' bounding
+    # box, so a finite distance across it keeps the hull's offsets finite
+    if not _span(verts, "euclidean") < np.inf:
         raise ValueError("polytope vertex distances overflow: the vertex spread is too wide")
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(verts.shape[0]), size=max(n_samples - verts.shape[0], 0))
     sample = np.vstack([verts, weights @ verts]) if weights.size else verts.copy()
-    # nearest-neighbour spacing as a fineness proxy
-    mesh = 0.0
-    for lo in range(0, sample.shape[0], 256):
-        d = _pairwise(sample[lo:lo + 256, None], sample[None], "euclidean")
-        d[np.arange(d.shape[0]), np.arange(lo, lo + d.shape[0])] = np.inf
-        mesh = max(mesh, float(d.min(axis=1).max()))
-    return ConvexBody(vertices=verts, sample=sample, mesh=mesh)
+    return ConvexBody(vertices=verts, sample=sample)
 
 
 def _sweep(sample: np.ndarray, base: SeminormExpr):
@@ -578,9 +572,9 @@ def _sweep(sample: np.ndarray, base: SeminormExpr):
 def _sublevel_curve(values: np.ndarray, sweep, grid: tuple[float, ...]):
     """Base diameter of {values <= min + t} for each t in grid (sweep from :func:`_sweep`).
 
-    grid comes from :func:`_ascending_grid` or :func:`_step_grid`, positive
-    and strictly increasing, so the curve is built unchecked
-    (ModulusCurve._built).
+    grid comes from :func:`_ascending_grid`, :func:`_step_grid` or
+    baire_renorm's replay, positive and strictly increasing, so the curve
+    is built unchecked (ModulusCurve._built).
     """
     return ModulusCurve._built(grid, sublevel_diameters(values, grid, sweep))
 
@@ -939,7 +933,8 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     left, every earlier protection, 1/n_target), so later moves can
     never spend an earlier claim's radius.  The final seminorm is then
     replayed at every witness at tolerance delta_i/3; replay failures
-    raise ReplayError because the ledger arithmetic guarantees them.
+    raise ReplayError because the ledger arithmetic guarantees them, and
+    a delta_i whose third rounds to 0 raises ValueError.
 
     Each step only adds terms to the seminorm before it, so the growing
     tree is never evaluated again.  base's values on the sphere are the
@@ -1062,10 +1057,11 @@ def baire_renorm(nu0: SeminormExpr, body: ConvexBody, witness_points, eps_total:
     for step in steps:
         values = _catch_up(step.index)
         tol = step.delta / 3.0
-        grid = tuple(sorted({float(d) for d in (tol, 2.0 * tol, 3.0 * tol)}))
-        # a delta of one subnormal step makes tol 0, which the curve refuses
-        diams = sublevel_diameters(values, grid, sweep)
-        curve = ModulusCurve(eps_grid=grid, diam_values=tuple(diams.tolist()))
+        if not (tol > 0.0):
+            raise ValueError(f"step {step.index} cannot be replayed: its delta "
+                             f"{step.delta!r} is so small that delta/3 rounds to 0")
+        # 2 tol is exact and 3 tol rounds above it, so the grid ascends
+        curve = _sublevel_curve(values, sweep, (tol, 2.0 * tol, 3.0 * tol))
         dm = curve.diam_values[0]  # the claim: diameter at tolerance delta/3
         if not (dm < step.eps_step):
             raise ReplayError(

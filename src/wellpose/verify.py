@@ -128,7 +128,7 @@ def run_all(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
                           f"distance-to-line values {v1:.6f}, {v2:.6f}, {v3:.2e}"))
 
     base = seminorms.linf_norm(2)
-    setting = steckin.make_setting(2, base, 1e-3)
+    setting = steckin.make_setting(base, 1e-3)
     l1 = seminorms.l1_norm(2)
     k = steckin.k_nu(l1, setting)
     a = steckin.a_nu(l1, setting)

@@ -197,7 +197,7 @@ def test_criterion_07_equivalence_stability(accept_report, rng):
     limit = 20.0
     pairs = 100
     t0 = time.perf_counter()
-    setting = make_setting(2, linf_norm(2), mesh=1e-3)
+    setting = make_setting(linf_norm(2), mesh=1e-3)
     bad = 0
     for _ in range(pairs):
         nu = random_norm(rng, 2)

@@ -12,9 +12,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wellpose.objectives import ModulusCurve, ObjectiveFunction, argmin_set, wellposedness_modulus
-from wellpose.perturbation import PerturbationFunction, _step_cone, cone_perturbation
+from wellpose.perturbation import PerturbationFunction, _cone_values, cone_perturbation
 from wellpose.spaces import FiniteMetricSpace, PointSubset, ball, diam
 from wellpose.steckin import _ascending_grid, _sublevel_curve
+
+from support import _bits
 
 INF = float("inf")
 # few distinct values, so that ties are common
@@ -40,10 +42,6 @@ def _objectives(draw) -> ObjectiveFunction:
     vals = draw(st.lists(_values, min_size=space.n, max_size=space.n))
     vals[draw(st.integers(0, space.n - 1))] = draw(st.sampled_from([0.0, 1.0]))  # proper
     return ObjectiveFunction(space, np.array(vals))
-
-
-def _bits(values) -> list[str]:
-    return [float(v).hex() for v in values]
 
 
 _grid_floats = st.sampled_from([0.0, -0.0, 5e-324, 0.1, 0.5, 1.0, 2.0, INF, -1.0, float("nan")])
@@ -116,7 +114,8 @@ def test_where_subsets_pass_the_validator_and_equal_the_public_subset(f, eps, da
 def test_the_density_steps_cone_passes_the_validator_and_equals_the_public_cone(space, data, eps):
     # every eps that buc_density_step lets in: finite, with eps/2 > 0
     apex = data.draw(st.integers(0, space.n - 1))
-    cone, ramp = _step_cone(space, apex, eps)
+    vals, ramp = _cone_values(space, apex, eps, eps / 2.0)
+    cone = PerturbationFunction._built(space, vals, 0.0)  # as buc_density_step builds it
     assert type(cone) is PerturbationFunction and not cone.values.flags.writeable
     checked = PerturbationFunction(space, cone.values)  # the public validator
     public = cone_perturbation(space, apex, beta=eps, gamma=eps / 2.0)

@@ -159,6 +159,68 @@ def test_steckin_instance_file_and_determinism(tmp_path):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
+@pytest.mark.parametrize("delta, code", [("5e-324", 2), ("1e-323", 0)])
+def test_steckin_replay_of_a_subnormal_delta(delta, code, tmp_path, capsys):
+    # one witness whose step succeeds at delta: 5e-324 / 3 rounds to 0,
+    # 1e-323 / 3 to 5e-324
+    script = Path(__file__).resolve().parent.parent / "scripts" / "steckin_linf_one_witness.json"
+    out = tmp_path / "o"
+    assert cli.main(["steckin", "--instance", str(script), "--delta-grid", delta,
+                     "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == ("error: step 0 cannot be replayed: its delta 5e-324 is so small that "
+                       "delta/3 rounds to 0\n")
+        assert not out.exists()  # no artifact claims a step
+    else:
+        assert _read(out / "report.json")["per_point"][0]["delta_over_3"] == 5e-324
+
+
+def _ref_jsonable(obj):
+    """The CLI's former walk of a payload into JSON-native values."""
+    import numpy as np
+
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_ref_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _ref_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref_jsonable(v) for v in obj]
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def test_json_writer_equals_the_former_walk(tmp_path):
+    import numpy as np
+
+    payloads = [
+        {"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+         "b": np.bool_(True), "nb": np.bool_(False), "py": [True, 3, 2.5, None, "s"]},
+        {"nan": float("nan"), "inf": np.float64(np.inf), "ninf": -np.inf,
+         "nan32": np.float32("nan"), "inf32": np.float32("-inf")},
+        {"arr": np.arange(4.0), "ints": np.arange(3), "bools": np.array([True, False]),
+         "grid": np.array([[0.5, np.nan], [np.inf, -0.0]]),
+         "f32s": np.linspace(0, 1, 3, dtype=np.float32),
+         "empty": np.zeros(0)},
+        {"nested": ((1, (2.0, np.float64(3.5))), [np.int32(4), (np.uint8(5),)]),
+         "z": {"b": (np.float64(-0.0), 1e-320), "a": ()}},
+        [{"name": "x", "passed": np.bool_(True)},
+         (np.float64(5e-324), np.float64(1.7976931348623157e308))],
+        np.float64(2.0), (),
+    ]
+    for k, obj in enumerate(payloads):
+        path = tmp_path / f"p{k}.json"
+        cli._write_json(path, obj)
+        assert path.read_text() == json.dumps(_ref_jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
 def test_steckin_bad_instance_file(tmp_path, capsys):
     inst_file = tmp_path / "bad.json"
     inst_file.write_text(json.dumps({"kind": "nonsense"}))

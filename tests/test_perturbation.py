@@ -96,6 +96,32 @@ class TestConePerturbation:
                 cone_perturbation(sp, a, beta=1.0, gamma=0.5)
         assert cone_perturbation(sp, 3, beta=1.0, gamma=0.5).values[3] == 0.0
 
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-323, 1e-300, 0.03, 0.1, 1.0 / 3.0, 0.7, 2.5, 1e300]),
+           st.sampled_from([5e-324, 0.015, 0.05, 0.3, 1.7, 1e-300]))
+    def test_both_cones_are_the_one_formula(self, seed, beta, gamma):
+        # bit for bit the table each cone had its own copy of: the ramp
+        # (beta / gamma) d(a, .) on d(a, .) <= gamma, beta beyond it
+        rng = np.random.default_rng(seed)
+        sp = FiniteMetricSpace.pointcloud(rng.uniform(-1.0, 1.0, size=(40, 2)),
+                                          metric=("euclidean", "l1", "linf")[seed % 3])
+        a = int(rng.integers(sp.n))
+        row = sp.row(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ramp = (beta / gamma) * row
+        if np.all(np.isfinite(ramp)):  # else the slope or a product overflows
+            expected = np.where(row <= gamma, ramp, beta)
+            public = cone_perturbation(sp, a, beta=beta, gamma=gamma).values
+            assert public.tobytes() == expected.tobytes()
+        if 0.0 < beta / 2.0 and beta == 2.0 * (beta / 2.0):
+            # the density step's cone, of height beta and ramp radius beta / 2,
+            # on a zero perturbation: g' = 0 + cone is the cone
+            f = ObjectiveFunction(sp, np.where(np.arange(sp.n) == a, -1.0, 0.0))
+            step = buc_density_step(f, PerturbationFunction(sp, np.zeros(sp.n)), beta)
+            row = sp.row(step.center)
+            expected = np.where(row <= beta / 2.0, (beta / (beta / 2.0)) * row, beta)
+            assert step.g_prime.values.tobytes() == expected.tobytes()
+
 
 class TestDensityStep:
     def test_two_point_frozen_oracle(self):

@@ -24,6 +24,8 @@ from wellpose.seminorms import (
     seminorm_to_json,
 )
 
+from support import _bits
+
 finite_coords = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 
 
@@ -585,10 +587,6 @@ class _Kept(SeminormExpr):
 
     def eval_many(self, X):
         return self.values
-
-
-def _bits(values) -> bytes:
-    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 class TestLinearRows:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wellpose import spaces as spaces_mod
 from wellpose.objectives import ObjectiveFunction, argmin_set
+from wellpose.steckin import polytope_body
 from wellpose.spaces import (
     FiniteMetricSpace,
     _pairwise,
@@ -132,6 +133,37 @@ class TestCoordinateDistances:
         with pytest.raises(ValueError, match="may overflow"):
             FiniteMetricSpace.pointcloud(pts, metric="euclidean")
         assert FiniteMetricSpace.pointcloud(pts, metric="linf").diameter() == s
+
+    @pytest.mark.parametrize("metric", ["euclidean", "l1"])
+    def test_both_span_checks_refuse_from_the_overflow_threshold_on(self, metric):
+        # a right triangle with legs r: the spread (r, r) whose squares (or
+        # entries) are summed; the threshold is found on the checks' former
+        # formulas, a polytope's max - min per column and a space's ranges
+        def old_verdict(verts):
+            hi, lo = verts.max(axis=0), verts.min(axis=0)
+            with np.errstate(over="ignore"):
+                terms = (hi - lo) ** 2 if metric == "euclidean" else hi - lo
+                return bool(np.isfinite(terms[0] + terms[1]))
+
+        def triangle(r):
+            return np.array([[0.0, 0.0], [r, 0.0], [0.0, r]])
+
+        top = np.finfo(float).max
+        r = np.sqrt(top / 2.0) if metric == "euclidean" else top / 2.0
+        while old_verdict(triangle(r)):
+            r = np.nextafter(r, np.inf)
+        while not old_verdict(triangle(r)):
+            r = np.nextafter(r, 0.0)
+        wide = np.nextafter(r, np.inf)
+        assert FiniteMetricSpace.pointcloud(triangle(r), metric=metric).n == 3
+        with pytest.raises(ValueError, match="^coordinate distances may overflow: the point "
+                                             "spread is too wide$"):
+            FiniteMetricSpace.pointcloud(triangle(wide), metric=metric)
+        if metric == "euclidean":
+            assert polytope_body(triangle(r), n_samples=8).sample.shape == (8, 2)
+            with pytest.raises(ValueError, match="^polytope vertex distances overflow: the vertex "
+                                                 "spread is too wide$"):
+                polytope_body(triangle(wide), n_samples=8)
 
     def test_the_widest_finite_spread_is_kept(self):
         sp = FiniteMetricSpace.pointcloud([[0.0, 0.0], [1e154, 0.0]], metric="euclidean")

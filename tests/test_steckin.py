@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wellpose.errors import PreconditionError
@@ -35,7 +35,15 @@ from wellpose.seminorms import (
 from wellpose import seminorms
 from wellpose.errors import ReplayError
 from wellpose import spaces
-from wellpose.spaces import _euclidean_prefix, _pairwise, prefix_diameters, sublevel_diameters
+from wellpose.parametric import vime_family
+from wellpose.spaces import (
+    FiniteMetricSpace,
+    _euclidean_prefix,
+    _pairwise,
+    ball,
+    prefix_diameters,
+    sublevel_diameters,
+)
 from wellpose.steckin import (
     ConvexBody,
     NormedSetting,
@@ -66,45 +74,47 @@ from wellpose.steckin import (
     wellpose_point,
 )
 
-
-def _whole_sweep(pts, nu):
-    """Running nu-diameter of the rows of pts in their order: one sweep
-    over pts built afresh."""
-    return _sweep(pts, nu)(np.arange(len(pts)))
+from support import _bits, _plain_sweep, _whole_sweep
 
 
 class TestMakeSetting:
     def test_dim1_sphere_is_exact(self):
-        s = make_setting(1, l1_norm(1), mesh=0.1)
+        s = make_setting(l1_norm(1), mesh=0.1)
         assert s.mesh == 0.0
         assert sorted(float(v) for v in s.sphere[:, 0]) == [-1.0, 1.0]
 
     def test_dim2_respects_requested_mesh(self):
-        s = make_setting(2, linf_norm(2), mesh=1e-2)
+        s = make_setting(linf_norm(2), mesh=1e-2)
         assert 0.0 < s.mesh <= 1e-2
         # every sample sits on the unit sphere of the base norm
         assert np.allclose(s.base.eval_many(s.sphere), 1.0, rtol=0, atol=1e-12)
 
     def test_dim3_coarse(self):
-        s = make_setting(3, euclidean_norm(3), mesh=0.5)
+        s = make_setting(euclidean_norm(3), mesh=0.5)
         assert 0.0 < s.mesh <= 0.5
         assert np.allclose(np.linalg.norm(s.sphere, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_dimension_is_the_bases(self, d):
+        setting = make_setting(linf_norm(d), mesh=0.5)
+        assert setting.dim == setting.base.dim == d
+        # no dimension of its own to set apart from the base's
+        with pytest.raises(TypeError):
+            NormedSetting(dim=d + 1, base=setting.base, sphere=setting.sphere, mesh=setting.mesh)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_setting(4, euclidean_norm(4), mesh=0.5)
+            make_setting(euclidean_norm(4), mesh=0.5)
         with pytest.raises(ValueError):
-            make_setting(2, linf_norm(2), mesh=0.0)
-        with pytest.raises(ValueError):
-            make_setting(2, linf_norm(3), mesh=0.1)
+            make_setting(linf_norm(2), mesh=0.0)
         degenerate = AbsLinear([1.0, 0.0])  # vanishes on (0, 1)
         with pytest.raises(ValueError):
-            make_setting(2, degenerate, mesh=0.1)
+            make_setting(degenerate, mesh=0.1)
 
 
 class TestSphereEstimates:
     def _setting(self, mesh=1e-2):
-        return make_setting(2, linf_norm(2), mesh=mesh)
+        return make_setting(linf_norm(2), mesh=mesh)
 
     def test_l1_over_linf_frozen_values(self):
         s = self._setting()
@@ -134,8 +144,8 @@ class TestSphereEstimates:
         assert abs(r2.value - 0.25) <= 1e-12
 
     def test_error_bounds_scale_with_mesh(self):
-        coarse = make_setting(2, linf_norm(2), mesh=0.1)
-        fine = make_setting(2, linf_norm(2), mesh=1e-3)
+        coarse = make_setting(linf_norm(2), mesh=0.1)
+        fine = make_setting(linf_norm(2), mesh=1e-3)
         nu = l1_norm(2)
         assert k_nu(nu, fine).error_bound < k_nu(nu, coarse).error_bound
         assert a_nu(nu, fine).error_bound < a_nu(nu, coarse).error_bound
@@ -150,13 +160,13 @@ class TestSphereEstimates:
 
 class TestN0Open:
     def test_identity_pair_holds(self):
-        s = make_setting(2, linf_norm(2), mesh=1e-2)
+        s = make_setting(linf_norm(2), mesh=1e-2)
         rep = n0_open_check(l1_norm(2), l1_norm(2), s)
         assert rep.holds
         assert rep.rho.value == 0.0
 
     def test_random_nearby_pairs_hold(self, rng):
-        s = make_setting(2, linf_norm(2), mesh=1e-2)
+        s = make_setting(linf_norm(2), mesh=1e-2)
         for _ in range(15):
             nu = random_norm(rng, 2)
             bump = Scale(float(rng.uniform(0.0, 0.2)), random_norm(rng, 2))
@@ -167,12 +177,12 @@ class TestN0Open:
 class TestConvexBody:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ConvexBody(vertices=np.zeros((0, 2)), sample=np.zeros((1, 2)), mesh=0.1)
+            ConvexBody(vertices=np.zeros((0, 2)), sample=np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            ConvexBody(vertices=np.zeros((1, 2)), sample=np.zeros((1, 3)), mesh=0.1)
+            ConvexBody(vertices=np.zeros((1, 2)), sample=np.zeros((1, 3)))
         with pytest.raises(ValueError):
             ConvexBody(vertices=np.array([[np.inf, 0.0]]),
-                       sample=np.zeros((1, 2)), mesh=0.1)
+                       sample=np.zeros((1, 2)))
 
     def test_segment_membership(self):
         body = segment_body([-1.0, 0.0], [1.0, 0.0], n_samples=11)
@@ -189,12 +199,10 @@ class TestConvexBody:
         assert not body.contains([1.5, 1.5])
         assert all(body.contains(x) for x in body.sample[::8])  # its samples lie in its hull
         assert body.sample.shape[0] == 256
-        assert body.mesh > 0.0
 
     def test_segment_sample_is_uniform(self):
         body = segment_body([0.0, 0.0], [1.0, 0.0], n_samples=5)
         assert np.allclose(body.sample[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert body.mesh == 0.25
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -211,6 +219,35 @@ class TestConvexBody:
     def test_polytope_vertices_must_be_finite(self, verts):
         with pytest.raises(ValueError, match="body data must be finite"):
             polytope_body(verts, n_samples=16)
+
+    @pytest.mark.parametrize("verts, n, seed", [
+        ([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], 256, 3),
+        ([[-1.0, -0.5], [1.0, -0.6], [0.8, 0.7], [-0.6, 0.9]], 2048, 0),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 97, 11),
+        ([[3.0, 4.0]], 5, 1),
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], 2, 4),
+        ([[1e150, -1e150], [-1e150, 1e150], [0.5, 0.25]], 64.0, 2.0),
+    ])
+    def test_polytope_sample_equals_the_builder_that_kept_a_mesh(self, verts, n, seed):
+        verts = np.asarray(verts, dtype=np.float64)
+        rng = np.random.default_rng(int(seed))
+        weights = rng.dirichlet(np.ones(verts.shape[0]), size=max(int(n) - verts.shape[0], 0))
+        expected = np.vstack([verts, weights @ verts]) if weights.size else verts.copy()
+        body = polytope_body(verts, n_samples=n, seed=seed)
+        assert _bits(body.sample) == _bits(expected) and body.sample.shape == expected.shape
+        assert _bits(body.vertices) == _bits(verts)
+
+    @pytest.mark.parametrize("a, b, n", [
+        ([-1.0, 0.0], [1.0, 0.0], 2001), ([0.0, 0.0], [1.0, 0.0], 5), ([0.5, -2.0], [0.5, -2.0], 3),
+        ([1e150, -3.0], [-1e150, 7.0], 201), ([-1.0, 0.0, 2.0], [0.25, 3.0, -1.0], 2.0),
+    ])
+    def test_segment_sample_equals_the_builder_that_kept_a_mesh(self, a, b, n):
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        ts = np.linspace(0.0, 1.0, int(n))
+        expected = a[None, :] + ts[:, None] * (b - a)[None, :]
+        body = segment_body(a, b, n_samples=n)
+        assert _bits(body.sample) == _bits(expected) and body.sample.shape == expected.shape
+        assert _bits(body.vertices) == _bits(np.stack([a, b]))
 
     def test_an_overflowing_polytope_is_rejected_before_its_mesh(self):
         # the squared 1e200 width overflows
@@ -366,7 +403,7 @@ def test_polygon_facets_match_qhull_and_the_lp(polygon, seed):
 
     verts, scale = polygon
     assert 3 <= len(verts) <= 40
-    body = ConvexBody(vertices=verts, sample=verts, mesh=1.0)
+    body = ConvexBody(vertices=verts, sample=verts)
     centre, basis, rows = body._facets
     assert basis.shape == (2, 2)
     oracle = ConvexHull((verts - centre) @ basis).equations
@@ -395,7 +432,7 @@ def test_a_full_hull_has_no_residual_to_round():
                       [1920340.5733007318, -558830.9963978517],
                       *[[279415.49819892587, 960170.2866503659]] * 3,
                       [2514739.483790333, 8641532.579853294]])
-    body = ConvexBody(vertices=verts, sample=verts, mesh=1.0)
+    body = ConvexBody(vertices=verts, sample=verts)
     probe = np.array([2115521.6469525415, 6749744.833915575])
     assert body.contains(probe) and _lp_contains(verts, probe)
 
@@ -414,6 +451,45 @@ def test_non_finite_points_are_rejected_before_any_step():
     with pytest.raises(ValueError, match="finite"):
         wellpose_point(inst.nu0, inst.body, [np.inf, 2.0], 0.1, inst.setting)
 
+
+
+def test_a_base_of_another_dimension_than_the_body_is_rejected():
+    desc = {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "witness_points": [[0.0, 2.0]],
+            "base": {"kind": "euclidean", "dim": 3}}
+    with pytest.raises(ValueError, match="^base dimension mismatch$"):
+        steckin_instance_from_json(desc)
+
+
+_ONE_WITNESS = {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "base": "linf",
+                "n_samples": 201, "witness_points": [[0.0, 2.0]]}
+
+
+class TestReplayTolerance:
+    """The final replay reads each step at delta/3 on the grid (tol, 2 tol,
+    3 tol); a delta whose third rounds to 0 has no such grid."""
+
+    def test_a_delta_whose_third_rounds_to_0_is_refused_naming_the_step(self):
+        inst = steckin_instance_from_json(_ONE_WITNESS)
+        with pytest.raises(ValueError, match=r"^step 0 cannot be replayed: its delta 5e-324 "):
+            baire_renorm(inst.nu0, inst.body, inst.witness_points, 0.3, 5, inst.setting,
+                         delta_grid=(5e-324,))
+
+    def test_the_least_delta_with_a_positive_third_replays(self):
+        inst = steckin_instance_from_json(_ONE_WITNESS)
+        rep = baire_renorm(inst.nu0, inst.body, inst.witness_points, 0.3, 5, inst.setting,
+                           delta_grid=(1e-323,))
+        assert rep.success and rep.ledger.steps[0].delta == 1e-323
+        assert rep.per_point[0]["curve"].eps_grid == (5e-324, 1e-323, 1.5e-323)
+
+    @given(st.floats(min_value=5e-324, max_value=np.finfo(float).max))
+    @example(1e-323)
+    @example(np.finfo(float).max)
+    @example(3.0 * np.finfo(float).tiny)
+    def test_the_grid_is_the_sorted_set_it_replaced(self, delta):
+        tol = float(delta) / 3.0  # a ledger delta is a Python float
+        assume(tol > 0.0)
+        grid = (tol, 2.0 * tol, 3.0 * tol)
+        assert [v.hex() for v in grid] == [v.hex() for v in sorted({tol, 2.0 * tol, 3.0 * tol})]
 
 
 def test_a_witness_at_distance_0_from_the_body_is_rejected():
@@ -435,6 +511,48 @@ def test_fractional_counts_are_rejected(field):
     whole = steckin_instance_from_json(dict(desc, n_samples=40.0, seed=3.0))
     assert np.array_equal(whole.body.sample,
                           steckin_instance_from_json(dict(desc, n_samples=40, seed=3)).body.sample)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: FiniteMetricSpace.grid1d(0.0, 1.0, 2.5), "steps"),
+    (lambda: FiniteMetricSpace.grid2d((0.0, 1.0, 1.5), (0.0, 1.0, 2)), "x steps"),
+    (lambda: FiniteMetricSpace.grid2d((0.0, 1.0, 2), (0.0, 1.0, 3.5)), "y steps"),
+    (lambda: vime_family(4.5, 3), "x_steps"),
+    (lambda: vime_family(3, 6.5), "p_steps"),
+    (lambda: segment_body([0.0, 0.0], [1.0, 0.0], 2.5), "n_samples"),
+    (lambda: polytope_body([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], n_samples=10.5), "n_samples"),
+    (lambda: polytope_body([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], seed=1.5), "seed"),
+    (lambda: ball(FiniteMetricSpace.grid1d(0.0, 1.0, 4), 1.5, 0.3), "center index"),
+])
+def test_fractional_counts_are_rejected_by_the_constructors(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FiniteMetricSpace.grid1d(0.0, 1.0, 0), "steps must be >= 1"),
+    (lambda: FiniteMetricSpace.grid1d(0.0, 1.0, 0.5), "steps must be >= 1"),
+    (lambda: FiniteMetricSpace.grid2d((0.0, 1.0, -1), (0.0, 1.0, 2)), "steps must be >= 1"),
+    (lambda: vime_family(2, 3), "steps must be >= 3"),
+    (lambda: vime_family(2.5, 3), "steps must be >= 3"),
+    (lambda: segment_body([0.0, 0.0], [1.0, 0.0], 1), "need at least two samples"),
+    (lambda: segment_body([0.0, 0.0], [1.0, 0.0], 1.5), "need at least two samples"),
+    (lambda: ball(FiniteMetricSpace.grid1d(0.0, 1.0, 4), -1, 0.3), "center index -1 out of range"),
+    (lambda: ball(FiniteMetricSpace.grid1d(0.0, 1.0, 4), 5, 0.3), "center index 5 out of range"),
+])
+def test_too_small_counts_keep_their_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_integral_float_counts_build_what_the_integers_build():
+    assert _bits(FiniteMetricSpace.grid1d(-1.0, 2.0, 6.0)._coords) == \
+        _bits(FiniteMetricSpace.grid1d(-1.0, 2.0, 6)._coords)
+    assert _bits(FiniteMetricSpace.grid2d((0.0, 1.0, 2.0), (0.0, 3.0, 3.0))._coords) == \
+        _bits(FiniteMetricSpace.grid2d((0.0, 1.0, 2), (0.0, 3.0, 3))._coords)
+    assert _bits(vime_family(6.0, 9.0).values) == _bits(vime_family(6, 9).values)
+    space = FiniteMetricSpace.grid1d(0.0, 1.0, 4)
+    assert ball(space, 2.0, 0.3).indices.tolist() == ball(space, 2, 0.3).indices.tolist()
 
 
 @pytest.mark.parametrize("kind, field", [("polytope", "n_samples"), ("polytope", "seed"),
@@ -555,9 +673,52 @@ def _hypot_rows(d):
                                for e, row in rows]))
 
 
+def _ref_sum_squares(pts):
+    """Each row's sum of squares as Euclidean.eval_many folded it before it
+    called the distance kernel: column by column, in place."""
+    out = np.square(pts[:, 0])
+    col = np.empty_like(out)
+    for k in range(1, pts.shape[1]):
+        out += np.square(pts[:, k], out=col)
+    return out
+
+
+def _ref_euclidean(pts):
+    """Euclidean.eval_many on its own sum of squares (_ref_sum_squares),
+    rows outside the normal range summed again at a power-of-two scale."""
+    with np.errstate(over="ignore"):
+        sq = _ref_sum_squares(pts)
+    redo = np.flatnonzero(~(sq >= np.finfo(np.float64).tiny) | (sq == np.inf))
+    exponent = np.frexp(np.abs(pts[redo]).max(axis=1, initial=0.0))[1]
+    scaled = np.sqrt(_ref_sum_squares(np.ldexp(pts[redo], -exponent[:, None])))
+    out = np.sqrt(sq)
+    with np.errstate(over="ignore"):
+        out[redo] = np.ldexp(scaled, exponent)
+    return out, redo.size
+
+
 class TestEuclideanRange:
     """A row whose sum of squares overflows or leaves the normal range is
     summed again at a power-of-two scale; every other row keeps its bits."""
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    @given(data=st.data())
+    def test_values_are_the_sum_of_squares_fold_bit_for_bit(self, d, data):
+        rows = data.draw(st.lists(st.tuples(st.integers(-300, 300),
+                                            st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)),
+                                  min_size=1, max_size=8))
+        X = np.array([[m * 10.0**k for m in row] for k, row in rows])
+        X = np.vstack([X, data.draw(_hypot_rows(d))])
+        expected, _ = _ref_euclidean(X)
+        assert _bits(Euclidean(d).eval_many(X)) == _bits(expected)
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_values_with_rescaled_rows_are_the_fold_bit_for_bit(self, d, rng):
+        X = rng.normal(size=(2001, d)) * 10.0 ** rng.integers(-300, 301, size=(2001, 1))
+        X[:3] = 0.0
+        expected, rescaled = _ref_euclidean(X)
+        assert rescaled > 100  # the rescale path is taken, and so is the plain one
+        assert _bits(Euclidean(d).eval_many(X)) == _bits(expected)
 
     def test_the_huge_and_tiny_examples(self):
         e = euclidean_norm(2)
@@ -847,12 +1008,6 @@ class TestBaireRenorm:
             assert np.array_equal(rep.nu_final.eval_many(pts), rebuilt.eval_many(pts))
 
 
-def _plain_sweep(sample, base):
-    """Running base diameters of sample[order], the rows gathered and
-    projected afresh on every sweep."""
-    return lambda order: _whole_sweep(sample[order], base)
-
-
 def _reference_renorm(nu0, body, witness_points, eps_total, n_target, setting,
                       delta_grid=None, tried=None):
     """baire_renorm as a loop that re-evaluates the whole growing tree:
@@ -950,10 +1105,6 @@ def _assert_same_bits(a, b):
     assert hexed(_as_plain(a)) == hexed(_as_plain(b))
 
 
-def _bits(values) -> bytes:
-    return np.asarray(values, dtype=np.float64).tobytes()
-
-
 def _renorm_cases():
     """(name, nu0, body, witnesses, setting, delta_grid): linf, l1,
     euclidean and random_norm bases; interior, step_failed and
@@ -979,7 +1130,7 @@ def _renorm_cases():
     ]
     for k in range(4):
         base = random_norm(rng, 2)
-        setting = make_setting(2, base, 1e-2)
+        setting = make_setting(base, 1e-2)
         nu0 = base if k % 2 else SumOf((base, Scale(0.5, random_norm(rng, 2))))
         witnesses = tuple(tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(3 + k))
         body = poly.body if k < 2 else seg.body
@@ -1097,7 +1248,7 @@ class TestCarriedValues:
         columns, give the sum node's eval_many bit for bit: c base, c
         quotient of base; the terms' own largest sum is moved."""
         for base in (linf_norm(dim), l1_norm(dim), euclidean_norm(dim)):
-            setting = make_setting(dim, base, 0.5)
+            setting = make_setting(base, 0.5)
             pts = rng.normal(size=(50, dim)) * 2
             base_vals = base.eval_many(pts)
             carried = rng.uniform(0.0, 3.0, size=50)
@@ -1117,7 +1268,7 @@ class TestCarriedValues:
             order = np.argsort(vals, kind="stable")
             alt = next((int(k) for k in order[1:]
                         if not np.array_equal(rows[k], rows[order[0]])), None)
-            body = ConvexBody(vertices=rows, sample=rows, mesh=0.0)
+            body = ConvexBody(vertices=rows, sample=rows)
             assert _nearest_two(vals, body) == (int(order[0]), alt)
 
 
@@ -1355,14 +1506,14 @@ class TestNearestTwo:
 
     def test_repeat_flag(self, rng):
         for sample in self._samples(rng):
-            body = ConvexBody(vertices=sample, sample=sample, mesh=0.0)
+            body = ConvexBody(vertices=sample, sample=sample)
             assert body._repeats == (len(set(map(tuple, sample.tolist()))) < len(sample))
 
     def test_pick_equals_the_coordinate_mask(self, rng):
         """Tied values, all-equal values and values in every order, on
         samples with and without repeated points."""
         for sample in self._samples(rng):
-            body = ConvexBody(vertices=sample, sample=sample, mesh=0.0)
+            body = ConvexBody(vertices=sample, sample=sample)
             m = len(sample)
             cases = [np.zeros(m), np.full(m, 3.5), rng.normal(size=m),
                      rng.integers(0, 3, size=m).astype(float), np.arange(m, 0, -1.0)]
@@ -1375,7 +1526,7 @@ _KERNEL_BASES = {"linf": linf_norm, "l1": l1_norm, "euclidean": euclidean_norm}
 
 @functools.lru_cache(maxsize=None)
 def _kernel_setting(dim, name):
-    return make_setting(dim, _KERNEL_BASES[name](dim), 0.5)
+    return make_setting(_KERNEL_BASES[name](dim), 0.5)
 
 
 @st.composite
@@ -1439,11 +1590,11 @@ class TestKeptValues:
     @staticmethod
     def _settings():
         rng = np.random.default_rng(23)
-        yield make_setting(1, l1_norm(1), 0.1)
+        yield make_setting(l1_norm(1), 0.1)
         for base in (linf_norm(2), l1_norm(2), euclidean_norm(2), random_norm(rng, 2)):
-            yield make_setting(2, base, 2e-2)
+            yield make_setting(base, 2e-2)
         for base in (linf_norm(3), euclidean_norm(3)):
-            yield make_setting(3, base, 0.5)
+            yield make_setting(base, 0.5)
 
     def test_sphere_values_equal_a_fresh_evaluation(self):
         for setting in self._settings():
@@ -1459,7 +1610,7 @@ class TestKeptValues:
         angles = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
         points = np.column_stack([np.cos(angles), np.sin(angles)])
         points /= base.eval_many(points)[:, None]
-        setting = NormedSetting(dim=2, base=base, sphere=points, mesh=0.2)
+        setting = NormedSetting(base=base, sphere=points, mesh=0.2)
         sphere, values = setting.sphere.copy(), setting.base_sphere.copy()
         points *= 3.0
         assert _bits(setting.sphere) == _bits(sphere)
@@ -1475,7 +1626,7 @@ class TestKeptValues:
         yield polytope_body(rng.normal(size=(6, 3)), n_samples=50, seed=3)
         # tied rows and dyadic coordinates: equal projections and diameters
         tied = rng.integers(-4, 5, size=(40, 2)) / 4.0
-        yield ConvexBody(vertices=tied, sample=np.vstack([tied, tied[::3]]), mesh=0.25)
+        yield ConvexBody(vertices=tied, sample=np.vstack([tied, tied[::3]]))
 
     def test_projection_sweep_equals_the_gathered_sample(self):
         rng = np.random.default_rng(7)

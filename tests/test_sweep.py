@@ -46,11 +46,7 @@ from wellpose.steckin import (
     wellpose_point,
 )
 
-
-def _whole_sweep(pts, nu):
-    """Running nu-diameter of the rows of pts in their order: one sweep
-    over pts built afresh."""
-    return _sweep(pts, nu)(np.arange(len(pts)))
+from support import _bits, _plain_sweep, _whole_sweep
 
 
 def _pair_max(space: FiniteMetricSpace, members) -> float:
@@ -197,10 +193,6 @@ class TestPrefixDiameters:
         assert block[1, -1] == expected[-1]
 
 
-def _bits(values) -> bytes:
-    return np.asarray(values, dtype=np.float64).tobytes()
-
-
 class TestSpreadPath:
     """linf and 1-D l1 spaces take the running coordinate range; every
     result must equal the block path and the all-pairs maximum bit for bit."""
@@ -306,7 +298,7 @@ class TestProjectionCurves:
             "skew": MaxOf((AbsLinear([1.0, 0.0]), AbsLinear([0.0, 1.0]),
                            Scale(0.75, AbsLinear([1.0, 1.0])))),
         }[base_name]
-        setting = make_setting(2, base, 5e-3)
+        setting = make_setting(base, 5e-3)
         body = polytope_body([[-1.0, -0.5], [1.0, -0.6], [0.8, 0.7], [-0.6, 0.9]],
                              n_samples=300, seed=3)
         nu = MaxOf((AbsLinear([1.0, 0.2]), AbsLinear([-0.3, 1.0])))
@@ -817,11 +809,6 @@ STEP_BASES = {
     # neither polyhedral nor euclidean: the block path over eval_many
     "mixed": SumOf((euclidean_norm(2), linf_norm(2))),
 }
-
-
-def _plain_sweep(sample, base):
-    """Running base diameters of sample[order], the sample projected afresh."""
-    return lambda order: _whole_sweep(sample[order], base)
 
 
 def _full_pick(values, sample, grid, base, eps):
